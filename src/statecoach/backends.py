@@ -260,10 +260,14 @@ class HttpBackend:
                 if resp.status_code == 200:
                     return resp.json()
                 last_error = f"HTTP {resp.status_code}"
+                # A client error will not change on resend, except a timeout
+                # (408) or rate limit (429).
+                if 400 <= resp.status_code < 500 and resp.status_code not in (408, 429):
+                    break
             except requests.RequestException as exc:
                 last_error = str(exc)
         raise BackendUnavailableError(
-            f"backend unreachable at {url}: {last_error}", attempts=self.config.retries
+            f"backend unreachable at {url}: {last_error}", attempts=attempt
         )
 
     def _render(self, template_id: str, **fields) -> str:

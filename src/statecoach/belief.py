@@ -78,15 +78,11 @@ class BeliefState:
 def predictive_prior(belief: Categorical, model, action: str) -> Categorical:
     """Roll the belief one step through the transition model under an action.
 
-    q(s') = sum_s q(s) * p(s' | s, action).  ``model`` is anything exposing
-    ``transition_prob(state, action) -> Categorical``.
+    q(s') = sum_s q(s) * T[s, action, s'].  ``model`` is anything exposing
+    ``transitions()`` (the T[s, a, s'] array) and its ``actions`` space.
     """
-    out = np.zeros(len(belief.space))
-    for i, s in enumerate(belief.space.labels):
-        w = belief.probs[i]
-        if w > 0:
-            out += w * model.transition_prob(s, action).probs
-    return Categorical(belief.space, out)
+    T = model.transitions()[:, model.actions.index(action), :]
+    return Categorical(belief.space, (belief.probs[:, None] * T).sum(axis=0))
 
 
 def bayes_update(prior: Categorical, likelihood) -> Categorical:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backends import DATA_DIR, BackendConfig, hashed_embedding, make_backend
+from .backends import DATA_DIR, BackendConfig, hashed_embedding, make_backend, tokenize
 from .belief import bayes_update, free_energy
 from .client_sim import (
     ClientProfile,
@@ -39,7 +39,7 @@ from .harness import (
     run_dialogue,
 )
 from .metrics import dynamic_metrics
-from .planner import epistemic_value
+from .planner import epistemic_value, planner_prior
 from .probs import Categorical, LabelSpace, entropy, kl_divergence, point_mass, uniform
 from .vocab import CLIENT_ACTIONS, STAGES
 
@@ -269,6 +269,9 @@ def cmd_repl(args: argparse.Namespace) -> int:
             continue
         if line.lower() in {"quit", "exit"}:
             break
+        if not tokenize(line):
+            print("  (no words in that line; type an utterance, or 'quit')")
+            continue
         turns += 1
         action = backend.classify_counselor_action(line)
         outcome = client.respond(line, action)
@@ -315,19 +318,11 @@ def _selftest_mi_identity(rng: np.random.Generator, n_models: int) -> str | None
         wm.observation_counts += rng.random(wm.observation_counts.shape) * 5
         q = Categorical(STAGES, rng.dirichlet(np.full(len(STAGES), 2.0)))
         action = str(rng.choice(wm.actions.labels))
-        prior = Categorical(
-            STAGES,
-            sum(
-                q.probs[i] * wm.transition_prob(s, action).probs
-                for i, s in enumerate(STAGES.labels)
-            ),
-        )
+        prior = planner_prior(q, wm, action)
         expected_post_entropy = epistemic_value(q, wm, action)
         expected_kl = 0.0
-        for j in range(len(wm.cues)):
-            col = np.array(
-                [wm.observation_prob(s).probs[j] for s in STAGES.labels]
-            )
+        for cue in wm.cues.labels:
+            col = wm.observation_likelihood(cue)
             p_o = float(prior.probs @ col)
             if p_o > 0:
                 expected_kl += p_o * kl_divergence(bayes_update(prior, col), prior)

@@ -33,7 +33,6 @@ class RunConfig:
     lambda_e: float = DEFAULT_LAMBDA_E
     lambda_p: float = DEFAULT_LAMBDA_P
     beta: float = DEFAULT_BETA
-    lambda_wm: float = 1.0
     tau: float = DEFAULT_TAU
     theta_cov: float = DEFAULT_THETA_COV
     theta_prep: float = DEFAULT_THETA_PREP
@@ -48,7 +47,6 @@ class RunConfig:
     kappa_t: float = DEFAULT_KAPPA
     kappa_o: float = DEFAULT_KAPPA
     obs_seed_count: float = 1.0
-    test_num: int = 5
     disable_planner: bool = False
     hard_counts: bool = False
     efe_action: bool = True
@@ -58,6 +56,10 @@ class RunConfig:
     endpoint: str | None = None
     model_name: str | None = None
     extra: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        if self.max_turns < 0:
+            raise ValueError(f"max_turns must be non-negative, got {self.max_turns}")
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "RunConfig":
@@ -98,7 +100,6 @@ class RunConfig:
             "seed": self.seed,
             "max_output_tokens": self.max_output_tokens,
             "hedge_terms": list(HEDGE_TERMS),
-            "lambda_wm": self.lambda_wm,
             "kappa_t": self.kappa_t,
             "kappa_o": self.kappa_o,
         }

@@ -15,6 +15,13 @@ The chosen action minimizes a weighted sum of the two.  Planning is a single
 step deep: the score enumerates one future turn, not a policy tree.  The
 predictive state distribution under the chosen action is also handed back so
 the next turn's belief fusion can use it as its prior.
+
+All candidate actions are scored in one pass over the model's arrays
+T[s, a, s'] and O[s', c] (see ``world_model``).  For k candidates, S states
+and C cues the rollout holds q'[a, s'] (k, S), the joint q'[a, s'] * O[s', c]
+(k, S, C) and p(c | a) (k, C); posteriors over s' are the joint divided by
+p(c | a).  Every reduction runs over states or cues, never over actions, so
+each action's values are bit-identical to scoring it alone.
 """
 
 from __future__ import annotations
@@ -24,9 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .belief import bayes_update, predictive_prior
+from .belief import predictive_prior
 from .errors import EmptyActionSetError, InvalidWeightsError
-from .probs import Categorical, LabelSpace, entropy, normalize
+from .probs import Categorical, LabelSpace, normalize
 from .vocab import CUES
 
 # Default split between exploration and exploitation.
@@ -110,21 +117,29 @@ class EfeReport:
         return {"chosen": self.chosen, "scores": [s.as_dict() for s in self.scores]}
 
 
-def predict_obs_dist(belief: Categorical, model, action: str) -> Categorical:
-    """Distribution over next-turn cues under an action: sum_s' q(s'|a) p(o|s')."""
-    q_next = predictive_prior(belief, model, action)
-    out = np.zeros(len(model.cues))
-    for i, s in enumerate(q_next.space.labels):
-        w = q_next.probs[i]
-        if w > 0:
-            out += w * model.observation_prob(s).probs
-    return Categorical(model.cues, out)
+def _rollout(
+    belief: Categorical, model, actions: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """q'[a, s'], the joint q'[a, s'] * O[s', c], and p(c | a) for each action."""
+    idx = [model.actions.index(a) for a in actions]
+    q_next = (belief.probs[:, None, None] * model.transitions()[:, idx, :]).sum(axis=0)
+    joint = q_next[:, :, None] * model.observations()
+    return q_next, joint, joint.sum(axis=1)
 
 
-def _observation_column(model, cue_index: int, states: LabelSpace) -> np.ndarray:
-    return np.array(
-        [model.observation_prob(s).probs[cue_index] for s in states.labels]
-    )
+def _epistemic(joint: np.ndarray, p_obs: np.ndarray) -> np.ndarray:
+    """Expected posterior entropy per action; cues with p(c | a) = 0 add nothing."""
+    seen = (p_obs > 0)[:, None, :]
+    post = np.divide(joint, p_obs[:, None, :], out=np.zeros_like(joint), where=seen)
+    log_post = np.log(post, out=np.zeros_like(post), where=post > 0)
+    h = -(post * log_post).sum(axis=1)
+    # +0.0 so that a fully revealing action (every posterior certain) reports 0.0, not -0.0.
+    return 0.0 + (p_obs * h).sum(axis=1)
+
+
+def _pragmatic(p_obs: np.ndarray, pref: PreferenceModel) -> np.ndarray:
+    """Expected negative log preference of the elicited cue, per action."""
+    return -(p_obs * pref.log_pref).sum(axis=1)
 
 
 def epistemic_value(belief: Categorical, model, action: str) -> float:
@@ -134,22 +149,14 @@ def epistemic_value(belief: Categorical, model, action: str) -> float:
     states and weight its entropy by the cue's predicted probability.  Cues
     with zero predicted probability contribute nothing.
     """
-    q_next = predictive_prior(belief, model, action)
-    obs_dist = predict_obs_dist(belief, model, action)
-    value = 0.0
-    for j in range(len(model.cues)):
-        p_o = obs_dist.probs[j]
-        if p_o <= 0:
-            continue
-        posterior = bayes_update(q_next, _observation_column(model, j, q_next.space))
-        value += p_o * entropy(posterior)
-    return float(value)
+    _q_next, joint, p_obs = _rollout(belief, model, (action,))
+    return float(_epistemic(joint, p_obs)[0])
 
 
 def pragmatic_value(belief: Categorical, model, action: str, pref: PreferenceModel) -> float:
     """Expected negative log preference of the cue the action elicits."""
-    obs_dist = predict_obs_dist(belief, model, action)
-    return float(-np.sum(obs_dist.probs * pref.log_pref))
+    _q_next, _joint, p_obs = _rollout(belief, model, (action,))
+    return float(_pragmatic(p_obs, pref)[0])
 
 
 def _check_weights(lambda_e: float, lambda_p: float) -> None:
@@ -197,16 +204,16 @@ def select_action(
     labels = tuple(actions.labels if isinstance(actions, LabelSpace) else actions)
     if not labels:
         raise EmptyActionSetError("no candidate actions to choose from")
+    q_next, joint, p_obs = _rollout(belief, model, labels)
+    epistemic = _epistemic(joint, p_obs)
+    pragmatic = _pragmatic(p_obs, pref)
     scores = []
-    for a in labels:
-        epi = epistemic_value(belief, model, a)
-        prag = pragmatic_value(belief, model, a, pref)
+    for i, a in enumerate(labels):
+        epi, prag = float(epistemic[i]), float(pragmatic[i])
         total = lambda_e * epi + lambda_p * prag
         if last_action is not None and a == last_action:
             total += repeat_penalty
-        scores.append(
-            ActionScore(a, epi, prag, total, predictive_prior(belief, model, a))
-        )
+        scores.append(ActionScore(a, epi, prag, total, Categorical(belief.space, q_next[i])))
     best = min(range(len(scores)), key=lambda i: (scores[i].total, i))
     return EfeReport(tuple(scores), scores[best].action)
 

@@ -6,6 +6,17 @@ cue-emission table conditioned on the stage.  Both are plain count arrays
 turned into probabilities with symmetric Dirichlet smoothing, so a fresh
 model predicts uniformly and every observed turn sharpens it.
 
+The model is held as two arrays, and every consumer reads them as such:
+
+* ``transitions()`` is T[s, a, s'] = p(s' | s, a), shape (states, actions,
+  states), each T[s, a, :] a distribution;
+* ``observations()`` is O[s, c] = p(c | s), shape (states, cues), each
+  O[s, :] a distribution.
+
+``WorldModel`` derives both from its counts on every read, so writing the
+count arrays directly is always safe.  ``TableModel`` holds fixed, validated
+T and O arrays instead.
+
 Updates are soft by default: instead of committing to an argmax stage, each
 turn deposits fractional counts weighted by the current belief, which keeps
 the model honest about its own uncertainty.
@@ -40,9 +51,10 @@ class TurnEvidence:
     cue: str
 
 
-def _smoothed_row(counts: np.ndarray, kappa: float) -> np.ndarray:
-    n = counts.shape[0]
-    return (counts + kappa / n) / (counts.sum() + kappa)
+def _smoothed(counts: np.ndarray, kappa: float) -> np.ndarray:
+    """Symmetric Dirichlet smoothing of count rows along the last axis."""
+    n = counts.shape[-1]
+    return (counts + kappa / n) / (counts.sum(axis=-1, keepdims=True) + kappa)
 
 
 class WorldModel:
@@ -66,22 +78,28 @@ class WorldModel:
         self.transition_counts = np.zeros((len(states), len(actions), len(states)))
         self.observation_counts = np.zeros((len(states), len(cues)))
 
+    def transitions(self) -> np.ndarray:
+        """T[s, a, s'] = p(s' | s, a) from smoothed counts; uniform when unseen."""
+        return _smoothed(self.transition_counts, self.kappa_t)
+
+    def observations(self) -> np.ndarray:
+        """O[s, c] = p(c | s) from smoothed counts; uniform when unseen."""
+        return _smoothed(self.observation_counts, self.kappa_o)
+
     def transition_prob(self, state: str, action: str) -> Categorical:
-        """p(s' | state, action) from smoothed counts; uniform when unseen."""
-        row = self.transition_counts[self.states.index(state), self.actions.index(action)]
-        return Categorical(self.states, _smoothed_row(row, self.kappa_t))
+        """p(s' | state, action): one row of T."""
+        return Categorical(
+            self.states,
+            self.transitions()[self.states.index(state), self.actions.index(action)],
+        )
 
     def observation_prob(self, state: str) -> Categorical:
-        """p(cue | state) from smoothed counts; uniform when unseen."""
-        row = self.observation_counts[self.states.index(state)]
-        return Categorical(self.cues, _smoothed_row(row, self.kappa_o))
+        """p(cue | state): one row of O."""
+        return Categorical(self.cues, self.observations()[self.states.index(state)])
 
     def observation_likelihood(self, cue: str) -> np.ndarray:
-        """p(cue | s) for every state s — the evidence vector for inference."""
-        j = self.cues.index(cue)
-        return np.array(
-            [self.observation_prob(s).probs[j] for s in self.states.labels]
-        )
+        """p(cue | s) for every state s, one column of O: the evidence vector."""
+        return self.observations()[:, self.cues.index(cue)]
 
     def add_observation(self, q: Categorical, cue: str, hard: bool = False) -> None:
         """Credit the emission table only (used when no prior action exists)."""
@@ -107,34 +125,6 @@ class WorldModel:
                 evidence.q_prev.probs, evidence.q_curr.probs
             )
         self.add_observation(evidence.q_curr, evidence.cue, hard=hard)
-
-    def wm_loss(self, evidences: list[TurnEvidence], lam: float = 1.0) -> float:
-        """Negative log likelihood of a trajectory under the current tables.
-
-        Sums the expected observation NLL per turn plus ``lam`` times the
-        expected transition NLL between consecutive turns.  With a single
-        evidence item there are no consecutive pairs, so the transition term
-        contributes nothing.
-        """
-        total = 0.0
-        for ev in evidences:
-            j = self.cues.index(ev.cue)
-            for i, s in enumerate(self.states.labels):
-                w = ev.q_curr.probs[i]
-                if w > 0:
-                    total -= w * np.log(self.observation_prob(s).probs[j])
-        for prev, curr in zip(evidences, evidences[1:]):
-            a = curr.action
-            for i, s in enumerate(self.states.labels):
-                wi = prev.q_curr.probs[i]
-                if wi <= 0:
-                    continue
-                trans = self.transition_prob(s, a).probs
-                for k in range(len(self.states)):
-                    wk = curr.q_curr.probs[k]
-                    if wk > 0:
-                        total -= lam * wi * wk * np.log(trans[k])
-        return float(total)
 
     def to_dict(self) -> dict:
         return {
@@ -171,9 +161,10 @@ class WorldModel:
 class TableModel:
     """A fixed-probability stand-in for WorldModel, for tests and demos.
 
-    Exposes the same ``transition_prob`` / ``observation_prob`` interface but
-    reads from explicit probability tables, which makes it possible to build
-    scenarios with exact zeros that smoothed counts can never produce.
+    Reads from explicit probability tables, which makes it possible to build
+    scenarios with exact zeros that smoothed counts can never produce.  Every
+    row is validated as a distribution and stacked into read-only ``T`` and
+    ``O`` arrays; a missing (state, action) or state row raises KeyError here.
     """
 
     def __init__(
@@ -187,21 +178,22 @@ class TableModel:
         self.states = states
         self.actions = actions
         self.cues = cues
-        self._transitions = {
-            key: Categorical(states, np.asarray(row, dtype=float))
-            for key, row in transitions.items()
-        }
-        self._observations = {
-            s: Categorical(cues, np.asarray(row, dtype=float))
-            for s, row in observations.items()
-        }
+        self.T = np.array(
+            [
+                [Categorical(states, transitions[(s, a)]).probs for a in actions.labels]
+                for s in states.labels
+            ]
+        )
+        self.O = np.array([Categorical(cues, observations[s]).probs for s in states.labels])
+        self.T.flags.writeable = False
+        self.O.flags.writeable = False
 
-    def transition_prob(self, state: str, action: str) -> Categorical:
-        return self._transitions[(state, action)]
+    def transitions(self) -> np.ndarray:
+        return self.T
 
-    def observation_prob(self, state: str) -> Categorical:
-        return self._observations[state]
+    def observations(self) -> np.ndarray:
+        return self.O
 
-    def observation_likelihood(self, cue: str) -> np.ndarray:
-        j = self.cues.index(cue)
-        return np.array([self._observations[s].probs[j] for s in self.states.labels])
+    transition_prob = WorldModel.transition_prob
+    observation_prob = WorldModel.observation_prob
+    observation_likelihood = WorldModel.observation_likelihood

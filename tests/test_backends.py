@@ -197,6 +197,24 @@ def test_http_retries_then_unavailable():
     assert len(session.calls) == 3
 
 
+def test_http_client_error_is_not_retried():
+    session = FakeSession([FakeResponse(status_code=400)] * 3)
+    b = HttpBackend(http_config(), session=session)
+    with pytest.raises(BackendUnavailableError) as err:
+        b.generate_response("Affirm", None, None, "hi")
+    assert err.value.attempts == 1
+    assert len(session.calls) == 1
+
+
+def test_http_rate_limit_is_retried():
+    session = FakeSession(
+        [FakeResponse(status_code=429), FakeResponse(payload=chat_payload("Ok."))]
+    )
+    b = HttpBackend(http_config(), session=session)
+    assert b.generate_response("Affirm", None, None, "hi") == "Ok."
+    assert len(session.calls) == 2
+
+
 def test_http_chat_request_shape(monkeypatch):
     monkeypatch.setenv("STATECOACH_API_KEY", "sek")
     session = FakeSession([FakeResponse(payload=chat_payload("Reply text."))])

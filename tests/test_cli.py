@@ -105,6 +105,24 @@ def test_repl_session_quits_cleanly(capsys, monkeypatch):
     assert "session ended." in out
 
 
+def test_repl_skips_line_without_words(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("...\nquit\n"))
+    code, out = run_cli(capsys, ["repl"])
+    assert code == 0
+    assert "no words in that line" in out
+    assert "[classified as:" not in out
+    assert "session ended." in out
+
+
+def test_negative_max_turns_exits_2(tmp_path, capsys):
+    code = main(["run-dynamic", "--out", str(tmp_path / "r"), "--max-turns", "-3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "max_turns must be non-negative" in captured.err
+    assert not (tmp_path / "r").exists()
+
+
 def test_repl_show_belief_adds_advisory_line(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(""))  # immediate EOF
     code, out = run_cli(capsys, ["repl", "--show-belief"])

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from statecoach.belief import bayes_update
 from statecoach.errors import EmptyActionSetError, InvalidWeightsError
 from statecoach.planner import (
+    _rollout,
     DEFAULT_LAMBDA_E,
     DEFAULT_LAMBDA_P,
     PreferenceModel,
@@ -13,11 +15,11 @@ from statecoach.planner import (
     expected_free_energy,
     planner_prior,
     pragmatic_value,
-    predict_obs_dist,
     select_action,
 )
 from statecoach.probs import Categorical, LabelSpace, entropy, kl_divergence, uniform
-from statecoach.world_model import TableModel
+from statecoach.vocab import COUNSELOR_ACTIONS, CUES, STAGES
+from statecoach.world_model import TableModel, WorldModel
 
 S3 = LabelSpace("s", ("s1", "s2", "s3"))
 S2 = LabelSpace("s", ("s1", "s2"))
@@ -73,10 +75,15 @@ def test_default_preference_covers_all_cues():
     assert len(pref.dist.space) == 7
 
 
+def p_obs(belief, model, action):
+    """p(o | action) from the planner's rollout."""
+    return _rollout(belief, model, (action,))[2][0]
+
+
 def test_predict_obs_dist_mixture():
     m = two_state_model()
-    out = predict_obs_dist(uniform(S2), m, "act")
-    assert np.allclose(out.probs, [0.55, 0.45], atol=1e-12)
+    out = p_obs(uniform(S2), m, "act")
+    assert np.allclose(out, [0.55, 0.45], atol=1e-12)
 
 
 def test_predict_obs_dist_uniform_rows_uninformative():
@@ -87,7 +94,7 @@ def test_predict_obs_dist_uniform_rows_uninformative():
         transitions={(s, "act"): np.array([0.9, 0.1]) for s in S2.labels},
         observations={s: np.array([0.5, 0.5]) for s in S2.labels},
     )
-    assert np.allclose(predict_obs_dist(uniform(S2), m, "act").probs, [0.5, 0.5])
+    assert np.allclose(p_obs(uniform(S2), m, "act"), [0.5, 0.5])
 
 
 def test_epistemic_value_two_state_hand_value():
@@ -259,3 +266,77 @@ def test_planner_prior_matches_predictive_distribution():
     m = two_state_model()
     out = planner_prior(Categorical(S2, np.array([0.3, 0.7])), m, "act")
     assert np.allclose(out.probs, [0.5, 0.5])
+
+
+def reference_scores(belief, model, action, pref):
+    """Per-state, per-cue scoring of one action, written from bayes_update
+    and entropy: the formulation the array path replaced, kept as reference."""
+    q_next = np.zeros(len(model.states))
+    for i, s in enumerate(model.states.labels):
+        if belief.probs[i] > 0:
+            q_next += belief.probs[i] * model.transition_prob(s, action).probs
+    obs = np.zeros(len(model.cues))
+    for i, s in enumerate(model.states.labels):
+        if q_next[i] > 0:
+            obs += q_next[i] * model.observation_prob(s).probs
+    prior = Categorical(model.states, q_next)
+    epistemic = 0.0
+    for j, cue in enumerate(model.cues.labels):
+        if obs[j] > 0:
+            posterior = bayes_update(prior, model.observation_likelihood(cue))
+            epistemic += obs[j] * entropy(posterior)
+    return float(epistemic), float(-np.sum(obs * pref.log_pref)), q_next
+
+
+def assert_matches_reference(belief, model, pref):
+    report = select_action(belief, model, model.actions, pref)
+    for a in model.actions.labels:
+        epistemic, pragmatic, q_next = reference_scores(belief, model, a, pref)
+        score = report.score_for(a)
+        assert score.epistemic == epistemic
+        assert score.pragmatic == pragmatic
+        assert np.array_equal(score.q_next_prior.probs, q_next)
+
+
+# Weights with exact zeros, so rows, beliefs and p(o | a) hit zero cells.
+WEIGHT = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1.0))
+
+
+@st.composite
+def distribution(draw, n):
+    w = np.array(draw(st.lists(WEIGHT, min_size=n, max_size=n).filter(any)))
+    return w / w.sum()
+
+
+@st.composite
+def table_case(draw):
+    n_s, n_a, n_c = (draw(st.integers(2, 4)), draw(st.integers(1, 4)), draw(st.integers(2, 5)))
+    states = LabelSpace("s", tuple(f"s{i}" for i in range(n_s)))
+    actions = LabelSpace("a", tuple(f"a{i}" for i in range(n_a)))
+    cues = LabelSpace("o", tuple(f"o{i}" for i in range(n_c)))
+    trans = {(s, a): draw(distribution(n_s)) for s in states.labels for a in actions.labels}
+    obs = {s: draw(distribution(n_c)) for s in states.labels}
+    prefs = draw(st.lists(st.floats(0.05, 1.0), min_size=n_c, max_size=n_c))
+    return (
+        Categorical(states, draw(distribution(n_s))),
+        TableModel(states, actions, cues, trans, obs),
+        PreferenceModel.from_weights(cues, dict(zip(cues.labels, prefs))),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_case())
+def test_one_pass_scores_equal_reference_on_tables_with_zero_cells(case):
+    assert_matches_reference(*case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), distribution(len(STAGES)))
+def test_one_pass_scores_equal_reference_on_count_models(seed, q):
+    rng = np.random.default_rng(seed)
+    wm = WorldModel(kappa_t=float(rng.uniform(0.1, 3.0)), kappa_o=float(rng.uniform(0.1, 3.0)))
+    shape_t, shape_o = wm.transition_counts.shape, wm.observation_counts.shape
+    wm.transition_counts += rng.random(shape_t) * 5 * (rng.random(shape_t) < 0.5)
+    wm.observation_counts += rng.random(shape_o) * 5 * (rng.random(shape_o) < 0.5)
+    assert wm.actions is COUNSELOR_ACTIONS and wm.cues is CUES
+    assert_matches_reference(Categorical(STAGES, q), wm, PreferenceModel.default())

@@ -112,36 +112,6 @@ def test_updates_commute():
     assert np.allclose(m1.observation_counts, m2.observation_counts)
 
 
-def test_wm_loss_empty_trajectory():
-    assert fresh().wm_loss([]) == 0.0
-
-
-def test_wm_loss_single_turn_observation_only():
-    m = fresh()
-    # state s1 emits o1 with probability exactly 0.5 under the smoothed row
-    m.observation_counts[0] = [3.0, 2.5, 0, 0]
-    assert m.observation_prob("precontemplation").probs[0] == pytest.approx(0.5)
-    ev = TurnEvidence(None, None, point_mass(STAGES, "precontemplation"), "o1")
-    assert m.wm_loss([ev]) == pytest.approx(math.log(2), abs=1e-12)
-
-
-def test_wm_loss_lambda_zero_drops_transition_term():
-    m = fresh()
-    m.observation_counts[:] = 1.0
-    evs = [
-        TurnEvidence(None, None, point_mass(STAGES, "precontemplation"), "o1"),
-        TurnEvidence(
-            point_mass(STAGES, "precontemplation"),
-            "ask",
-            point_mass(STAGES, "contemplation"),
-            "o2",
-        ),
-    ]
-    obs_only = m.wm_loss(evs, lam=0.0)
-    with_trans = m.wm_loss(evs, lam=1.0)
-    assert with_trans > obs_only
-
-
 def test_save_load_round_trip(tmp_path):
     m = fresh()
     m.update(
@@ -178,6 +148,14 @@ def test_table_model_exposes_exact_rows():
     assert np.allclose(t.transition_prob("contemplation", "ask").probs, [1, 0, 0])
     assert np.allclose(t.observation_prob("preparation").probs, [0, 0, 0, 1])
     assert np.allclose(t.observation_likelihood("o4"), [1, 1, 1])
+
+
+def test_table_model_missing_cell_fails_at_construction():
+    trans = {(s, a): np.array([1.0, 0, 0]) for s in STAGES.labels for a in A2.labels}
+    del trans[("preparation", "tell")]
+    obs = {s: np.array([0, 0, 0, 1.0]) for s in STAGES.labels}
+    with pytest.raises(KeyError):
+        TableModel(STAGES, A2, O4, trans, obs)
 
 
 @given(
