@@ -2,7 +2,7 @@
 
 Two implementations share one duck-typed interface:
 
-* ScriptedBackend — fully deterministic: playback queues, keyword rule
+* ScriptedBackend — fully deterministic: a playback queue, keyword rule
   tables (shipped as JSON fixtures), and a hashed bag-of-tokens embedding.
   This is what tests and reproducible runs use.
 * HttpBackend — an OpenAI-compatible chat-completions / embeddings client
@@ -124,7 +124,7 @@ def _apply_rules(rules: list[dict], utterance: str) -> str:
 
 
 class ScriptedBackend:
-    """Deterministic backend driven by fixture rule tables and playback queues."""
+    """Deterministic backend driven by fixture rule tables and a playback queue."""
 
     def __init__(self, config: BackendConfig | None = None):
         self.config = config or BackendConfig()
@@ -135,16 +135,12 @@ class ScriptedBackend:
         self._response_rules = _load_json("counselor_responses.json")["rules"]
         self._client_rules = _load_json("client_responses.json")["rules"]
         self.playback: deque[str] = deque()
-        self.client_playback: deque[str] = deque()
         self.action_reply_override: str | None = None
 
     # -- generation -------------------------------------------------------
 
     def queue_responses(self, lines) -> None:
         self.playback.extend(lines)
-
-    def queue_client_responses(self, lines) -> None:
-        self.client_playback.extend(lines)
 
     def _check_template(self, template_id: str) -> None:
         if template_id not in self.config.prompt_templates:
@@ -189,8 +185,6 @@ class ScriptedBackend:
         template_id: str = "client_reply",
     ) -> str:
         self._check_template(template_id)
-        if self.client_playback:
-            return self.client_playback.popleft()
         fmt = {"action": action, "utterance": counselor_utterance, **context}
         haystack = (
             f"client_action:{action.lower()} || "
@@ -200,13 +194,11 @@ class ScriptedBackend:
 
     # -- classification ---------------------------------------------------
 
-    def classify_counselor_action(self, utterance: str, context: str = "") -> str:
+    def classify_counselor_action(self, utterance: str) -> str:
         _require_text(utterance)
         return _apply_rules(self._counselor_rules, utterance)
 
-    def classify_talk_type(
-        self, utterance: str, context: str = "", mode: str = "cue"
-    ) -> str:
+    def classify_talk_type(self, utterance: str, mode: str = "cue") -> str:
         _require_text(utterance)
         rules = self._annomi_rules if mode == "annomi" else self._cue_rules
         return _apply_rules(rules, utterance)
@@ -337,14 +329,12 @@ class HttpBackend:
                 return label
         return fallback
 
-    def classify_counselor_action(self, utterance: str, context: str = "") -> str:
+    def classify_counselor_action(self, utterance: str) -> str:
         return self._classify(
             utterance, "classify_counselor", COUNSELOR_ACTIONS.labels, "Give Information"
         )
 
-    def classify_talk_type(
-        self, utterance: str, context: str = "", mode: str = "cue"
-    ) -> str:
+    def classify_talk_type(self, utterance: str, mode: str = "cue") -> str:
         if mode == "annomi":
             return self._classify(
                 utterance, "classify_talk_type", TALK_TYPES.labels, "neutral"

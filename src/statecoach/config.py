@@ -4,7 +4,7 @@ shipped calibration, overridable from CLI flags or a JSON config file."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .belief import ALPHA_WIDTHS, DEFAULT_BETA, HEDGE_TERMS
@@ -55,7 +55,6 @@ class RunConfig:
     backend_kind: str = "scripted"
     endpoint: str | None = None
     model_name: str | None = None
-    extra: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.max_turns < 0:
@@ -63,15 +62,19 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "RunConfig":
-        """JSON config merged under explicit overrides (flags win)."""
+        """JSON config merged under explicit overrides (flags win).
+
+        A key that names no field (a typo such as ``lamda_e``) is a
+        ValueError, so it cannot silently leave its default in force.
+        """
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        known = {f.name for f in fields(cls)}
-        merged = {k: v for k, v in data.items() if k in known}
-        unknown = {k: v for k, v in data.items() if k not in known}
-        merged.update({k: v for k, v in overrides.items() if v is not None})
-        cfg = cls(**merged)
-        cfg.extra = unknown
-        return cfg
+        if not isinstance(data, dict):
+            raise ValueError(f"config file {path} must hold a JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
+        data.update({k: v for k, v in overrides.items() if v is not None})
+        return cls(**data)
 
     def dump_constants(self) -> dict:
         """Every published constant this build wires in as a default.

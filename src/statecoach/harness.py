@@ -1,11 +1,10 @@
 """Dialogue orchestration: counselor agents, the turn loop, transcripts,
 and offline evaluation against annotated sessions.
 
-The full agent runs this per-turn pipeline on every client utterance:
-classify the cue, form the observation-side stage estimate, widen it by
-utterance quality, fuse it with the prior predicted last turn, update the
-world model, pick the next action by expected free energy, cache the new
-predictive prior, touch memory, and generate the reply.  Baseline agents
+One ``BeliefTracker`` advances the belief and the world model every turn,
+for the full agent and for offline evaluation alike; the two differ only in
+where the action comes from: expected free energy, or the annotation.  The
+full agent then touches memory and generates the reply.  Baseline agents
 (random, fixed rotation, fully scripted) share the same interface so the
 loop and the metrics treat all counselors alike.
 """
@@ -13,7 +12,7 @@ loop and the metrics treat all counselors alike.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +157,58 @@ def init_world_model(cfg: RunConfig) -> WorldModel:
     return wm
 
 
+# The prior of a turn with no predictive prior to fuse: the first turn, and
+# every turn with the planner disabled.
+UNIFORM_STAGE_PRIOR = uniform(STAGES)
+
+
+class BeliefTracker:
+    """The belief over the client's stage and the world model learned with it.
+
+    Each turn is ``observe`` (the client's reply) then ``act`` (the counselor
+    action taken after it).  ``q`` is the last belief, ``action`` the last
+    action and ``prior`` the predictive prior under it; all are ``None``
+    until the first turn sets them.
+    """
+
+    def __init__(self, cfg: RunConfig, world_model: WorldModel | None = None):
+        self.cfg = cfg
+        self.wm = world_model if world_model is not None else init_world_model(cfg)
+        self.q: Categorical | None = None
+        self.action: str | None = None
+        self.prior: Categorical | None = None
+
+    def observe(self, utterance: str, cue: str) -> tuple[BeliefState, np.ndarray]:
+        """Widen the cue's stage estimate by utterance quality, fuse it with
+        the predictive prior and credit the world model with the turn.
+
+        Returns the belief, without posterior or free energy, and the cue's
+        likelihood over stages as it was before the world-model update.
+        """
+        likelihood = self.wm.observation_likelihood(cue)
+        widened, alpha = widen_observation(normalize(STAGES, likelihood), utterance)
+        if self.prior is not None and not self.cfg.disable_planner:
+            p_prior, beta = self.prior, self.cfg.beta
+            q = fuse(widened, p_prior, beta)
+        else:
+            p_prior, beta, q = UNIFORM_STAGE_PRIOR, 0.0, widened
+        if self.action is not None:
+            self.wm.update(
+                TurnEvidence(self.q, self.action, q, cue), hard=self.cfg.hard_counts
+            )
+        else:
+            self.wm.add_observation(q, cue, hard=self.cfg.hard_counts)
+        self.q = q
+        belief = BeliefState(q=q, p_obs=widened, p_prior=p_prior, alpha=alpha, beta=beta)
+        return belief, likelihood
+
+    def act(self, action: str) -> Categorical:
+        """Commit to ``action``; returns the predictive prior for the next turn."""
+        self.action = action
+        self.prior = planner_prior(self.q, self.wm, action)
+        return self.prior
+
+
 class ActiveCounselor:
     """The full belief-tracking, free-energy-minimizing counselor agent."""
 
@@ -173,54 +224,22 @@ class ActiveCounselor:
         self.backend = backend
         self.cfg = cfg or RunConfig()
         self.session_id = session_id
-        self.wm = world_model if world_model is not None else init_world_model(self.cfg)
+        self.tracker = BeliefTracker(self.cfg, world_model)
+        self.wm = self.tracker.wm
         self.memory = memory if memory is not None else MemoryStore(backend)
         self.pref = preference or PreferenceModel.default()
         self.turn = 0
-        self.last_action: str | None = None
-        self.prior_cache: Categorical | None = None
-        self.q_prev: Categorical | None = None
-
-    def _belief_from(self, client_utterance: str, cue: str) -> BeliefState:
-        likelihood = self.wm.observation_likelihood(cue)
-        p_obs = normalize(STAGES, likelihood)
-        widened, alpha = widen_observation(p_obs, client_utterance)
-        use_prior = (
-            self.prior_cache is not None
-            and self.turn > 1
-            and not self.cfg.disable_planner
-        )
-        if use_prior:
-            p_prior = self.prior_cache
-            beta = self.cfg.beta
-            q = fuse(widened, p_prior, beta)
-        else:
-            p_prior = uniform(STAGES)
-            beta = 0.0
-            q = widened
-        return BeliefState(
-            q=q,
-            p_obs=widened,
-            p_prior=p_prior,
-            alpha=alpha,
-            beta=beta,
-            posterior=bayes_update(p_prior, likelihood),
-            free_energy=free_energy(q, p_prior, likelihood),
-        )
 
     def counselor_turn(self, client_utterance: str) -> CounselorMove:
         self.turn += 1
         cue = self.backend.classify_talk_type(client_utterance)
-        belief = self._belief_from(client_utterance, cue)
+        belief, likelihood = self.tracker.observe(client_utterance, cue)
+        belief = replace(
+            belief,
+            posterior=bayes_update(belief.p_prior, likelihood),
+            free_energy=free_energy(belief.q, belief.p_prior, likelihood),
+        )
         q = belief.q
-
-        if self.q_prev is not None and self.last_action is not None:
-            self.wm.update(
-                TurnEvidence(self.q_prev, self.last_action, q, cue),
-                hard=self.cfg.hard_counts,
-            )
-        else:
-            self.wm.add_observation(q, cue, hard=self.cfg.hard_counts)
 
         report: EfeReport | None = None
         if self.cfg.efe_action:
@@ -232,12 +251,12 @@ class ActiveCounselor:
                 self.cfg.lambda_e,
                 self.cfg.lambda_p,
                 repeat_penalty=self.cfg.repeat_penalty,
-                last_action=self.last_action,
+                last_action=self.tracker.action,
             )
             action = report.chosen
         else:
             action = FALLBACK_ROTATION[(self.turn - 1) % len(FALLBACK_ROTATION)]
-        self.prior_cache = planner_prior(q, self.wm, action)
+        self.tracker.act(action)
 
         memories = self.memory.retrieve(
             client_utterance,
@@ -250,9 +269,6 @@ class ActiveCounselor:
         text = self.backend.generate_response(action, q, memories, client_utterance)
         self.memory.add(STM, text, self.turn, self.session_id)
         self.memory.consolidate(self.session_id, self.cfg.consolidate_every)
-
-        self.q_prev = q
-        self.last_action = action
         return CounselorMove(action=action, text=text, belief=belief, efe=report, cue=cue)
 
 
@@ -383,35 +399,17 @@ def offline_eval(sessions: list[dict], cfg: RunConfig | None = None, backend=Non
         if n - warmup < cfg.min_eval_turns:
             continue
         sessions_scored += 1
-        wm = init_world_model(cfg)
-        pref = PreferenceModel.default()
-        q_prev: Categorical | None = None
-        last_action: str | None = None
-        prior_cache: Categorical | None = None
+        tracker = BeliefTracker(cfg)
         for t, turn in enumerate(turns):
             cue = backend.classify_talk_type(turn["client_text"])
-            likelihood = wm.observation_likelihood(cue)
-            p_obs = normalize(STAGES, likelihood)
-            widened, _alpha = widen_observation(p_obs, turn["client_text"])
-            if prior_cache is not None and t > 0 and not cfg.disable_planner:
-                q = fuse(widened, prior_cache, cfg.beta)
-            else:
-                q = widened
-            if q_prev is not None and last_action is not None:
-                wm.update(TurnEvidence(q_prev, last_action, q, cue), hard=cfg.hard_counts)
-            else:
-                wm.add_observation(q, cue, hard=cfg.hard_counts)
-            action = turn["counselor_action"]
-            prior_next = planner_prior(q, wm, action)
+            belief, _likelihood = tracker.observe(turn["client_text"], cue)
+            prior_next = tracker.act(turn["counselor_action"])
             if t >= warmup:
                 curr_tot += 1
-                curr_hit += q.argmax_label() == turn["gold_stage"]
+                curr_hit += belief.q.argmax_label() == turn["gold_stage"]
                 if t + 1 < n:
                     next_tot += 1
                     next_hit += prior_next.argmax_label() == turns[t + 1]["gold_stage"]
-            prior_cache = prior_next
-            q_prev = q
-            last_action = action
     if curr_tot == 0:
         raise EmptyInputError("no sessions were long enough to score")
     return {

@@ -16,7 +16,6 @@ class Metrics:
     avg_turns: float
     curr_acc: float | None = None
     next_acc: float | None = None
-    act_kl: float | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -26,7 +25,6 @@ class Metrics:
             "avg_turns": self.avg_turns,
             "curr_acc": self.curr_acc,
             "next_acc": self.next_acc,
-            "act_kl": self.act_kl,
         }
 
 

@@ -145,6 +145,15 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_config_key_typo_exits_2_naming_the_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lamda_e": 1}))
+    code = main(["run-dynamic", "--out", str(tmp_path / "runs"), "--config", str(cfg)])
+    assert code == 2
+    assert "lamda_e" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_missing_sessions_file_exits_2(capsys):
     code, _ = run_cli(capsys, ["eval-offline", "--sessions", "/nonexistent.json"])
     assert code == 2

@@ -1,16 +1,23 @@
 """Turn loop, counselor agents, transcripts, metrics, and offline scoring."""
 
+import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from statecoach.backends import DATA_DIR, BackendConfig, ScriptedBackend
 from statecoach.client_sim import (
+    TRIGGER_RULES,
     ClientProfile,
     ClientSession,
     TalkTypeTable,
     load_pop_prior,
+    load_profiles,
 )
 from statecoach.config import RunConfig
 from statecoach.errors import EmptyInputError, NoGoldLabelsError
@@ -30,7 +37,7 @@ from statecoach.harness import (
 )
 from statecoach.metrics import Metrics, dynamic_metrics
 from statecoach.probs import uniform
-from statecoach.vocab import COUNSELOR_ACTIONS, STAGES
+from statecoach.vocab import COUNSELOR_ACTIONS, STAGES, stage_ordinal
 
 
 def scripted():
@@ -149,7 +156,7 @@ def test_first_turn_uses_uniform_prior_without_fusion():
 def test_second_turn_fuses_with_cached_planner_prior():
     agent = ActiveCounselor(scripted())
     agent.counselor_turn("I'm only here because my family keeps pushing me.")
-    cached = agent.prior_cache
+    cached = agent.tracker.prior
     move = agent.counselor_turn("Honestly, it's not a big deal.")
     b = move.belief
     assert b.beta == agent.cfg.beta == 0.35
@@ -311,6 +318,57 @@ def test_transcript_flush_matches_returned_object(tmp_path):
     assert path.read_text(encoding="utf-8") == t.to_jsonl()
 
 
+@st.composite
+def trigger_subset(draw):
+    """A bundled profile keeping a random subset of its trigger sentences,
+    at least one of which still qualifies as a trigger."""
+    profile = draw(st.sampled_from(load_profiles(DATA_DIR / "profiles")))
+    kept = {
+        cat: tuple(draw(st.lists(st.sampled_from(getattr(profile, cat)), unique=True)))
+        for cat in TRIGGER_RULES
+    }
+    assume(any(len(s) > TRIGGER_RULES[cat][0] for cat in kept for s in kept[cat]))
+    return dataclasses.replace(profile, **kept)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    profile=trigger_subset(),
+    max_turns=st.integers(0, 12),
+    beta=st.floats(0.0, 1.0),
+    lambda_e=st.floats(0.0, 2.0),
+    lambda_p=st.floats(0.0, 2.0),
+    repeat_penalty=st.floats(0.0, 1.0),
+    disable_planner=st.booleans(),
+    hard_counts=st.booleans(),
+    efe_action=st.booleans(),
+)
+def test_run_dialogue_loop_invariants(profile, **knobs):
+    cfg = RunConfig(**knobs)
+    backend = scripted()
+    client = ClientSession(
+        profile,
+        TalkTypeTable.from_file(DATA_DIR / "talk_type_table.json"),
+        backend,
+        load_pop_prior(DATA_DIR / "pop_prior.json"),
+        tau=cfg.tau, theta_cov=cfg.theta_cov, theta_prep=cfg.theta_prep,
+        alpha=cfg.alpha_dirichlet, seed=cfg.seed,
+    )
+    counselor = ActiveCounselor(backend, cfg, session_id=profile.id)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.jsonl"
+        t = run_dialogue(counselor, client, cfg, out_path=path)
+        written = path.read_text(encoding="utf-8")
+        assert Transcript.from_jsonl(path).to_jsonl() == written == t.to_jsonl()
+    stage = t.initial_stage
+    for rec in t.records:
+        assert abs(sum(rec.belief["q"].values()) - 1.0) <= 1e-9
+        assert stage_ordinal(rec.sim_stage) >= stage_ordinal(stage)
+        if (stage, rec.sim_stage) == ("precontemplation", "contemplation"):
+            assert rec.readiness == 0.0
+        stage = rec.sim_stage
+
+
 # --- offline evaluation ---
 
 
@@ -401,7 +459,7 @@ def test_metrics_as_dict_shape():
     m = Metrics(lift=1.0, prep_rate=0.5, trig_cov=0.25, avg_turns=8.0)
     d = m.as_dict()
     assert list(d) == ["lift", "prep_rate", "trig_cov", "avg_turns",
-                       "curr_acc", "next_acc", "act_kl"]
+                       "curr_acc", "next_acc"]
     assert d["curr_acc"] is None
 
 
@@ -418,12 +476,17 @@ def test_config_defaults():
 
 def test_config_file_merge_and_extras(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"seed": 7, "beta": 0.5, "mystery_knob": 1}))
+    path.write_text(json.dumps({"seed": 7, "beta": 0.5}))
     cfg = RunConfig.from_file(path, seed=9)
     assert cfg.seed == 9  # explicit override beats the file
     assert cfg.beta == 0.5  # file beats the default
     assert cfg.max_turns == 20  # untouched default survives
-    assert cfg.extra == {"mystery_knob": 1}
+    path.write_text(json.dumps({"seed": 7, "mystery_knob": 1, "lamda_e": 0.3}))
+    with pytest.raises(ValueError, match="lamda_e, mystery_knob"):
+        RunConfig.from_file(path)
+    path.write_text(json.dumps([["seed", 7]]))
+    with pytest.raises(ValueError, match="JSON object"):
+        RunConfig.from_file(path)
 
 
 def test_dump_constants_reports_wired_defaults():
