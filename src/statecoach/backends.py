@@ -6,7 +6,8 @@ Two implementations share one duck-typed interface:
   tables (shipped as JSON fixtures), and a hashed bag-of-tokens embedding.
   This is what tests and reproducible runs use.
 * HttpBackend — an OpenAI-compatible chat-completions / embeddings client
-  with greedy decoding, bounded retries, and typed transport errors.
+  with greedy decoding, bounded retries with exponential backoff, and typed
+  transport errors.
 
 The interface methods are: generate_response, generate_client_reply,
 classify_counselor_action, classify_talk_type, choose_client_action,
@@ -19,6 +20,7 @@ import hashlib
 import json
 import os
 import string
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,6 +35,8 @@ from .vocab import CLIENT_ACTIONS, COUNSELOR_ACTIONS, CUES, TALK_TYPES
 DATA_DIR = Path(__file__).parent / "data"
 EMBED_DIM = 256
 API_KEY_ENV = "STATECOACH_API_KEY"
+# Wait before the n-th resend of an HTTP request: RETRY_BACKOFF_S * 2**(n-1).
+RETRY_BACKOFF_S = 0.5
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
@@ -258,6 +262,8 @@ class HttpBackend:
                     break
             except requests.RequestException as exc:
                 last_error = str(exc)
+            if attempt < self.config.retries:
+                time.sleep(RETRY_BACKOFF_S * 2 ** (attempt - 1))
         raise BackendUnavailableError(
             f"backend unreachable at {url}: {last_error}", attempts=attempt
         )

@@ -319,6 +319,9 @@ class ClientSession:
         self.readiness = 0.0
         self.turn = 0
         self.triggers = build_triggers(profile, backend)
+        # Counselor texts already embedded this session: scripted replies
+        # repeat, and the backend's embedding of a text is taken as fixed.
+        self._embedded: dict[str, np.ndarray] = {}
 
     @property
     def coverage(self) -> float:
@@ -373,9 +376,10 @@ class ClientSession:
             raise UnknownActionError(f"unknown counselor action {counselor_action!r}")
         self.turn += 1
         stage_before = self.stage
-        matches = match_triggers(
-            self.triggers, self.backend.embed(counselor_text), self.tau
-        )
+        vector = self._embedded.get(counselor_text)
+        if vector is None:
+            vector = self._embedded[counselor_text] = self.backend.embed(counselor_text)
+        matches = match_triggers(self.triggers, vector, self.tau)
         g = content_gate(matches)
         delta = expected_delta_r(self.table.row(stage_before, counselor_action))
         bonuses = [m.trigger.bonus for m in matches if m.newly_discovered]

@@ -57,8 +57,19 @@ class RunConfig:
     model_name: str | None = None
 
     def __post_init__(self):
+        """Reject out-of-range values before a run writes anything."""
         if self.max_turns < 0:
             raise ValueError(f"max_turns must be non-negative, got {self.max_turns}")
+        if not 0.0 <= self.beta <= 1.0:
+            raise ValueError(f"beta must be in [0, 1], got {self.beta}")
+        if self.k_relevant < 0:
+            raise ValueError(f"k_relevant must be non-negative, got {self.k_relevant}")
+        if self.context_n < 0:
+            raise ValueError(f"context_n must be non-negative, got {self.context_n}")
+        if self.consolidate_every <= 0:
+            raise ValueError(
+                f"consolidate_every must be positive, got {self.consolidate_every}"
+            )
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "RunConfig":

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 import requests
 
+from statecoach import backends
 from statecoach.backends import (
     EMBED_DIM,
+    RETRY_BACKOFF_S,
     BackendConfig,
     HttpBackend,
     ScriptedBackend,
@@ -180,6 +182,14 @@ class FakeSession:
         return item
 
 
+@pytest.fixture(autouse=True)
+def sleeps(monkeypatch):
+    """Record the HTTP backoff delays instead of waiting them out."""
+    delays = []
+    monkeypatch.setattr(backends.time, "sleep", delays.append)
+    return delays
+
+
 def http_config(**kw):
     return BackendConfig(kind="http", endpoint="http://fake", retries=3, **kw)
 
@@ -213,6 +223,25 @@ def test_http_rate_limit_is_retried():
     b = HttpBackend(http_config(), session=session)
     assert b.generate_response("Affirm", None, None, "hi") == "Ok."
     assert len(session.calls) == 2
+
+
+@pytest.mark.parametrize(
+    "responses, delays",
+    [
+        ([requests.ConnectionError("down")] * 3, [1, 2]),
+        ([FakeResponse(status_code=503), FakeResponse(status_code=400)], [1]),
+        ([FakeResponse(status_code=400)], []),
+        ([FakeResponse(status_code=429), FakeResponse(payload=chat_payload("Ok."))], [1]),
+        ([FakeResponse(payload=chat_payload("Ok."))], []),
+    ],
+)
+def test_http_backoff_doubles_between_attempts_only(sleeps, responses, delays):
+    b = HttpBackend(http_config(), session=FakeSession(responses))
+    try:
+        b.generate_response("Affirm", None, None, "hi")
+    except BackendUnavailableError:
+        pass
+    assert sleeps == [RETRY_BACKOFF_S * d for d in delays]
 
 
 def test_http_chat_request_shape(monkeypatch):

@@ -123,6 +123,28 @@ def test_negative_max_turns_exits_2(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, config, message",
+    [
+        (["--beta", "1.5"], None, "beta must be in [0, 1]"),
+        ([], {"consolidate_every": 0}, "consolidate_every must be positive"),
+        ([], {"k_relevant": -1}, "k_relevant must be non-negative"),
+        ([], {"context_n": -2}, "context_n must be non-negative"),
+    ],
+)
+def test_out_of_range_config_exits_2_before_writing(tmp_path, capsys, flags, config, message):
+    out = tmp_path / "runs"
+    argv = ["run-dynamic", "--out", str(out), "--max-turns", "3", *flags]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    code = main(argv)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert list(out.glob("*.jsonl")) == []
+
+
 def test_repl_show_belief_adds_advisory_line(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(""))  # immediate EOF
     code, out = run_cli(capsys, ["repl", "--show-belief"])

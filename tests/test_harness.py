@@ -318,6 +318,35 @@ def test_transcript_flush_matches_returned_object(tmp_path):
     assert path.read_text(encoding="utf-8") == t.to_jsonl()
 
 
+def test_run_dialogue_embeds_each_text_once_per_user():
+    class EmbedLog(ScriptedBackend):
+        def __init__(self):
+            super().__init__()
+            self.embedded = []
+
+        def embed(self, text):
+            self.embedded.append(text)
+            return super().embed(text)
+
+    backend = EmbedLog()
+    cfg = RunConfig(early_stop=False)
+    client = p01_session(backend, cfg)
+    counselor = ActiveCounselor(backend, cfg, session_id="p01")
+    t = run_dialogue(counselor, client, cfg)
+    assert any(e.tier == "LTM" for e in counselor.memory.entries)  # consolidation ran
+    # Every client utterance the memory queries is stored too, so the
+    # memory's distinct texts cover its queries.
+    memory_texts = {e.text for e in counselor.memory.entries}
+    matched_texts = {r.counselor_text for r in t.records}
+    assert len(backend.embedded) == (
+        len(client.triggers) + len(memory_texts) + len(matched_texts)
+    )
+    n = len(backend.embedded)
+    counselor.memory.retrieve("a query the memory has not seen", session="p01")
+    counselor.memory.retrieve("a query the memory has not seen", session="p01")
+    assert len(backend.embedded) == n + 1
+
+
 @st.composite
 def trigger_subset(draw):
     """A bundled profile keeping a random subset of its trigger sentences,
@@ -487,6 +516,27 @@ def test_config_file_merge_and_extras(tmp_path):
     path.write_text(json.dumps([["seed", 7]]))
     with pytest.raises(ValueError, match="JSON object"):
         RunConfig.from_file(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("beta", -0.1),
+        ("beta", 1.5),
+        ("beta", float("nan")),
+        ("k_relevant", -1),
+        ("context_n", -1),
+        ("consolidate_every", 0),
+    ],
+)
+def test_run_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        RunConfig(**{field: value})
+
+
+def test_run_config_accepts_range_edges():
+    RunConfig(beta=0.0, k_relevant=0, context_n=0, consolidate_every=1)
+    RunConfig(beta=1.0)
 
 
 def test_dump_constants_reports_wired_defaults():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statecoach.backends import ScriptedBackend
 from statecoach.errors import EmptyTextError
@@ -164,3 +166,138 @@ def test_retrieve_with_real_backend_is_deterministic():
     a = store.retrieve("worry evenings", session="s")
     b = store.retrieve("worry evenings", session="s")
     assert [e.id for e in a["relevant"]] == [e.id for e in b["relevant"]]
+
+
+class CountingVectors(VectorBackend):
+    def __init__(self, table):
+        super().__init__(table)
+        self.embedded = []
+
+    def embed(self, text):
+        self.embedded.append(text)
+        return super().embed(text)
+
+
+def test_each_text_is_embedded_once():
+    backend = CountingVectors({"hi": E1, "reply": E2})
+    store = MemoryStore(backend)
+    store.add(STM, "reply", 1, "s")
+    store.retrieve("hi", session="s")
+    store.add(STM, "hi", 2, "s")
+    store.add(STM, "reply", 2, "s")
+    assert backend.embedded == ["reply", "hi"]
+    store.retrieve("new words", session="s")
+    store.retrieve("new words", session="s")
+    assert backend.embedded == ["reply", "hi", "new words"]
+    assert store.entries[0].embedding is store.entries[2].embedding
+
+
+def test_loaded_entries_keep_their_saved_vectors(tmp_path):
+    store = MemoryStore(VectorBackend({"a": E1, "b": E2}))
+    store.add(STM, "a", 1, "s")
+    store.add(STM, "b", 2, "s")
+    store.save(tmp_path / "mem.jsonl")
+    # The new backend embeds "a" where "b" used to be, and "b" at "a".
+    backend = CountingVectors({"a": E2, "b": E1, "q": E1})
+    fresh = MemoryStore(backend)
+    fresh.load(tmp_path / "mem.jsonl")
+    assert backend.embedded == []
+    out = fresh.retrieve("q", session="s")
+    assert [e.text for e in out["relevant"]] == ["a"]
+    fresh.add(STM, "a", 3, "s")  # a newly stored "a" takes the backend's vector
+    out = fresh.retrieve("q", k=3, session="s")
+    assert [e.text for e in out["relevant"]] == ["a", "b", "a"]
+    assert [e.turn_created for e in out["relevant"]] == [1, 2, 3]
+
+
+# -- retrieve against a per-entry reference ------------------------------------
+
+POOL = ["alpha", "beta", "gamma", "delta", "eps", "zeta"]
+SESSIONS = ["s0", "s1", "s2"]
+UNSTORED = "never stored"  # a query text that no entry holds
+
+
+def _bag_vectors(n, dim=256, seed=7):
+    """Unit vectors shaped like the hashed embedding: normalized counts of
+    8-24 random buckets.  Distances between them that are equal in exact
+    arithmetic often differ in their last bits between summation orders."""
+    rng = np.random.default_rng(seed)
+    bags = [np.bincount(rng.integers(0, dim, rng.integers(8, 25)), minlength=dim)
+            for _ in range(n)]
+    return [b / np.linalg.norm(b) for b in bags]
+
+
+VECTORS = _bag_vectors(len(POOL) + 3)
+
+
+def reference_retrieve(entries, backend, query, k, dist_thres, context_n, session):
+    """The per-entry loop ``retrieve`` replaced: one norm per entry, then sorts."""
+    visible = [
+        e for e in entries if e.tier == LTM or session is None or e.session_id == session
+    ]
+    relevant = []
+    if k > 0 and visible and query.strip():
+        q = backend.embed(query)
+        scored = [(float(np.linalg.norm(e.embedding - q)), e.turn_created, e.seq, e)
+                  for e in visible]
+        scored.sort(key=lambda t: t[:3])
+        relevant = [e for d, _, _, e in scored[:k] if d <= dist_thres]
+    recent = sorted(visible, key=lambda e: (e.turn_created, e.seq))
+    return relevant, recent[-context_n:] if context_n > 0 else []
+
+
+def vector_tables(draw):
+    """The pool texts and the unstored query on distinct vectors, except
+    that the last two pool texts share one."""
+    order = draw(st.permutations(range(len(VECTORS))))
+    table = {t: VECTORS[i] for t, i in zip([UNSTORED, *POOL], order)}
+    table[POOL[-1]] = table[POOL[-2]]
+    return table
+
+
+def fill(draw, store, turn0):
+    adds = draw(st.lists(
+        st.tuples(st.sampled_from([STM, LTM]), st.sampled_from(POOL),
+                  st.integers(0, 4), st.sampled_from(SESSIONS)),
+        max_size=14,
+    ))
+    for tier, text, dt, session in adds:
+        store.add(tier, text, turn0 + dt, session)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_retrieve_matches_per_entry_reference(tmp_path_factory, data):
+    draw = data.draw
+    backend = VectorBackend(vector_tables(draw))
+    store = MemoryStore(backend)
+    fill(draw, store, 0)
+    if draw(st.booleans()):
+        # Rebuild through save/load under a backend that embeds the same
+        # texts differently; loaded entries keep the saved vectors.
+        path = tmp_path_factory.getbasetemp() / "mem.jsonl"
+        store.save(path)
+        backend = VectorBackend(vector_tables(draw))
+        store = MemoryStore(backend)
+        store.load(path)
+        fill(draw, store, 2)
+    for _ in range(4):
+        query = draw(st.sampled_from([UNSTORED, *POOL, "  "]))
+        k = draw(st.integers(0, 3))
+        context_n = draw(st.integers(0, 5))
+        session = draw(st.sampled_from(SESSIONS + [None, "nobody"]))
+        # Beside a fixed threshold, one at and one just below each nearest
+        # entry's distance: a last-bit error in a distance moves that entry
+        # across one of them.
+        thresholds = [draw(st.sampled_from([0.0, 1.2, 1.5, 2.0]))]
+        nearest, _ = reference_retrieve(store.entries, backend, query, k, 2.0, 0, session)
+        for e in nearest:
+            d = float(np.linalg.norm(e.embedding - backend.embed(query)))
+            thresholds += [d, float(np.nextafter(d, 0.0))]
+        for dist_thres in thresholds:
+            out = store.retrieve(query, k, dist_thres, context_n, session)
+            relevant, context = reference_retrieve(
+                store.entries, backend, query, k, dist_thres, context_n, session
+            )
+            assert [id(e) for e in out["relevant"]] == [id(e) for e in relevant]
+            assert [id(e) for e in out["context"]] == [id(e) for e in context]
