@@ -28,7 +28,7 @@ from .harness import (
 )
 from .memory import MemoryStore
 from .metrics import Metrics, dynamic_metrics
-from .planner import EfeReport, PreferenceModel, expected_free_energy, select_action
+from .planner import EfeReport, PreferenceModel, select_action
 from .probs import Categorical, LabelSpace
 from .vocab import CLIENT_ACTIONS, COUNSELOR_ACTIONS, CUES, STAGES, TALK_TYPES
 from .world_model import TurnEvidence, WorldModel
@@ -65,7 +65,6 @@ __all__ = [
     "act_kl",
     "bayes_update",
     "dynamic_metrics",
-    "expected_free_energy",
     "free_energy",
     "fuse",
     "load_pop_prior",

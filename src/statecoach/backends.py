@@ -2,8 +2,8 @@
 
 Two implementations share one duck-typed interface:
 
-* ScriptedBackend — fully deterministic: a playback queue, keyword rule
-  tables (shipped as JSON fixtures), and a hashed bag-of-tokens embedding.
+* ScriptedBackend — fully deterministic: keyword rule tables (shipped as
+  JSON fixtures) and a hashed bag-of-tokens embedding.
   This is what tests and reproducible runs use.
 * HttpBackend — an OpenAI-compatible chat-completions / embeddings client
   with greedy decoding, bounded retries with exponential backoff, and typed
@@ -21,7 +21,6 @@ import json
 import os
 import string
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,7 +29,7 @@ import requests
 
 from .errors import BackendUnavailableError, EmptyTextError, TemplateMissingError
 from .probs import Categorical
-from .vocab import CLIENT_ACTIONS, COUNSELOR_ACTIONS, CUES, TALK_TYPES
+from .vocab import CLIENT_ACTIONS, COUNSELOR_ACTIONS, CUES
 
 DATA_DIR = Path(__file__).parent / "data"
 EMBED_DIM = 256
@@ -104,8 +103,6 @@ def _rule_matches(rule: dict, utterance: str) -> bool:
     bare = text.translate(_PUNCT_TABLE).strip()
     if mode == "always":
         return True
-    if mode == "exact":
-        return bare in rule["terms"]
     if mode == "short_ack":
         return len(bare.split()) <= 3 and bare in rule["terms"]
     if mode == "question":
@@ -128,23 +125,16 @@ def _apply_rules(rules: list[dict], utterance: str) -> str:
 
 
 class ScriptedBackend:
-    """Deterministic backend driven by fixture rule tables and a playback queue."""
+    """Deterministic backend driven by fixture rule tables."""
 
     def __init__(self, config: BackendConfig | None = None):
         self.config = config or BackendConfig()
         self._counselor_rules = _load_json("counselor_rules.json")["rules"]
-        tt = _load_json("talk_type_rules.json")
-        self._cue_rules = tt["cue_rules"]
-        self._annomi_rules = tt["annomi_rules"]
+        self._cue_rules = _load_json("talk_type_rules.json")["cue_rules"]
         self._response_rules = _load_json("counselor_responses.json")["rules"]
         self._client_rules = _load_json("client_responses.json")["rules"]
-        self.playback: deque[str] = deque()
-        self.action_reply_override: str | None = None
 
     # -- generation -------------------------------------------------------
-
-    def queue_responses(self, lines) -> None:
-        self.playback.extend(lines)
 
     def _check_template(self, template_id: str) -> None:
         if template_id not in self.config.prompt_templates:
@@ -170,8 +160,6 @@ class ScriptedBackend:
         template_id: str = "counselor_reply",
     ) -> str:
         self._check_template(template_id)
-        if self.playback:
-            return self.playback.popleft()
         relevant = (memories or {}).get("relevant", [])
         context = {
             "action": action,
@@ -202,14 +190,11 @@ class ScriptedBackend:
         _require_text(utterance)
         return _apply_rules(self._counselor_rules, utterance)
 
-    def classify_talk_type(self, utterance: str, mode: str = "cue") -> str:
+    def classify_talk_type(self, utterance: str) -> str:
         _require_text(utterance)
-        rules = self._annomi_rules if mode == "annomi" else self._cue_rules
-        return _apply_rules(rules, utterance)
+        return _apply_rules(self._cue_rules, utterance)
 
     def choose_client_action(self, dist: Categorical, context: str = "") -> str:
-        if self.action_reply_override is not None:
-            return self.action_reply_override
         return dist.argmax_label()
 
     # -- misc -------------------------------------------------------------
@@ -340,11 +325,7 @@ class HttpBackend:
             utterance, "classify_counselor", COUNSELOR_ACTIONS.labels, "Give Information"
         )
 
-    def classify_talk_type(self, utterance: str, mode: str = "cue") -> str:
-        if mode == "annomi":
-            return self._classify(
-                utterance, "classify_talk_type", TALK_TYPES.labels, "neutral"
-            )
+    def classify_talk_type(self, utterance: str) -> str:
         return self._classify(
             utterance, "classify_talk_type", CUES.labels, "precontemplation"
         )

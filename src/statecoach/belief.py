@@ -98,7 +98,7 @@ def bayes_update(prior: Categorical, likelihood) -> Categorical:
         raise DimensionMismatchError(
             f"likelihood shape {lik.shape} does not match space {prior.space.name!r}"
         )
-    if np.any(lik < 0):
+    if not (lik >= 0).all():  # NaN fails too
         raise ValueError("likelihood values must be non-negative")
     joint = prior.probs * lik
     evidence = joint.sum()
@@ -123,10 +123,10 @@ def free_energy(q: Categorical, prior: Categorical, likelihood) -> float:
             f"likelihood shape {lik.shape} does not match space {q.space.name!r}"
         )
     qp = q.probs
-    if np.any((qp > 0) & (lik <= 0)):
-        return float("inf")
     nz = qp > 0
-    expected_log_lik = float(np.sum(qp[nz] * np.log(lik[nz])))
+    if (nz & (lik <= 0)).any():
+        return float("inf")
+    expected_log_lik = float((qp[nz] * np.log(lik[nz])).sum())
     return kl_divergence(q, prior) - expected_log_lik
 
 

@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,7 @@ CONFIG_ERRORS = (
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """Flags that override RunConfig fields; each ``dest`` is the field it sets."""
     p.add_argument("--config", default=None, help="JSON config file; flags override it")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-turns", type=int, default=None)
@@ -68,36 +70,23 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--repeat-penalty", type=float, default=None)
     p.add_argument("--warmup-ratio", type=float, default=None)
     p.add_argument("--min-eval-turns", type=int, default=None)
-    p.add_argument("--disable-planner", action="store_true")
-    p.add_argument("--hard-counts", action="store_true")
-    p.add_argument("--no-efe-action", action="store_true")
-    p.add_argument("--no-early-stop", action="store_true")
-    p.add_argument("--backend", choices=["scripted", "http"], default=None)
+    p.add_argument("--disable-planner", action="store_const", const=True, default=None)
+    p.add_argument("--hard-counts", action="store_const", const=True, default=None)
+    p.add_argument(
+        "--no-efe-action", dest="efe_action", action="store_const", const=False, default=None
+    )
+    p.add_argument(
+        "--no-early-stop", dest="early_stop", action="store_const", const=False, default=None
+    )
+    p.add_argument(
+        "--backend", dest="backend_kind", choices=["scripted", "http"], default=None
+    )
     p.add_argument("--endpoint", default=None)
-    p.add_argument("--model", default=None)
+    p.add_argument("--model", dest="model_name", default=None)
 
 
 def _cfg_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {
-        "seed": args.seed,
-        "max_turns": args.max_turns,
-        "lambda_e": args.lambda_e,
-        "lambda_p": args.lambda_p,
-        "beta": args.beta,
-        "tau": args.tau,
-        "theta_cov": args.theta_cov,
-        "theta_prep": args.theta_prep,
-        "repeat_penalty": args.repeat_penalty,
-        "warmup_ratio": args.warmup_ratio,
-        "min_eval_turns": args.min_eval_turns,
-        "disable_planner": True if args.disable_planner else None,
-        "hard_counts": True if args.hard_counts else None,
-        "efe_action": False if args.no_efe_action else None,
-        "early_stop": False if args.no_early_stop else None,
-        "backend_kind": args.backend,
-        "endpoint": args.endpoint,
-        "model_name": args.model,
-    }
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     if args.config is not None:
         return RunConfig.from_file(args.config, **overrides)
     return RunConfig(**{k: v for k, v in overrides.items() if v is not None})

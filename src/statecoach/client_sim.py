@@ -71,7 +71,7 @@ class ClientProfile:
             for action, n in row.items():
                 if action not in CLIENT_ACTIONS:
                     raise UnknownActionError(f"unknown client action {action!r}")
-                if n < 0:
+                if not n >= 0:  # NaN fails too
                     raise ValueError("action counts must be non-negative")
 
     @classmethod

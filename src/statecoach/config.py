@@ -15,15 +15,14 @@ from .client_sim import (
     DEFAULT_THETA_PREP,
     TRIGGER_RULES,
 )
-from .memory import (
-    DEFAULT_CONSOLIDATE_EVERY,
-    DEFAULT_CONTEXT_N,
-    DEFAULT_DIST_THRES,
-    DEFAULT_K,
-)
+from .memory import DEFAULT_CONSOLIDATE_EVERY, DEFAULT_DIST_THRES, DEFAULT_K
 from .planner import DEFAULT_LAMBDA_E, DEFAULT_LAMBDA_P
 from .vocab import TALK_TYPE_WEIGHTS
 from .world_model import DEFAULT_KAPPA
+
+# The published memory recency-window size.  Retrieval keeps no recency
+# window, so nothing reads it; the constants dump still reports it.
+PUBLISHED_CONTEXT_N = 30
 
 
 @dataclass
@@ -39,7 +38,6 @@ class RunConfig:
     alpha_dirichlet: float = DEFAULT_ALPHA_DIRICHLET
     dist_thres: float = DEFAULT_DIST_THRES
     k_relevant: int = DEFAULT_K
-    context_n: int = DEFAULT_CONTEXT_N
     consolidate_every: int = DEFAULT_CONSOLIDATE_EVERY
     warmup_ratio: float = 0.5
     min_eval_turns: int = 3
@@ -58,15 +56,16 @@ class RunConfig:
 
     def __post_init__(self):
         """Reject out-of-range values before a run writes anything."""
-        if self.max_turns < 0:
-            raise ValueError(f"max_turns must be non-negative, got {self.max_turns}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must be in [0, 1], got {self.beta}")
-        if self.k_relevant < 0:
-            raise ValueError(f"k_relevant must be non-negative, got {self.k_relevant}")
-        if self.context_n < 0:
-            raise ValueError(f"context_n must be non-negative, got {self.context_n}")
-        if self.consolidate_every <= 0:
+        # Written so that NaN fails every check.
+        for name in ("max_turns", "k_relevant", "lambda_e", "lambda_p", "repeat_penalty"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if self.lambda_e == 0 and self.lambda_p == 0:
+            raise ValueError("lambda_e and lambda_p must not both be zero")
+        for name in ("beta", "warmup_ratio"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        if not self.consolidate_every > 0:
             raise ValueError(
                 f"consolidate_every must be positive, got {self.consolidate_every}"
             )
@@ -106,7 +105,7 @@ class RunConfig:
             "trigger_bonuses": {cat: b for cat, (_m, b) in TRIGGER_RULES.items()},
             "dist_thres": self.dist_thres,
             "k_relevant": self.k_relevant,
-            "context_n": self.context_n,
+            "context_n": PUBLISHED_CONTEXT_N,
             "consolidate_every": self.consolidate_every,
             "warmup_ratio": self.warmup_ratio,
             "min_eval_turns": self.min_eval_turns,

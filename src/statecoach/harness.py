@@ -262,7 +262,6 @@ class ActiveCounselor:
             client_utterance,
             k=self.cfg.k_relevant,
             dist_thres=self.cfg.dist_thres,
-            context_n=self.cfg.context_n,
             session=self.session_id,
         )
         self.memory.add(STM, client_utterance, self.turn, self.session_id)

@@ -2,8 +2,7 @@
 
 Short-term entries are session-local working context; long-term entries are
 cross-session summaries produced by periodic consolidation.  Retrieval
-returns two lists: the nearest entries under a distance threshold (relevance)
-and a recency window of the most recent entries (context).  Distances are
+returns the nearest entries under a distance threshold.  Distances are
 Euclidean between unit-normalized embeddings, so orthogonal texts sit at
 sqrt(2) and opposites at 2; the default threshold 1.5 admits the former and
 rejects the latter.
@@ -32,7 +31,6 @@ LTM = "LTM"
 
 DEFAULT_K = 1
 DEFAULT_DIST_THRES = 1.5
-DEFAULT_CONTEXT_N = 30
 DEFAULT_CONSOLIDATE_EVERY = 12
 
 # Tier codes in the entry table; a tier read from a file that is neither
@@ -175,39 +173,32 @@ class MemoryStore:
         query_text: str,
         k: int = DEFAULT_K,
         dist_thres: float = DEFAULT_DIST_THRES,
-        context_n: int = DEFAULT_CONTEXT_N,
         session: str | None = None,
     ) -> dict[str, list[MemoryEntry]]:
-        """Nearest entries within the threshold plus a recency window.
+        """Up to ``k`` nearest entries within the threshold, as ``{"relevant": [...]}``.
 
         When ``session`` is given, other sessions' short-term entries are
-        invisible; long-term entries are always shared.  The relevant list is
-        sorted by ascending distance with ties going to older entries; the
-        context list holds the most recent entries in chronological order.
+        invisible; long-term entries are always shared.  The list is sorted
+        by ascending distance with ties going to older entries.
         """
-        if k < 0 or context_n < 0:
-            raise ValueError("k and context_n must be non-negative")
+        if k < 0:
+            raise ValueError("k must be non-negative")
         rows, tiers, sessions, turns, seqs = self._columns()
         if session is None:
             visible = np.arange(len(self.entries))
         else:
             own = sessions == self._sessions.get(session, -1)
             visible = np.flatnonzero((tiers == _TIERS[LTM]) | own)
-        turns, seqs = turns[visible], seqs[visible]
         relevant: list[MemoryEntry] = []
         if k > 0 and visible.size and query_text.strip():
             q_row, _ = self._embed(query_text)
             vectors = self._vectors[: self._n_rows]
             dist = _distances(vectors, vectors[q_row])[rows[visible]]
-            nearest = np.lexsort((seqs, turns, dist))[:k]
+            nearest = np.lexsort((seqs[visible], turns[visible], dist))[:k]
             relevant = [
                 self.entries[visible[i]] for i in nearest if dist[i] <= dist_thres
             ]
-        context: list[MemoryEntry] = []
-        if context_n > 0:
-            recent = visible[np.lexsort((seqs, turns))[-context_n:]]
-            context = [self.entries[i] for i in recent]
-        return {"relevant": relevant, "context": context}
+        return {"relevant": relevant}
 
     def consolidate(
         self, session: str, every_n_turns: int = DEFAULT_CONSOLIDATE_EVERY

@@ -69,7 +69,7 @@ class PreferenceModel:
     @classmethod
     def from_weights(cls, space: LabelSpace, weights: dict[str, float]) -> "PreferenceModel":
         w = np.array([weights[c] for c in space.labels], dtype=float)
-        if np.any(w <= 0):
+        if not (w > 0).all():  # NaN fails too
             raise ValueError("preference weights must be strictly positive")
         dist = normalize(space, w)
         log_pref = np.log(dist.probs)
@@ -159,29 +159,6 @@ def pragmatic_value(belief: Categorical, model, action: str, pref: PreferenceMod
     return float(_pragmatic(p_obs, pref)[0])
 
 
-def _check_weights(lambda_e: float, lambda_p: float) -> None:
-    if lambda_e < 0 or lambda_p < 0 or (lambda_e == 0 and lambda_p == 0):
-        raise InvalidWeightsError(
-            f"objective weights must be non-negative and not both zero, "
-            f"got lambda_e={lambda_e}, lambda_p={lambda_p}"
-        )
-
-
-def expected_free_energy(
-    belief: Categorical,
-    model,
-    action: str,
-    pref: PreferenceModel,
-    lambda_e: float = DEFAULT_LAMBDA_E,
-    lambda_p: float = DEFAULT_LAMBDA_P,
-) -> float:
-    """Weighted sum of epistemic and pragmatic value for one action."""
-    _check_weights(lambda_e, lambda_p)
-    return lambda_e * epistemic_value(belief, model, action) + lambda_p * pragmatic_value(
-        belief, model, action, pref
-    )
-
-
 def select_action(
     belief: Categorical,
     model,
@@ -198,7 +175,11 @@ def select_action(
     counselor can be discouraged from repeating itself; it defaults to off.
     Ties go to the earliest action in the candidate order.
     """
-    _check_weights(lambda_e, lambda_p)
+    if lambda_e < 0 or lambda_p < 0 or (lambda_e == 0 and lambda_p == 0):
+        raise InvalidWeightsError(
+            f"objective weights must be non-negative and not both zero, "
+            f"got lambda_e={lambda_e}, lambda_p={lambda_p}"
+        )
     if repeat_penalty < 0:
         raise ValueError("repeat_penalty must be non-negative")
     labels = tuple(actions.labels if isinstance(actions, LabelSpace) else actions)

@@ -8,7 +8,6 @@ order fixed by their LabelSpace.  Logs are natural throughout, and the
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,17 +67,17 @@ class Categorical:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
+        p = np.array(self.probs, dtype=float)
         if p.ndim != 1 or p.shape[0] != len(self.space):
             raise DimensionMismatchError(
                 f"expected {len(self.space)} probabilities for space "
                 f"{self.space.name!r}, got shape {p.shape}"
             )
-        if np.any(p < 0):
+        if (p < 0).any():
             raise ValueError("probabilities must be non-negative")
-        if abs(p.sum() - 1.0) > PROB_TOL:
-            raise ValueError(f"probabilities must sum to 1, got {p.sum()!r}")
-        p = p.copy()
+        total = p.sum()
+        if not abs(total - 1.0) <= PROB_TOL:  # NaN fails too
+            raise ValueError(f"probabilities must sum to 1, got {total!r}")
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
@@ -123,7 +122,7 @@ def normalize(space: LabelSpace, weights) -> Categorical:
         raise DimensionMismatchError(
             f"expected {len(space)} weights for space {space.name!r}, got shape {w.shape}"
         )
-    if np.any(w < 0):
+    if not (w >= 0).all():  # NaN fails too
         raise ValueError("weights must be non-negative")
     total = w.sum()
     if total <= 0:
@@ -150,12 +149,12 @@ def kl_divergence(q: Categorical, p: Categorical) -> float:
         )
     qp = q.probs
     pp = p.probs
-    bad = (qp > 0) & (pp <= 0)
-    if np.any(bad):
-        labels = [q.space.labels[i] for i in np.nonzero(bad)[0]]
-        raise SupportViolationError(f"q has mass outside p's support at {labels}")
     nz = qp > 0
-    return float(np.sum(qp[nz] * (np.log(qp[nz]) - np.log(pp[nz]))))
+    bad = nz & (pp <= 0)
+    if bad.any():
+        labels = [q.space.labels[i] for i in bad.nonzero()[0]]
+        raise SupportViolationError(f"q has mass outside p's support at {labels}")
+    return float((qp[nz] * (np.log(qp[nz]) - np.log(pp[nz]))).sum())
 
 
 def mix(a: Categorical, b: Categorical, weight: float) -> Categorical:
@@ -170,9 +169,3 @@ def mix(a: Categorical, b: Categorical, weight: float) -> Categorical:
             f"mixing different spaces: {a.space.name!r} vs {b.space.name!r}"
         )
     return Categorical(a.space, (1.0 - weight) * a.probs + weight * b.probs)
-
-
-def log_prob(dist: Categorical, label: str) -> float:
-    """Natural log probability; -inf for zero-probability labels."""
-    p = dist.prob(label)
-    return math.log(p) if p > 0 else float("-inf")

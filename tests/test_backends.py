@@ -98,20 +98,6 @@ def test_classify_talk_type_cue_rules():
     assert b.classify_talk_type("I could try this: walking at lunch.") == "plan_statement"
 
 
-def test_classify_talk_type_annomi_mode():
-    b = ScriptedBackend()
-    assert b.classify_talk_type("I could cut back this week.", mode="annomi") == "change"
-    assert b.classify_talk_type("There's nothing wrong with my routine.", mode="annomi") == "sustain"
-    assert b.classify_talk_type("The bus was late today.", mode="annomi") == "neutral"
-
-
-def test_generate_response_playback_wins():
-    b = ScriptedBackend()
-    b.queue_responses(["Tell me more about that."])
-    out = b.generate_response("Affirm", None, None, "hello there")
-    assert out == "Tell me more about that."
-
-
 def test_generate_response_missing_template():
     b = ScriptedBackend()
     with pytest.raises(TemplateMissingError):
@@ -144,13 +130,11 @@ def test_generate_client_reply_stage_conditioning():
     assert "belief text" in out
 
 
-def test_choose_client_action_override_and_argmax():
+def test_choose_client_action_is_argmax():
     b = ScriptedBackend()
     space = LabelSpace("c", ("Inform", "Deny"))
-    dist = from_dict(space, {"Inform": 0.7, "Deny": 0.3})
-    assert b.choose_client_action(dist) == "Inform"
-    b.action_reply_override = "Deny"
-    assert b.choose_client_action(dist) == "Deny"
+    assert b.choose_client_action(from_dict(space, {"Inform": 0.7, "Deny": 0.3})) == "Inform"
+    assert b.choose_client_action(from_dict(space, {"Inform": 0.3, "Deny": 0.7})) == "Deny"
 
 
 def test_summarize_joins_and_truncates():

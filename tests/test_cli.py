@@ -1,12 +1,16 @@
 """Command-line surface: subcommands, outputs, and exit codes."""
 
+import argparse
 import io
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
-from statecoach.cli import main
+import statecoach
+from statecoach.cli import _add_config_flags, _cfg_from_args, build_parser, main
+from statecoach.config import RunConfig
 from statecoach.harness import Transcript
 from statecoach.vocab import CLIENT_ACTIONS
 
@@ -129,7 +133,10 @@ def test_negative_max_turns_exits_2(tmp_path, capsys):
         (["--beta", "1.5"], None, "beta must be in [0, 1]"),
         ([], {"consolidate_every": 0}, "consolidate_every must be positive"),
         ([], {"k_relevant": -1}, "k_relevant must be non-negative"),
-        ([], {"context_n": -2}, "context_n must be non-negative"),
+        (["--lambda-e", "-1"], None, "lambda_e must be non-negative"),
+        (["--repeat-penalty", "-0.5"], None, "repeat_penalty must be non-negative"),
+        (["--warmup-ratio", "1.5"], None, "warmup_ratio must be in [0, 1]"),
+        (["--lambda-e", "0", "--lambda-p", "0"], None, "must not both be zero"),
     ],
 )
 def test_out_of_range_config_exits_2_before_writing(tmp_path, capsys, flags, config, message):
@@ -202,3 +209,41 @@ def test_unreachable_http_backend_exits_3(tmp_path, capsys):
         ],
     )
     assert code == 3
+
+
+def _subcommand_parsers():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+@pytest.mark.parametrize("command", sorted(_subcommand_parsers()))
+def test_config_flag_dests_are_run_config_fields(command):
+    """``_cfg_from_args`` reads fields by name, so a flag whose dest names no
+    field would be dropped silently."""
+    probe = argparse.ArgumentParser(add_help=False)
+    _add_config_flags(probe)
+    options = {o for a in probe._actions for o in a.option_strings} - {"--config"}
+    sub = _subcommand_parsers()[command]
+    dests = {a.dest for a in sub._actions if set(a.option_strings) & options}
+    assert len(dests) == len(options) == 18
+    assert dests <= {f.name for f in fields(RunConfig)}
+
+
+def test_config_flags_set_their_fields():
+    args = build_parser().parse_args([
+        "selftest", "--seed", "7", "--lambda-e", "0.3", "--warmup-ratio", "0.25",
+        "--disable-planner", "--hard-counts", "--no-efe-action", "--no-early-stop",
+        "--backend", "http", "--endpoint", "http://localhost:1", "--model", "m1",
+    ])
+    cfg = _cfg_from_args(args)
+    assert (cfg.seed, cfg.lambda_e, cfg.warmup_ratio) == (7, 0.3, 0.25)
+    assert cfg.disable_planner and cfg.hard_counts
+    assert not cfg.efe_action and not cfg.early_stop
+    assert (cfg.backend_kind, cfg.endpoint, cfg.model_name) == ("http", "http://localhost:1", "m1")
+    assert _cfg_from_args(build_parser().parse_args(["selftest"])) == RunConfig()
+
+
+def test_every_public_name_resolves():
+    for name in statecoach.__all__:
+        assert getattr(statecoach, name) is not None, name

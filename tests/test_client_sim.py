@@ -168,6 +168,11 @@ def test_profile_rejects_negative_counts():
         make_profile(action_counts={"contemplation": {"Inform": -1.0}})
 
 
+def test_profile_rejects_nan_counts():
+    with pytest.raises(ValueError, match="non-negative"):
+        make_profile(action_counts={"contemplation": {"Inform": float("nan")}})
+
+
 def test_profile_from_dict_defaults(tmp_path):
     p = ClientProfile.from_dict(
         {"id": "x", "topic": "t", "behavior": "b", "initial_stage": "contemplation"}

@@ -373,6 +373,7 @@ def trigger_subset(draw):
     efe_action=st.booleans(),
 )
 def test_run_dialogue_loop_invariants(profile, **knobs):
+    assume(knobs["lambda_e"] or knobs["lambda_p"])  # both zero is out of range
     cfg = RunConfig(**knobs)
     backend = scripted()
     client = ClientSession(
@@ -525,8 +526,12 @@ def test_config_file_merge_and_extras(tmp_path):
         ("beta", 1.5),
         ("beta", float("nan")),
         ("k_relevant", -1),
-        ("context_n", -1),
         ("consolidate_every", 0),
+        ("lambda_e", -1.0),
+        ("lambda_p", float("nan")),
+        ("repeat_penalty", -0.5),
+        ("warmup_ratio", 1.5),
+        ("warmup_ratio", float("nan")),
     ],
 )
 def test_run_config_rejects_out_of_range_values(field, value):
@@ -535,8 +540,8 @@ def test_run_config_rejects_out_of_range_values(field, value):
 
 
 def test_run_config_accepts_range_edges():
-    RunConfig(beta=0.0, k_relevant=0, context_n=0, consolidate_every=1)
-    RunConfig(beta=1.0)
+    RunConfig(beta=0.0, k_relevant=0, consolidate_every=1, lambda_e=0.0, warmup_ratio=0.0)
+    RunConfig(beta=1.0, lambda_p=0.0, repeat_penalty=0.0, warmup_ratio=1.0)
 
 
 def test_dump_constants_reports_wired_defaults():
@@ -553,3 +558,4 @@ def test_dump_constants_reports_wired_defaults():
     assert consts["lambda_e"] == 0.4 and consts["lambda_p"] == 0.6
     assert consts["dist_thres"] == 1.5 and consts["k_relevant"] == 1
     assert consts["consolidate_every"] == 12 and consts["context_n"] == 30
+    assert "context_n" not in {f.name for f in dataclasses.fields(RunConfig)}

@@ -9,7 +9,6 @@ from statecoach.backends import ScriptedBackend
 from statecoach.errors import EmptyTextError
 from statecoach.memory import (
     DEFAULT_CONSOLIDATE_EVERY,
-    DEFAULT_CONTEXT_N,
     DEFAULT_DIST_THRES,
     DEFAULT_K,
     LTM,
@@ -40,7 +39,7 @@ NEG1 = [-1.0, 0.0, 0.0]
 
 def test_defaults():
     assert (DEFAULT_K, DEFAULT_DIST_THRES) == (1, 1.5)
-    assert (DEFAULT_CONTEXT_N, DEFAULT_CONSOLIDATE_EVERY) == (30, 12)
+    assert DEFAULT_CONSOLIDATE_EVERY == 12
 
 
 def test_add_then_self_retrieve_distance_zero():
@@ -71,7 +70,7 @@ def test_add_unknown_tier_raises():
 
 def test_empty_store_retrieval():
     out = MemoryStore(VectorBackend({"q": E1})).retrieve("q")
-    assert out == {"relevant": [], "context": []}
+    assert out == {"relevant": []}
 
 
 def test_orthogonal_within_threshold_antipodal_outside():
@@ -95,16 +94,6 @@ def test_relevant_sorted_by_distance_then_age():
     assert [e.text for e in out["relevant"]] == ["a", "b"]
 
 
-def test_context_window_is_chronological_tail():
-    table = {f"t{i}": E1 for i in range(5)}
-    table["q"] = E2
-    store = MemoryStore(VectorBackend(table))
-    for i in range(5):
-        store.add(STM, f"t{i}", i, "s")
-    out = store.retrieve("q", context_n=3, session="s")
-    assert [e.text for e in out["context"]] == ["t2", "t3", "t4"]
-
-
 def test_stm_is_session_private_ltm_is_shared():
     store = MemoryStore(VectorBackend({"mine": E1, "theirs": E1, "shared": E1, "q": E1}))
     store.add(STM, "mine", 1, "s1")
@@ -113,7 +102,6 @@ def test_stm_is_session_private_ltm_is_shared():
     out = store.retrieve("q", k=5, session="s1")
     texts = {e.text for e in out["relevant"]}
     assert texts == {"mine", "shared"}
-    assert {e.text for e in out["context"]} == {"mine", "shared"}
 
 
 def test_consolidation_threshold_and_periodicity():
@@ -230,8 +218,8 @@ def _bag_vectors(n, dim=256, seed=7):
 VECTORS = _bag_vectors(len(POOL) + 3)
 
 
-def reference_retrieve(entries, backend, query, k, dist_thres, context_n, session):
-    """The per-entry loop ``retrieve`` replaced: one norm per entry, then sorts."""
+def reference_retrieve(entries, backend, query, k, dist_thres, session):
+    """The per-entry loop ``retrieve`` replaced: one norm per entry, then a sort."""
     visible = [
         e for e in entries if e.tier == LTM or session is None or e.session_id == session
     ]
@@ -242,8 +230,7 @@ def reference_retrieve(entries, backend, query, k, dist_thres, context_n, sessio
                   for e in visible]
         scored.sort(key=lambda t: t[:3])
         relevant = [e for d, _, _, e in scored[:k] if d <= dist_thres]
-    recent = sorted(visible, key=lambda e: (e.turn_created, e.seq))
-    return relevant, recent[-context_n:] if context_n > 0 else []
+    return relevant
 
 
 def vector_tables(draw):
@@ -284,20 +271,16 @@ def test_retrieve_matches_per_entry_reference(tmp_path_factory, data):
     for _ in range(4):
         query = draw(st.sampled_from([UNSTORED, *POOL, "  "]))
         k = draw(st.integers(0, 3))
-        context_n = draw(st.integers(0, 5))
         session = draw(st.sampled_from(SESSIONS + [None, "nobody"]))
         # Beside a fixed threshold, one at and one just below each nearest
         # entry's distance: a last-bit error in a distance moves that entry
         # across one of them.
         thresholds = [draw(st.sampled_from([0.0, 1.2, 1.5, 2.0]))]
-        nearest, _ = reference_retrieve(store.entries, backend, query, k, 2.0, 0, session)
+        nearest = reference_retrieve(store.entries, backend, query, k, 2.0, session)
         for e in nearest:
             d = float(np.linalg.norm(e.embedding - backend.embed(query)))
             thresholds += [d, float(np.nextafter(d, 0.0))]
         for dist_thres in thresholds:
-            out = store.retrieve(query, k, dist_thres, context_n, session)
-            relevant, context = reference_retrieve(
-                store.entries, backend, query, k, dist_thres, context_n, session
-            )
+            out = store.retrieve(query, k, dist_thres, session)
+            relevant = reference_retrieve(store.entries, backend, query, k, dist_thres, session)
             assert [id(e) for e in out["relevant"]] == [id(e) for e in relevant]
-            assert [id(e) for e in out["context"]] == [id(e) for e in context]

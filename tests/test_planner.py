@@ -12,7 +12,6 @@ from statecoach.planner import (
     DEFAULT_LAMBDA_P,
     PreferenceModel,
     epistemic_value,
-    expected_free_energy,
     planner_prior,
     pragmatic_value,
     select_action,
@@ -149,7 +148,7 @@ def test_expected_free_energy_is_weighted_sum():
     pref = PreferenceModel.from_weights(O2, {"o1": 0.8, "o2": 0.2})
     epi = epistemic_value(uniform(S2), m, "act")
     prag = pragmatic_value(uniform(S2), m, "act", pref)
-    got = expected_free_energy(uniform(S2), m, "act", pref)
+    got = select_action(uniform(S2), m, ("act",), pref).score_for("act").total
     assert got == pytest.approx(0.4 * epi + 0.6 * prag, abs=1e-12)
 
 
@@ -157,9 +156,9 @@ def test_invalid_weights_rejected():
     m = two_state_model()
     pref = PreferenceModel.from_weights(O2, {"o1": 0.8, "o2": 0.2})
     with pytest.raises(InvalidWeightsError):
-        expected_free_energy(uniform(S2), m, "act", pref, lambda_e=-0.1, lambda_p=1)
+        select_action(uniform(S2), m, ("act",), pref, lambda_e=-0.1, lambda_p=1)
     with pytest.raises(InvalidWeightsError):
-        expected_free_energy(uniform(S2), m, "act", pref, lambda_e=0, lambda_p=0)
+        select_action(uniform(S2), m, ("act",), pref, lambda_e=0, lambda_p=0)
 
 
 def test_pure_exploration_picks_identifying_action():

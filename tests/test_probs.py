@@ -17,7 +17,6 @@ from statecoach.probs import (
     entropy,
     from_dict,
     kl_divergence,
-    log_prob,
     mix,
     normalize,
     point_mass,
@@ -122,9 +121,14 @@ def test_mix_endpoints_and_hand_value():
         mix(a, b, 1.5)
 
 
-def test_log_prob_zero_mass():
-    assert log_prob(point_mass(S3, "a"), "b") == -math.inf
-    assert log_prob(point_mass(S3, "a"), "a") == 0.0
+def test_nan_distributions_rejected():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="must sum to 1"):
+        Categorical(S3, [nan, nan, nan])
+    with pytest.raises(ValueError, match="must sum to 1"):
+        Categorical(S3, [nan, 0.5, 0.5])
+    with pytest.raises(ValueError, match="weights must be non-negative"):
+        normalize(S3, [nan, 1.0, 1.0])
 
 
 @given(probs3())
