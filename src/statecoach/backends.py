@@ -12,6 +12,9 @@ Two implementations share one duck-typed interface:
 The interface methods are: generate_response, generate_client_reply,
 classify_counselor_action, classify_talk_type, choose_client_action,
 summarize, embed.
+
+``ask_once`` keeps a backend's answer to each text-only query (embed, both
+classifiers) for the backend object's life, an HttpBackend fallback label too.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import json
 import os
 import string
 import time
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,6 +42,24 @@ API_KEY_ENV = "STATECOACH_API_KEY"
 RETRY_BACKOFF_S = 0.5
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
+
+# backend -> {(method, text): answer}; an entry goes when its backend does.
+_ANSWERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def ask_once(backend, method: str, text: str):
+    """``backend.<method>(text)``, asked once per (hashable, weak-referenceable)
+    backend object; callers share the answer, and a call that raises is not kept."""
+    answers = _ANSWERS.setdefault(backend, {})
+    if (method, text) not in answers:
+        answers[method, text] = getattr(backend, method)(text)
+    return answers[method, text]
+
+
+def match_label(reply, labels) -> str | None:
+    """The label ``reply`` names, up to case, outer space and a final '.'; else None."""
+    wanted = reply.strip().rstrip(".").lower() if isinstance(reply, str) else None
+    return next((label for label in labels if label.lower() == wanted), None)
 
 
 @dataclass
@@ -311,14 +333,8 @@ class HttpBackend:
 
     def _classify(self, utterance: str, template_id: str, labels, fallback: str) -> str:
         _require_text(utterance)
-        prompt = self._render(
-            template_id, utterance=utterance, labels=", ".join(labels)
-        )
-        reply = self._chat(prompt).strip().rstrip(".")
-        for label in labels:
-            if reply.lower() == label.lower():
-                return label
-        return fallback
+        prompt = self._render(template_id, utterance=utterance, labels=", ".join(labels))
+        return match_label(self._chat(prompt), labels) or fallback
 
     def classify_counselor_action(self, utterance: str) -> str:
         return self._classify(

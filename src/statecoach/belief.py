@@ -85,6 +85,19 @@ def predictive_prior(belief: Categorical, model, action: str) -> Categorical:
     return Categorical(belief.space, (belief.probs[:, None] * T).sum(axis=0))
 
 
+def _evidence(likelihood, p: Categorical) -> tuple[np.ndarray, bool]:
+    """``likelihood`` checked against ``p``'s space, and whether it is all positive."""
+    lik = np.asarray(likelihood, dtype=float)
+    if lik.shape != p.probs.shape:
+        raise DimensionMismatchError(
+            f"likelihood shape {lik.shape} does not match space {p.space.name!r}"
+        )
+    positive = (lik > 0).all()
+    if not positive and not (lik >= 0).all():  # NaN fails too
+        raise ValueError("likelihood values must be non-negative")
+    return lik, positive
+
+
 def bayes_update(prior: Categorical, likelihood) -> Categorical:
     """Exact posterior q(s) proportional to prior(s) * likelihood(s).
 
@@ -93,14 +106,7 @@ def bayes_update(prior: Categorical, likelihood) -> Categorical:
     ZeroEvidenceError when prior and likelihood share no support, i.e. the
     evidence has probability zero under the model.
     """
-    lik = np.asarray(likelihood, dtype=float)
-    if lik.shape != prior.probs.shape:
-        raise DimensionMismatchError(
-            f"likelihood shape {lik.shape} does not match space {prior.space.name!r}"
-        )
-    if not (lik >= 0).all():  # NaN fails too
-        raise ValueError("likelihood values must be non-negative")
-    joint = prior.probs * lik
+    joint = prior.probs * _evidence(likelihood, prior)[0]
     evidence = joint.sum()
     if evidence <= 0:
         raise ZeroEvidenceError(
@@ -115,16 +121,12 @@ def free_energy(q: Categorical, prior: Categorical, likelihood) -> float:
     F(q) = KL(q || prior) - E_q[log likelihood].  For any q this upper-bounds
     the negative log evidence, with equality exactly at the Bayes posterior,
     so minimizing F recovers bayes_update.  Returns +inf when q places mass
-    on states the evidence rules out.
+    on states the evidence rules out.  The likelihood is checked as in bayes_update.
     """
-    lik = np.asarray(likelihood, dtype=float)
-    if lik.shape != q.probs.shape:
-        raise DimensionMismatchError(
-            f"likelihood shape {lik.shape} does not match space {q.space.name!r}"
-        )
+    lik, positive = _evidence(likelihood, q)
     qp = q.probs
     nz = qp > 0
-    if (nz & (lik <= 0)).any():
+    if not positive and (nz & (lik <= 0)).any():
         return float("inf")
     expected_log_lik = float((qp[nz] * np.log(lik[nz])).sum())
     return kl_divergence(q, prior) - expected_log_lik

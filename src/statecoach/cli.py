@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backends import DATA_DIR, BackendConfig, hashed_embedding, make_backend, tokenize
+from .backends import DATA_DIR, BackendConfig, ask_once, make_backend, tokenize
 from .belief import bayes_update, free_energy
 from .client_sim import (
     ClientProfile,
@@ -220,7 +220,7 @@ def cmd_validate_sim(args: argparse.Namespace) -> int:
 
 
 def _advise(shadow: ActiveCounselor, client_text: str) -> None:
-    move = shadow.counselor_turn(client_text)
+    move = shadow.decide(client_text)
     probs = {s: round(p, 3) for s, p in move.belief.q.as_dict().items()}
     line = f"  advisory belief: {json.dumps(probs)}"
     if move.efe is not None:
@@ -262,7 +262,7 @@ def cmd_repl(args: argparse.Namespace) -> int:
             print("  (no words in that line; type an utterance, or 'quit')")
             continue
         turns += 1
-        action = backend.classify_counselor_action(line)
+        action = ask_once(backend, "classify_counselor_action", line)
         outcome = client.respond(line, action)
         print(f"  [classified as: {action}]")
         print(f"client [{outcome.stage}, r={outcome.readiness:.2f}]: {outcome.text}")
@@ -321,11 +321,12 @@ def _selftest_mi_identity(rng: np.random.Generator, n_models: int) -> str | None
 
 
 def _selftest_determinism() -> str | None:
-    a = hashed_embedding("the same sentence twice")
-    b = hashed_embedding("the same sentence twice")
+    # Asks the backend itself: a memoized answer would repeat by construction.
+    backend = make_backend(BackendConfig())
+    a = backend.embed("the same sentence twice")
+    b = backend.embed("the same sentence twice")
     if not np.array_equal(a, b):
         return "embedding is not deterministic"
-    backend = make_backend(BackendConfig())
     labels = {
         backend.classify_talk_type("I could cut down to two a day."),
         backend.classify_talk_type("I could cut down to two a day."),

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .backends import ask_once, match_label
 from .errors import EmptyTriggerSetError, UnknownActionError, UnknownLabelError
 from .probs import Categorical, from_dict, uniform
 from .vocab import (
@@ -121,7 +122,7 @@ def build_triggers(profile: ClientProfile, backend) -> list[Trigger]:
                         category=category,
                         text=sentence,
                         bonus=bonus,
-                        embedding=backend.embed(sentence),
+                        embedding=ask_once(backend, "embed", sentence),
                     )
                 )
     return triggers
@@ -256,14 +257,12 @@ def select_client_action(
     """Pick the client's next behavior given its smoothed action distribution.
 
     The backend gets the distribution plus context and may answer with any
-    text; anything that is not a valid action label falls back to the
-    distribution's argmax.
+    text; a reply that names no action label (``backends.match_label``)
+    falls back to the distribution's argmax.
     """
     dist = client_action_dist(profile, stage, pop_row, alpha)
     reply = backend.choose_client_action(dist, context)
-    action = reply.strip() if isinstance(reply, str) else ""
-    if action not in CLIENT_ACTIONS:
-        action = dist.argmax_label()
+    action = match_label(reply, CLIENT_ACTIONS.labels) or dist.argmax_label()
     return action, dist
 
 
@@ -319,9 +318,6 @@ class ClientSession:
         self.readiness = 0.0
         self.turn = 0
         self.triggers = build_triggers(profile, backend)
-        # Counselor texts already embedded this session: scripted replies
-        # repeat, and the backend's embedding of a text is taken as fixed.
-        self._embedded: dict[str, np.ndarray] = {}
 
     @property
     def coverage(self) -> float:
@@ -376,9 +372,7 @@ class ClientSession:
             raise UnknownActionError(f"unknown counselor action {counselor_action!r}")
         self.turn += 1
         stage_before = self.stage
-        vector = self._embedded.get(counselor_text)
-        if vector is None:
-            vector = self._embedded[counselor_text] = self.backend.embed(counselor_text)
+        vector = ask_once(self.backend, "embed", counselor_text)
         matches = match_triggers(self.triggers, vector, self.tau)
         g = content_gate(matches)
         delta = expected_delta_r(self.table.row(stage_before, counselor_action))
@@ -429,7 +423,8 @@ def calibrate_prep_threshold(
     r = 0.0
     prev_stage = profile.initial_stage
     for turn in trajectory:
-        matches = match_triggers(triggers, backend.embed(turn["counselor_text"]), tau)
+        vector = ask_once(backend, "embed", turn["counselor_text"])
+        matches = match_triggers(triggers, vector, tau)
         g = content_gate(matches)
         delta = expected_delta_r(table.row(prev_stage, turn["counselor_action"]))
         bonuses = [m.trigger.bonus for m in matches if m.newly_discovered]

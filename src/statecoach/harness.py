@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backends import DATA_DIR, ScriptedBackend
+from .backends import DATA_DIR, ScriptedBackend, ask_once
 from .belief import BeliefState, bayes_update, free_energy, fuse, widen_observation
 from .client_sim import ClientSession
 from .config import RunConfig
@@ -230,21 +230,22 @@ class ActiveCounselor:
         self.pref = preference or PreferenceModel.default()
         self.turn = 0
 
-    def counselor_turn(self, client_utterance: str) -> CounselorMove:
+    def decide(self, client_utterance: str) -> CounselorMove:
+        """Classify the client's reply, track the belief and commit to the
+        next action; the move has no text yet, and memory is not touched."""
         self.turn += 1
-        cue = self.backend.classify_talk_type(client_utterance)
+        cue = ask_once(self.backend, "classify_talk_type", client_utterance)
         belief, likelihood = self.tracker.observe(client_utterance, cue)
         belief = replace(
             belief,
             posterior=bayes_update(belief.p_prior, likelihood),
             free_energy=free_energy(belief.q, belief.p_prior, likelihood),
         )
-        q = belief.q
 
         report: EfeReport | None = None
         if self.cfg.efe_action:
             report = select_action(
-                q,
+                belief.q,
                 self.wm,
                 COUNSELOR_ACTIONS,
                 self.pref,
@@ -257,7 +258,10 @@ class ActiveCounselor:
         else:
             action = FALLBACK_ROTATION[(self.turn - 1) % len(FALLBACK_ROTATION)]
         self.tracker.act(action)
+        return CounselorMove(action=action, text="", belief=belief, efe=report, cue=cue)
 
+    def counselor_turn(self, client_utterance: str) -> CounselorMove:
+        move = self.decide(client_utterance)
         memories = self.memory.retrieve(
             client_utterance,
             k=self.cfg.k_relevant,
@@ -265,10 +269,11 @@ class ActiveCounselor:
             session=self.session_id,
         )
         self.memory.add(STM, client_utterance, self.turn, self.session_id)
+        action, q = move.action, move.belief.q
         text = self.backend.generate_response(action, q, memories, client_utterance)
         self.memory.add(STM, text, self.turn, self.session_id)
         self.memory.consolidate(self.session_id, self.cfg.consolidate_every)
-        return CounselorMove(action=action, text=text, belief=belief, efe=report, cue=cue)
+        return replace(move, text=text)
 
 
 class RandomCounselor:
@@ -400,7 +405,7 @@ def offline_eval(sessions: list[dict], cfg: RunConfig | None = None, backend=Non
         sessions_scored += 1
         tracker = BeliefTracker(cfg)
         for t, turn in enumerate(turns):
-            cue = backend.classify_talk_type(turn["client_text"])
+            cue = ask_once(backend, "classify_talk_type", turn["client_text"])
             belief, _likelihood = tracker.observe(turn["client_text"], cue)
             prior_next = tracker.act(turn["counselor_action"])
             if t >= warmup:

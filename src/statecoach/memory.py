@@ -10,9 +10,9 @@ rejects the latter.
 The store is laid out as arrays.  Each distinct text it embeds owns one row
 of a matrix of embeddings, and each entry one row of an integer table
 (embedding row, tier, session, turn, seq), so a retrieval is one distance
-pass over the distinct rows and one sort.  Embed once: a backend's embedding
-of a text is treated as fixed for the life of a store, so the backend is
-asked at most once per distinct text, whether the text is stored or queried.
+pass over the distinct rows and one sort.  Embeddings come through
+``backends.ask_once``, so a backend is asked once per distinct text across
+every store, client and trigger set that shares it, for the backend's life.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .backends import ask_once
 from .errors import EmptyTextError
 
 STM = "STM"
@@ -111,8 +112,8 @@ class MemoryStore:
         self.backend = backend
         self.entries: list[MemoryEntry] = []
         self._last_consolidated: dict[str, int] = {}
-        # text -> (row, vector) for every text embedded through the backend.
-        self._embedded: dict[str, tuple[int, np.ndarray]] = {}
+        # text -> row of its embedding, for every text embedded through the backend.
+        self._rows: dict[str, int] = {}
         self._vectors = np.empty((0, 0))  # distinct embeddings; _n_rows in use
         self._n_rows = 0
         # One row per entry: embedding row, tier code, session code, turn, seq.
@@ -128,13 +129,11 @@ class MemoryStore:
         self._n_rows += 1
         return self._n_rows - 1
 
-    def _embed(self, text: str) -> tuple[int, np.ndarray]:
-        """Row and vector of ``text``, calling the backend only for a new text."""
-        hit = self._embedded.get(text)
-        if hit is None:
-            vector = self.backend.embed(text)
-            hit = self._embedded[text] = (self._new_row(vector), vector)
-        return hit
+    def _embed(self, text: str) -> int:
+        """Row of ``text``'s embedding, added on the text's first use here."""
+        if text not in self._rows:
+            self._rows[text] = self._new_row(ask_once(self.backend, "embed", text))
+        return self._rows[text]
 
     def _append(self, entry: MemoryEntry, row: int) -> None:
         n = len(self.entries)
@@ -149,23 +148,21 @@ class MemoryStore:
         return self._table[: len(self.entries)].T
 
     def add(self, tier: str, text: str, turn: int, session: str) -> str:
-        """Store a text, embedding it unless this store already has; the id
-        is a stable hash of the inputs."""
+        """Store a text with its embedding; the id is a stable hash of the inputs."""
         if tier not in (STM, LTM):
             raise ValueError(f"unknown memory tier {tier!r}")
         if not text or not text.strip():
             raise EmptyTextError("cannot store empty text")
-        row, vector = self._embed(text)
         entry = MemoryEntry(
             id=_entry_id(tier, text, turn, session),
             tier=tier,
             text=text,
-            embedding=vector,
+            embedding=ask_once(self.backend, "embed", text),
             turn_created=turn,
             session_id=session,
             seq=len(self.entries),
         )
-        self._append(entry, row)
+        self._append(entry, self._embed(text))
         return entry.id
 
     def retrieve(
@@ -191,7 +188,7 @@ class MemoryStore:
             visible = np.flatnonzero((tiers == _TIERS[LTM]) | own)
         relevant: list[MemoryEntry] = []
         if k > 0 and visible.size and query_text.strip():
-            q_row, _ = self._embed(query_text)
+            q_row = self._embed(query_text)
             vectors = self._vectors[: self._n_rows]
             dist = _distances(vectors, vectors[q_row])[rows[visible]]
             nearest = np.lexsort((seqs[visible], turns[visible], dist))[:k]

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -11,9 +13,11 @@ from statecoach.backends import (
     BackendConfig,
     HttpBackend,
     ScriptedBackend,
+    ask_once,
     hashed_embedding,
     load_templates,
     make_backend,
+    match_label,
     tokenize,
 )
 from statecoach.errors import (
@@ -285,3 +289,112 @@ def test_http_embed_degenerate_vector_is_error():
 def test_make_backend_factory():
     assert isinstance(make_backend(BackendConfig()), ScriptedBackend)
     assert isinstance(make_backend(http_config()), HttpBackend)
+
+
+@pytest.mark.parametrize("reply", ["complex reflection.", " Complex Reflection ", "COMPLEX REFLECTION"])
+def test_http_classify_uses_the_shared_label_rule(reply):
+    session = FakeSession([FakeResponse(payload=chat_payload(reply))])
+    b = HttpBackend(http_config(), session=session)
+    assert b.classify_counselor_action("You are weighing this.") == "Complex Reflection"
+
+
+@pytest.mark.parametrize(
+    "reply, label",
+    [
+        ("reflect.", "Reflect"),
+        (" Reflect ", "Reflect"),
+        ("Reflect", "Reflect"),
+        ("reflects", None),
+        ("reflect it.", None),
+        ("", None),
+        (None, None),
+    ],
+)
+def test_match_label(reply, label):
+    assert match_label(reply, ("Ask", "Reflect")) == label
+
+
+# -- ask once ---------------------------------------------------------------
+
+TEXT_METHODS = ("embed", "classify_talk_type", "classify_counselor_action")
+TEXTS = ("I could cut down to two a day.", "Maybe, I guess.", "What brings you in?")
+
+
+class Recorder:
+    """Answers like a ScriptedBackend, records every (method, text) it is
+    asked, and is down for the texts in ``failing``."""
+
+    def __init__(self):
+        self.inner = ScriptedBackend()
+        self.asked = []
+        self.failing = set()
+
+    def _ask(self, method, text):
+        self.asked.append((method, text))
+        if text in self.failing:
+            raise BackendUnavailableError("down")
+        return getattr(self.inner, method)(text)
+
+    def embed(self, text):
+        return self._ask("embed", text)
+
+    def classify_talk_type(self, text):
+        return self._ask("classify_talk_type", text)
+
+    def classify_counselor_action(self, text):
+        return self._ask("classify_counselor_action", text)
+
+
+def test_ask_once_asks_each_backend_once_per_method_and_text():
+    b = Recorder()
+    for _ in range(3):
+        for method in TEXT_METHODS:
+            for text in TEXTS:
+                ask_once(b, method, text)
+    assert sorted(b.asked) == sorted((m, t) for m in TEXT_METHODS for t in TEXTS)
+
+
+def test_ask_once_answers_equal_direct_ones():
+    b = ScriptedBackend()
+    for method in TEXT_METHODS:
+        for text in TEXTS:
+            first = ask_once(b, method, text)
+            assert np.array_equal(first, getattr(b, method)(text))
+            assert ask_once(b, method, text) is first
+
+
+def test_backends_do_not_share_answers():
+    a, b = Recorder(), Recorder()
+    b.inner.embed = lambda text: np.array([1.0, 0.0])
+    assert np.array_equal(ask_once(a, "embed", TEXTS[0]), hashed_embedding(TEXTS[0]))
+    assert np.array_equal(ask_once(b, "embed", TEXTS[0]), [1.0, 0.0])
+    assert a.asked == b.asked == [("embed", TEXTS[0])]
+
+
+def test_a_call_that_raised_is_asked_again():
+    b = Recorder()
+    b.failing.add(TEXTS[0])
+    for _ in range(2):
+        with pytest.raises(BackendUnavailableError):
+            ask_once(b, "classify_talk_type", TEXTS[0])
+    b.failing.clear()
+    assert ask_once(b, "classify_talk_type", TEXTS[0]) == "preparation"
+    assert ask_once(b, "classify_talk_type", TEXTS[0]) == "preparation"
+    assert b.asked == [("classify_talk_type", TEXTS[0])] * 3
+    with pytest.raises(EmptyTextError):
+        ask_once(b, "embed", "...")
+    with pytest.raises(EmptyTextError):
+        ask_once(b, "embed", "...")
+
+
+def test_dropping_a_backend_frees_its_answers():
+    gc.collect()
+    before = len(backends._ANSWERS)
+    b = Recorder()
+    ask_once(b, "embed", TEXTS[0])
+    assert len(backends._ANSWERS) == before + 1
+    gone = weakref.ref(b)
+    del b
+    gc.collect()
+    assert gone() is None
+    assert len(backends._ANSWERS) == before

@@ -96,6 +96,25 @@ def test_free_energy_infinite_when_q_off_support():
     assert free_energy(point_mass(S2, "s2"), prior, np.array([0.5, 0.0])) == math.inf
 
 
+@pytest.mark.parametrize("bad", [math.nan, -0.5, -math.inf])
+def test_free_energy_rejects_likelihood_bayes_update_rejects(bad):
+    lik = np.array([bad, 1.0, 1.0])
+    for call in (
+        lambda: free_energy(uniform(S3), uniform(S3), lik),
+        lambda: bayes_update(uniform(S3), lik),
+    ):
+        with pytest.raises(ValueError, match="likelihood values must be non-negative"):
+            call()
+
+
+def test_free_energy_zero_evidence_state_is_still_infinite():
+    # Every state of q's support ruled out: +inf, where bayes_update raises.
+    lik = np.array([0.0, 0.5, 0.5])
+    assert free_energy(point_mass(S3, "s1"), uniform(S3), lik) == math.inf
+    with pytest.raises(ZeroEvidenceError):
+        bayes_update(point_mass(S3, "s1"), lik)
+
+
 def test_alpha_tiers_by_length():
     assert length_aware_alpha("too short") == 0.50
     assert length_aware_alpha("this reply has exactly seven words in") == 0.65

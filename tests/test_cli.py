@@ -9,9 +9,10 @@ from dataclasses import fields
 import pytest
 
 import statecoach
-from statecoach.cli import _add_config_flags, _cfg_from_args, build_parser, main
+from statecoach.backends import ScriptedBackend
+from statecoach.cli import _add_config_flags, _advise, _cfg_from_args, build_parser, main
 from statecoach.config import RunConfig
-from statecoach.harness import Transcript
+from statecoach.harness import ActiveCounselor, Transcript
 from statecoach.vocab import CLIENT_ACTIONS
 
 PROFILE_IDS = ["p01-alcohol", "p02-smoking", "p03-exercise", "p04-gambling",
@@ -158,6 +159,57 @@ def test_repl_show_belief_adds_advisory_line(capsys, monkeypatch):
     assert code == 0
     assert "advisory belief:" in out
     assert "suggested action:" in out
+
+
+REPL_INPUT = (
+    "Drinking helps you unwind after a long shift, it sounds like.\n"
+    "You want to wake up clear-headed and save real money?\n"
+    "What if you swap the evening beer for sparkling water?\n"
+)
+# What `repl --show-belief` printed for REPL_INPUT when the advisor still ran
+# a full shadow counselor turn (reply, memory and summaries included).
+REPL_OUTPUT = (
+    "client [precontemplation, r=0.00]: I'm only here because my family keeps pushing me about drinking.\n"
+    '  advisory belief: {"precontemplation": 0.637, "contemplation": 0.182, "preparation": 0.182} | suggested action: Open Question\n'
+    'you>   [classified as: Simple Reflection]\n'
+    "client [precontemplation, r=0.26]: Honestly, it's not a big deal. Drinking helps me unwind after a long shift.\n"
+    '  matched triggers: beliefs-0 (new: beliefs-0)\n'
+    '  advisory belief: {"precontemplation": 0.55, "contemplation": 0.225, "preparation": 0.225} | suggested action: Closed Question\n'
+    'you>   [classified as: Closed Question]\n'
+    "client [precontemplation, r=0.25]: Honestly, it's not a big deal. A few beers with friends is how I stay social.\n"
+    '  matched triggers: none\n'
+    '  advisory belief: {"precontemplation": 0.489, "contemplation": 0.256, "preparation": 0.256} | suggested action: Simple Reflection\n'
+    'you>   [classified as: Open Question]\n'
+    'client [contemplation, r=0.00]: What matters to me is this: I want to wake up with a clear head for my kids.\n'
+    '  matched triggers: plans-0 (new: plans-0)\n'
+    '  advisory belief: {"precontemplation": 0.21, "contemplation": 0.569, "preparation": 0.221} | suggested action: Simple Reflection\n'
+    'you> \n'
+    'session ended.\n'
+)
+
+
+def test_repl_show_belief_output_is_pinned(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(REPL_INPUT))
+    code, out = run_cli(capsys, ["repl", "--show-belief"])
+    assert code == 0
+    assert out == REPL_OUTPUT
+
+
+def test_repl_advisor_only_classifies(capsys):
+    called = []
+
+    class MethodLog(ScriptedBackend):
+        def __getattribute__(self, name):
+            if name in ("generate_response", "summarize", "embed", "classify_talk_type"):
+                called.append(name)
+            return super().__getattribute__(name)
+
+    shadow = ActiveCounselor(MethodLog(), RunConfig(consolidate_every=1), session_id="repl")
+    for text in REPL_INPUT.splitlines():
+        _advise(shadow, text)
+    assert called == ["classify_talk_type"] * 3
+    assert len(shadow.memory) == 0
+    assert capsys.readouterr().out.count("suggested action:") == 3
 
 
 def test_unknown_flag_exits_with_usage_error(capsys):

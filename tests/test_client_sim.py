@@ -466,6 +466,16 @@ def test_select_action_accepts_valid_backend_label():
     assert backend.choose_calls and backend.choose_calls[0][0].probs.sum() == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("reply", ["accept.", " Accept ", "ACCEPT"])
+def test_select_action_uses_the_shared_label_rule(reply):
+    # The same rule HttpBackend's classifiers apply: case, space and a final '.'.
+    action, dist = select_client_action(
+        make_profile(), "precontemplation", make_pop()["precontemplation"],
+        StubBackend(choice=reply),
+    )
+    assert action == "Accept" != dist.argmax_label()
+
+
 def test_select_action_falls_back_to_argmax_on_garbage():
     backend = StubBackend(choice="definitely Inform, probably")
     action, dist = select_client_action(

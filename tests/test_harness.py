@@ -335,16 +335,40 @@ def test_run_dialogue_embeds_each_text_once_per_user():
     t = run_dialogue(counselor, client, cfg)
     assert any(e.tier == "LTM" for e in counselor.memory.entries)  # consolidation ran
     # Every client utterance the memory queries is stored too, so the
-    # memory's distinct texts cover its queries.
-    memory_texts = {e.text for e in counselor.memory.entries}
-    matched_texts = {r.counselor_text for r in t.records}
-    assert len(backend.embedded) == (
-        len(client.triggers) + len(memory_texts) + len(matched_texts)
+    # memory's texts cover its queries; the counselor's replies are both
+    # stored and matched against the triggers, and share one embedding.
+    texts = (
+        {trig.text for trig in client.triggers}
+        | {e.text for e in counselor.memory.entries}
+        | {r.counselor_text for r in t.records}
     )
+    assert sorted(backend.embedded) == sorted(texts)
+    assert len(backend.embedded) == 20  # 27 with a memo per store and session
     n = len(backend.embedded)
     counselor.memory.retrieve("a query the memory has not seen", session="p01")
     counselor.memory.retrieve("a query the memory has not seen", session="p01")
     assert len(backend.embedded) == n + 1
+
+
+def test_offline_eval_classifies_each_distinct_text_once():
+    class CueLog(ScriptedBackend):
+        def __init__(self):
+            super().__init__()
+            self.classified = []
+
+        def classify_talk_type(self, utterance):
+            self.classified.append(utterance)
+            return super().classify_talk_type(utterance)
+
+    sessions = load_annotated_sessions()
+    backend = CueLog()
+    assert offline_eval(sessions, backend=backend) == offline_eval(sessions)
+    texts = {t["client_text"] for s in sessions for t in s["turns"]}
+    assert len(backend.classified) == len(set(backend.classified))
+    assert set(backend.classified) <= texts
+    n = len(backend.classified)
+    offline_eval(sessions, backend=backend)  # the same backend answers from its memo
+    assert len(backend.classified) == n
 
 
 @st.composite
