@@ -267,11 +267,15 @@ def select_client_action(
 
 
 def act_kl(sim_dist: Categorical, gold_dist: Categorical, eps: float = 1e-6) -> float:
-    """KL(sim || gold) over client actions after epsilon-smoothing both sides."""
+    """KL(sim || gold) over client actions after epsilon-smoothing both sides.
+
+    Clamped at 0: for distributions a few ulps apart the summed terms can
+    round to a tiny negative value, which KL never is.
+    """
     n = len(sim_dist.space)
     p = (sim_dist.probs + eps) / (1.0 + n * eps)
     q = (gold_dist.probs + eps) / (1.0 + n * eps)
-    return float(np.sum(p * (np.log(p) - np.log(q))))
+    return max(0.0, float(np.sum(p * (np.log(p) - np.log(q)))))
 
 
 @dataclass(frozen=True)
