@@ -6,7 +6,7 @@ Each turn produces a BeliefState by combining two ingredients:
   widened toward uniform by an amount that depends on how informative the
   utterance is (short or hedged utterances are trusted less), and
 * a model-side predictive prior ``p_prior`` rolled forward through the
-  transition model under the counselor action just taken.
+  transition model under the action just taken (``planner_prior``).
 
 The two are fused by a fixed-weight convex combination rather than a full
 Bayesian product, which keeps the update robust when either side is badly
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyTextError, WeightOutOfRangeError, ZeroEvidenceError
+from .errors import EmptyTextError, ZeroEvidenceError
 from .probs import Categorical, DimensionMismatchError, kl_divergence, mix, uniform
 
 # Share of the fused belief taken from the predictive prior.
@@ -73,16 +73,6 @@ class BeliefState:
         if self.free_energy is not None:
             out["free_energy"] = self.free_energy
         return out
-
-
-def predictive_prior(belief: Categorical, model, action: str) -> Categorical:
-    """Roll the belief one step through the transition model under an action.
-
-    q(s') = sum_s q(s) * T[s, action, s'].  ``model`` is anything exposing
-    ``transitions()`` (the T[s, a, s'] array) and its ``actions`` space.
-    """
-    T = model.transitions()[:, model.actions.index(action), :]
-    return Categorical(belief.space, (belief.probs[:, None] * T).sum(axis=0))
 
 
 def _evidence(likelihood, p: Categorical) -> tuple[np.ndarray, bool]:
@@ -158,8 +148,6 @@ def widen(p: Categorical, alpha: float) -> Categorical:
 
     alpha = 1 returns p unchanged; alpha = 0 discards it entirely.
     """
-    if not (0.0 <= alpha <= 1.0):
-        raise WeightOutOfRangeError(f"alpha must be in [0, 1], got {alpha}")
     return mix(uniform(p.space), p, alpha)
 
 
@@ -171,6 +159,4 @@ def widen_observation(p_obs: Categorical, utterance: str) -> tuple[Categorical, 
 
 def fuse(p_obs: Categorical, p_prior: Categorical, beta: float = DEFAULT_BETA) -> Categorical:
     """Fixed-weight fusion of observation and prior: (1 - beta) * p_obs + beta * p_prior."""
-    if not (0.0 <= beta <= 1.0):
-        raise WeightOutOfRangeError(f"beta must be in [0, 1], got {beta}")
     return mix(p_obs, p_prior, beta)

@@ -180,7 +180,9 @@ def cmd_validate_sim(args: argparse.Namespace) -> int:
     calib = json.loads(
         (DATA_DIR / "calibration_trajectory.json").read_text(encoding="utf-8")
     )
-    calib_profile = next(p for p in profiles if p.id == calib["profile_id"])
+    calib_profile = next((p for p in profiles if p.id == calib["profile_id"]), None)
+    if calib_profile is None:
+        raise FileNotFoundError(f"calibration profile {calib['profile_id']!r} not found")
     theta = calibrate_prep_threshold(
         calib_profile, calib["turns"], table, backend, tau=cfg.tau
     )

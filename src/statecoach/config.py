@@ -4,6 +4,7 @@ shipped calibration, overridable from CLI flags or a JSON config file."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -19,6 +20,9 @@ from .memory import DEFAULT_CONSOLIDATE_EVERY, DEFAULT_DIST_THRES, DEFAULT_K
 from .planner import DEFAULT_LAMBDA_E, DEFAULT_LAMBDA_P
 from .vocab import TALK_TYPE_WEIGHTS
 from .world_model import DEFAULT_KAPPA
+
+# The value types each field annotation admits; a bool is not a number here.
+_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 # The published memory recency-window size.  Retrieval keeps no recency
 # window, so nothing reads it; the constants dump still reports it.
@@ -55,20 +59,30 @@ class RunConfig:
     model_name: str | None = None
 
     def __post_init__(self):
-        """Reject out-of-range values before a run writes anything."""
-        # Written so that NaN fails every check.
-        for name in ("max_turns", "k_relevant", "lambda_e", "lambda_p", "repeat_penalty"):
+        """Reject mistyped and out-of-range values before a run writes anything."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, _, rest = f.type.partition(" | ")
+            if value is None and rest == "None":
+                continue
+            # bool subclasses int, so a bool is taken by a bool field only.
+            if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _TYPES[kind]):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+        # Written so that NaN fails every range check.
+        for name in ("max_turns", "k_relevant", "lambda_e", "lambda_p", "repeat_penalty",
+                     "dist_thres", "obs_seed_count"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.lambda_e == 0 and self.lambda_p == 0:
             raise ValueError("lambda_e and lambda_p must not both be zero")
-        for name in ("beta", "warmup_ratio"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
-        if not self.consolidate_every > 0:
-            raise ValueError(
-                f"consolidate_every must be positive, got {self.consolidate_every}"
-            )
+        for name, lo in (("beta", 0.0), ("warmup_ratio", 0.0), ("theta_cov", 0.0), ("tau", -1.0)):
+            if not lo <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [{lo:g}, 1], got {getattr(self, name)}")
+        for name in ("consolidate_every", "alpha_dirichlet", "kappa_t", "kappa_o"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not math.isfinite(self.theta_prep):
+            raise ValueError(f"theta_prep must be finite, got {self.theta_prep}")
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "RunConfig":

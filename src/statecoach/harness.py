@@ -12,7 +12,7 @@ loop and the metrics treat all counselors alike.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +58,7 @@ class CounselorMove:
 
 @dataclass
 class TurnRecord:
+    # Field order is key order, which is part of the transcript format; keep it stable.
     turn: int
     counselor_action: str
     counselor_text: str
@@ -71,20 +72,7 @@ class TurnRecord:
     matched_trigger_ids: list[str]
 
     def to_dict(self) -> dict:
-        # Key order is part of the transcript format; keep it stable.
-        return {
-            "turn": self.turn,
-            "counselor_action": self.counselor_action,
-            "counselor_text": self.counselor_text,
-            "client_action": self.client_action,
-            "client_text": self.client_text,
-            "gold_stage": self.gold_stage,
-            "sim_stage": self.sim_stage,
-            "readiness": self.readiness,
-            "belief": self.belief,
-            "efe": self.efe,
-            "matched_trigger_ids": self.matched_trigger_ids,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TurnRecord":
@@ -111,12 +99,7 @@ class Transcript:
         return ids
 
     def header_dict(self) -> dict:
-        return {
-            "profile_id": self.profile_id,
-            "initial_stage": self.initial_stage,
-            "n_triggers": self.n_triggers,
-            "opening": self.opening,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"}
 
     def to_jsonl(self) -> str:
         lines = [json.dumps(self.header_dict())]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,15 +50,9 @@ class MemoryEntry:
     seq: int = field(default=0)
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "tier": self.tier,
-            "text": self.text,
-            "embedding": [float(x) for x in self.embedding],
-            "turn_created": self.turn_created,
-            "session_id": self.session_id,
-            "seq": self.seq,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["embedding"] = [float(x) for x in self.embedding]
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "MemoryEntry":

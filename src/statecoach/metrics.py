@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import EmptyInputError
 from .vocab import stage_ordinal
@@ -18,14 +18,7 @@ class Metrics:
     next_acc: float | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "lift": self.lift,
-            "prep_rate": self.prep_rate,
-            "trig_cov": self.trig_cov,
-            "avg_turns": self.avg_turns,
-            "curr_acc": self.curr_acc,
-            "next_acc": self.next_acc,
-        }
+        return asdict(self)
 
 
 def dynamic_metrics(transcripts) -> Metrics:

@@ -13,8 +13,8 @@ action on two axes:
 
 The chosen action minimizes a weighted sum of the two.  Planning is a single
 step deep: the score enumerates one future turn, not a policy tree.  The
-predictive state distribution under the chosen action is also handed back so
-the next turn's belief fusion can use it as its prior.
+predictive state distribution under the chosen action is also the prior the
+next turn's belief is fused with (``planner_prior``); one rollout serves both.
 
 All candidate actions are scored in one pass over the model's arrays
 T[s, a, s'] and O[s', c] (see ``world_model``).  For k candidates, S states
@@ -31,7 +31,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .belief import predictive_prior
 from .errors import EmptyActionSetError, InvalidWeightsError
 from .probs import Categorical, LabelSpace, normalize
 from .vocab import CUES
@@ -117,12 +116,17 @@ class EfeReport:
         return {"chosen": self.chosen, "scores": [s.as_dict() for s in self.scores]}
 
 
+def _predict(belief: Categorical, model, actions: Sequence[str]) -> np.ndarray:
+    """q'[a, s'] = sum_s q(s) * T[s, a, s'] for each action: the one rollout step."""
+    idx = [model.actions.index(a) for a in actions]
+    return (belief.probs[:, None, None] * model.transitions().take(idx, axis=1)).sum(axis=0)
+
+
 def _rollout(
     belief: Categorical, model, actions: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """q'[a, s'], the joint q'[a, s'] * O[s', c], and p(c | a) for each action."""
-    idx = [model.actions.index(a) for a in actions]
-    q_next = (belief.probs[:, None, None] * model.transitions()[:, idx, :]).sum(axis=0)
+    q_next = _predict(belief, model, actions)
     joint = q_next[:, :, None] * model.observations()
     return q_next, joint, joint.sum(axis=1)
 
@@ -204,4 +208,4 @@ def planner_prior(belief: Categorical, model, chosen: str) -> Categorical:
 
     This is what the next turn fuses with its observation estimate.
     """
-    return predictive_prior(belief, model, chosen)
+    return Categorical(belief.space, _predict(belief, model, (chosen,))[0])

@@ -114,14 +114,11 @@ def from_dict(space: LabelSpace, d: dict[str, float]) -> Categorical:
 def normalize(space: LabelSpace, weights) -> Categorical:
     """Normalize non-negative weights into a distribution.
 
-    Raises AllZeroError when every weight is zero and DimensionMismatchError
-    when the vector does not match the space.
+    Raises ValueError for a negative or NaN weight and AllZeroError when every
+    weight is zero; Categorical then raises DimensionMismatchError for a vector
+    that does not match the space, so a wrong-length all-zero one is AllZeroError.
     """
     w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.shape[0] != len(space):
-        raise DimensionMismatchError(
-            f"expected {len(space)} weights for space {space.name!r}, got shape {w.shape}"
-        )
     if not (w >= 0).all():  # NaN fails too
         raise ValueError("weights must be non-negative")
     total = w.sum()

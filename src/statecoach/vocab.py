@@ -14,9 +14,6 @@ STAGES = LabelSpace(
     ("precontemplation", "contemplation", "preparation"),
 )
 
-# Ordinal score per stage, used by progress metrics.
-STAGE_ORDINAL = {"precontemplation": 0, "contemplation": 1, "preparation": 2}
-
 # Counselor behaviors, MI-consistent first, then neutral, then MI-inconsistent.
 COUNSELOR_ACTIONS = LabelSpace(
     "counselor_actions",
@@ -82,4 +79,5 @@ TALK_TYPE_WEIGHTS = {"change": 1.0, "neutral": 0.3, "sustain": -1.0}
 
 
 def stage_ordinal(stage: str) -> int:
-    return STAGE_ORDINAL[stage]
+    """Ordinal score of a stage (its index in STAGES), used by progress metrics."""
+    return STAGES.index(stage)

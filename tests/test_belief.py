@@ -12,11 +12,11 @@ from statecoach.belief import (
     free_energy,
     fuse,
     length_aware_alpha,
-    predictive_prior,
     widen,
     widen_observation,
 )
 from statecoach.errors import EmptyTextError, ZeroEvidenceError
+from statecoach.planner import planner_prior
 from statecoach.probs import Categorical, LabelSpace, point_mass, uniform
 from statecoach.world_model import TableModel
 
@@ -34,22 +34,22 @@ def model_with_rows(rows):
     )
 
 
-def test_predictive_prior_point_mass_returns_row():
+def test_planner_prior_point_mass_returns_row():
     m = model_with_rows([[0.6, 0.3, 0.1], [1, 0, 0], [1, 0, 0]])
-    out = predictive_prior(point_mass(S3, "s1"), m, "act")
+    out = planner_prior(point_mass(S3, "s1"), m, "act")
     assert np.allclose(out.probs, [0.6, 0.3, 0.1])
 
 
-def test_predictive_prior_identity_dynamics():
+def test_planner_prior_identity_dynamics():
     m = model_with_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     prev = Categorical(S3, np.array([0.2, 0.5, 0.3]))
-    assert np.allclose(predictive_prior(prev, m, "act").probs, prev.probs)
+    assert np.allclose(planner_prior(prev, m, "act").probs, prev.probs)
 
 
-def test_predictive_prior_mixture():
+def test_planner_prior_mixture():
     m = model_with_rows([[0.8, 0.2, 0], [0.2, 0.8, 0], [0, 0, 1]])
     prev = Categorical(S3, np.array([0.5, 0.5, 0.0]))
-    assert np.allclose(predictive_prior(prev, m, "act").probs, [0.5, 0.5, 0.0])
+    assert np.allclose(planner_prior(prev, m, "act").probs, [0.5, 0.5, 0.0])
 
 
 def test_bayes_update_hand_values():

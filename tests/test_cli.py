@@ -9,7 +9,7 @@ from dataclasses import fields
 import pytest
 
 import statecoach
-from statecoach.backends import ScriptedBackend
+from statecoach.backends import DATA_DIR, ScriptedBackend
 from statecoach.cli import _add_config_flags, _advise, _cfg_from_args, build_parser, main
 from statecoach.config import RunConfig
 from statecoach.harness import ActiveCounselor, Transcript
@@ -138,6 +138,16 @@ def test_negative_max_turns_exits_2(tmp_path, capsys):
         (["--repeat-penalty", "-0.5"], None, "repeat_penalty must be non-negative"),
         (["--warmup-ratio", "1.5"], None, "warmup_ratio must be in [0, 1]"),
         (["--lambda-e", "0", "--lambda-p", "0"], None, "must not both be zero"),
+        ([], {"min_eval_turns": 2.5}, "min_eval_turns must be int"),
+        ([], {"k_relevant": 1.5}, "k_relevant must be int"),
+        ([], {"efe_action": "false"}, "efe_action must be bool"),
+        (["--tau", "nan"], None, "tau must be in [-1, 1]"),
+        ([], {"alpha_dirichlet": -5}, "alpha_dirichlet must be positive"),
+        (["--theta-cov", "1.5"], None, "theta_cov must be in [0, 1]"),
+        (["--theta-prep", "inf"], None, "theta_prep must be finite"),
+        ([], {"kappa_o": 0}, "kappa_o must be positive"),
+        ([], {"dist_thres": -1.0}, "dist_thres must be non-negative"),
+        ([], {"obs_seed_count": -1.0}, "obs_seed_count must be non-negative"),
     ],
 )
 def test_out_of_range_config_exits_2_before_writing(tmp_path, capsys, flags, config, message):
@@ -151,6 +161,17 @@ def test_out_of_range_config_exits_2_before_writing(tmp_path, capsys, flags, con
     assert code == 2
     assert message in capsys.readouterr().err
     assert list(out.glob("*.jsonl")) == []
+
+
+@pytest.mark.parametrize("files", [[], ["p02_smoking.json"]])
+def test_validate_sim_without_calibration_profile_exits_2(tmp_path, capsys, files):
+    for name in files:
+        (tmp_path / name).write_bytes((DATA_DIR / "profiles" / name).read_bytes())
+    code = main(["validate-sim", "--profiles", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: calibration profile 'p01-alcohol' not found\n"
 
 
 def test_repl_show_belief_adds_advisory_line(capsys, monkeypatch):

@@ -421,6 +421,11 @@ def test_run_dialogue_loop_invariants(profile, **knobs):
         if (stage, rec.sim_stage) == ("precontemplation", "contemplation"):
             assert rec.readiness == 0.0
         stage = rec.sim_stage
+    # The planner's prediction for the chosen action is the next turn's prior, exactly.
+    for rec, nxt in zip(t.records, t.records[1:]):
+        if rec.efe is not None and not cfg.disable_planner:
+            chosen = [s for s in rec.efe["scores"] if s["action"] == rec.efe["chosen"]]
+            assert nxt.belief["p_prior"] == chosen[0]["q_next_prior"]
 
 
 # --- offline evaluation ---
@@ -556,6 +561,29 @@ def test_config_file_merge_and_extras(tmp_path):
         ("repeat_penalty", -0.5),
         ("warmup_ratio", 1.5),
         ("warmup_ratio", float("nan")),
+        ("max_turns", 2.5),
+        ("max_turns", True),
+        ("k_relevant", 1.5),
+        ("beta", True),
+        ("efe_action", "false"),
+        ("efe_action", 1),
+        ("backend_kind", None),
+        ("endpoint", 3),
+        ("tau", -1.5),
+        ("tau", 1.5),
+        ("tau", float("nan")),
+        ("theta_cov", 1.5),
+        ("theta_cov", float("nan")),
+        ("theta_prep", float("inf")),
+        ("theta_prep", float("nan")),
+        ("alpha_dirichlet", -5),
+        ("alpha_dirichlet", 0.0),
+        ("kappa_t", 0.0),
+        ("kappa_o", float("nan")),
+        ("dist_thres", -0.1),
+        ("dist_thres", float("nan")),
+        ("obs_seed_count", -1.0),
+        ("obs_seed_count", float("nan")),
     ],
 )
 def test_run_config_rejects_out_of_range_values(field, value):
