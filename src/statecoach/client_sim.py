@@ -374,9 +374,9 @@ class ClientSession:
         """
         if counselor_action not in COUNSELOR_ACTIONS:
             raise UnknownActionError(f"unknown counselor action {counselor_action!r}")
+        vector = ask_once(self.backend, "embed", counselor_text)
         self.turn += 1
         stage_before = self.stage
-        vector = ask_once(self.backend, "embed", counselor_text)
         matches = match_triggers(self.triggers, vector, self.tau)
         g = content_gate(matches)
         delta = expected_delta_r(self.table.row(stage_before, counselor_action))

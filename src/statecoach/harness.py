@@ -216,8 +216,8 @@ class ActiveCounselor:
     def decide(self, client_utterance: str) -> CounselorMove:
         """Classify the client's reply, track the belief and commit to the
         next action; the move has no text yet, and memory is not touched."""
-        self.turn += 1
         cue = ask_once(self.backend, "classify_talk_type", client_utterance)
+        self.turn += 1
         belief, likelihood = self.tracker.observe(client_utterance, cue)
         belief = replace(
             belief,
@@ -244,13 +244,15 @@ class ActiveCounselor:
         return CounselorMove(action=action, text="", belief=belief, efe=report, cue=cue)
 
     def counselor_turn(self, client_utterance: str) -> CounselorMove:
-        move = self.decide(client_utterance)
+        # Embed first: an utterance with no tokens then fails before any state moves.
+        ask_once(self.backend, "embed", client_utterance)
         memories = self.memory.retrieve(
             client_utterance,
             k=self.cfg.k_relevant,
             dist_thres=self.cfg.dist_thres,
             session=self.session_id,
         )
+        move = self.decide(client_utterance)
         self.memory.add(STM, client_utterance, self.turn, self.session_id)
         action, q = move.action, move.belief.q
         text = self.backend.generate_response(action, q, memories, client_utterance)

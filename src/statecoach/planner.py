@@ -22,6 +22,9 @@ and C cues the rollout holds q'[a, s'] (k, S), the joint q'[a, s'] * O[s', c]
 (k, S, C) and p(c | a) (k, C); posteriors over s' are the joint divided by
 p(c | a).  Every reduction runs over states or cues, never over actions, so
 each action's values are bit-identical to scoring it alone.
+
+``EfeReport`` keeps those arrays, read-only, rather than one object per
+action; the q'[a, s'] rows are checked as distributions once, in one pass.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyActionSetError, InvalidWeightsError
-from .probs import Categorical, LabelSpace, normalize
+from .probs import Categorical, LabelSpace, check_rows, normalize
 from .vocab import CUES
 
 # Default split between exploration and exploitation.
@@ -89,31 +92,40 @@ class ActionScore:
     total: float
     q_next_prior: Categorical
 
-    def as_dict(self) -> dict:
-        return {
-            "action": self.action,
-            "epistemic": self.epistemic,
-            "pragmatic": self.pragmatic,
-            "total": self.total,
-            "q_next_prior": self.q_next_prior.as_dict(),
-        }
-
 
 @dataclass(frozen=True)
 class EfeReport:
-    """All per-action scores from one planning step plus the chosen action."""
+    """All per-action scores from one planning step plus the chosen action.
 
-    scores: tuple[ActionScore, ...]
+    Row i of each read-only array belongs to ``actions[i]``: ``epistemic``,
+    ``pragmatic`` and ``total`` have shape (k,) and ``q_next`` (k, S) over
+    ``space``, every row checked as a distribution.  ``score_for`` builds one
+    action's ``ActionScore`` on request.
+    """
+
+    space: LabelSpace
+    actions: tuple[str, ...]
+    epistemic: np.ndarray
+    pragmatic: np.ndarray
+    total: np.ndarray
+    q_next: np.ndarray
     chosen: str
 
     def score_for(self, action: str) -> ActionScore:
-        for s in self.scores:
-            if s.action == action:
-                return s
-        raise KeyError(action)
+        if action not in self.actions:
+            raise KeyError(action)
+        i = self.actions.index(action)
+        epi, prag, total = (float(x[i]) for x in (self.epistemic, self.pragmatic, self.total))
+        return ActionScore(action, epi, prag, total, Categorical(self.space, self.q_next[i]))
 
     def as_dict(self) -> dict:
-        return {"chosen": self.chosen, "scores": [s.as_dict() for s in self.scores]}
+        columns = (c.tolist() for c in (self.epistemic, self.pragmatic, self.total, self.q_next))
+        scores = [
+            {"action": a, "epistemic": e, "pragmatic": p, "total": t,
+             "q_next_prior": dict(zip(self.space.labels, q))}
+            for a, e, p, t, q in zip(self.actions, *columns)
+        ]
+        return {"chosen": self.chosen, "scores": scores}
 
 
 def _predict(belief: Categorical, model, actions: Sequence[str]) -> np.ndarray:
@@ -190,17 +202,17 @@ def select_action(
     if not labels:
         raise EmptyActionSetError("no candidate actions to choose from")
     q_next, joint, p_obs = _rollout(belief, model, labels)
+    check_rows(belief.space, q_next)
     epistemic = _epistemic(joint, p_obs)
     pragmatic = _pragmatic(p_obs, pref)
-    scores = []
+    total = lambda_e * epistemic + lambda_p * pragmatic
     for i, a in enumerate(labels):
-        epi, prag = float(epistemic[i]), float(pragmatic[i])
-        total = lambda_e * epi + lambda_p * prag
-        if last_action is not None and a == last_action:
-            total += repeat_penalty
-        scores.append(ActionScore(a, epi, prag, total, Categorical(belief.space, q_next[i])))
-    best = min(range(len(scores)), key=lambda i: (scores[i].total, i))
-    return EfeReport(tuple(scores), scores[best].action)
+        if a == last_action:
+            total[i] += repeat_penalty
+    for arr in (epistemic, pragmatic, total, q_next):
+        arr.flags.writeable = False
+    best = int(np.argmin(total))  # the first minimum: ties go to the earliest action
+    return EfeReport(belief.space, labels, epistemic, pragmatic, total, q_next, labels[best])
 
 
 def planner_prior(belief: Categorical, model, chosen: str) -> Categorical:

@@ -89,7 +89,23 @@ class Categorical:
         return self.space.labels[int(np.argmax(self.probs))]
 
     def as_dict(self) -> dict[str, float]:
-        return {l: float(p) for l, p in zip(self.space.labels, self.probs)}
+        return dict(zip(self.space.labels, self.probs.tolist()))
+
+
+def check_rows(space: LabelSpace, rows: np.ndarray) -> None:
+    """Categorical's check on every row of a (k, len(space)) array, in one pass."""
+    if rows.shape[1:] != (len(space),):
+        raise DimensionMismatchError(
+            f"expected rows of {len(space)} probabilities for {space.name!r}, got {rows.shape}"
+        )
+    negative = (rows < 0).any(axis=1)
+    totals = rows.sum(axis=1)
+    bad = negative | ~(np.abs(totals - 1.0) <= PROB_TOL)  # NaN fails too
+    if bad.any():
+        i = int(np.argmax(bad))  # the first bad row fails as its own Categorical would
+        if negative[i]:
+            raise ValueError("probabilities must be non-negative")
+        raise ValueError(f"probabilities must sum to 1, got {totals[i]!r}")
 
 
 def uniform(space: LabelSpace) -> Categorical:
