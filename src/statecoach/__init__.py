@@ -31,7 +31,7 @@ from .metrics import Metrics, dynamic_metrics
 from .planner import EfeReport, PreferenceModel, select_action
 from .probs import Categorical, LabelSpace
 from .vocab import CLIENT_ACTIONS, COUNSELOR_ACTIONS, CUES, STAGES, TALK_TYPES
-from .world_model import TurnEvidence, WorldModel
+from .world_model import WorldModel
 
 __version__ = "0.1.0"
 
@@ -59,7 +59,6 @@ __all__ = [
     "TALK_TYPES",
     "TalkTypeTable",
     "Transcript",
-    "TurnEvidence",
     "TurnRecord",
     "WorldModel",
     "act_kl",

@@ -84,10 +84,18 @@ class BackendConfig:
             self.prompt_templates = load_templates()
 
 
-def load_templates(directory: str | Path | None = None) -> dict[str, str]:
-    """Load {placeholder}-style prompt templates, one per .txt file."""
-    directory = Path(directory) if directory else DATA_DIR / "templates"
-    return {p.stem: p.read_text(encoding="utf-8") for p in sorted(directory.glob("*.txt"))}
+def load_templates() -> dict[str, str]:
+    """Load the bundled {placeholder}-style prompt templates, one per .txt file."""
+    paths = sorted((DATA_DIR / "templates").glob("*.txt"))
+    return {p.stem: p.read_text(encoding="utf-8") for p in paths}
+
+
+def _template(config: BackendConfig, template_id: str) -> str:
+    """The prompt template registered under ``template_id``."""
+    try:
+        return config.prompt_templates[template_id]
+    except KeyError:
+        raise TemplateMissingError(f"no template registered under {template_id!r}") from None
 
 
 def _load_json(name: str) -> dict:
@@ -158,10 +166,6 @@ class ScriptedBackend:
 
     # -- generation -------------------------------------------------------
 
-    def _check_template(self, template_id: str) -> None:
-        if template_id not in self.config.prompt_templates:
-            raise TemplateMissingError(f"no template registered under {template_id!r}")
-
     def _scripted_reply(
         self, rules: list[dict], haystack: str, context: dict[str, str]
     ) -> str:
@@ -181,7 +185,7 @@ class ScriptedBackend:
         user_utterance: str,
         template_id: str = "counselor_reply",
     ) -> str:
-        self._check_template(template_id)
+        _template(self.config, template_id)
         relevant = (memories or {}).get("relevant", [])
         context = {
             "action": action,
@@ -198,7 +202,7 @@ class ScriptedBackend:
         context: dict[str, str],
         template_id: str = "client_reply",
     ) -> str:
-        self._check_template(template_id)
+        _template(self.config, template_id)
         fmt = {"action": action, "utterance": counselor_utterance, **context}
         haystack = (
             f"client_action:{action.lower()} || "
@@ -276,13 +280,7 @@ class HttpBackend:
         )
 
     def _render(self, template_id: str, **fields) -> str:
-        try:
-            template = self.config.prompt_templates[template_id]
-        except KeyError:
-            raise TemplateMissingError(
-                f"no template registered under {template_id!r}"
-            ) from None
-        return template.format(**fields)
+        return _template(self.config, template_id).format(**fields)
 
     def _chat(self, prompt: str) -> str:
         body = {

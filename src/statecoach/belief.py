@@ -11,8 +11,8 @@ Each turn produces a BeliefState by combining two ingredients:
 The two are fused by a fixed-weight convex combination rather than a full
 Bayesian product, which keeps the update robust when either side is badly
 calibrated early in a session.  The exact Bayesian machinery (posterior and
-variational free energy) is also provided, both for diagnostics and because
-the planner's epistemic term relies on it.
+variational free energy) is also provided for diagnostics: every active turn
+records both next to the fused belief.
 """
 
 from __future__ import annotations

@@ -18,7 +18,8 @@ profile's threshold, and preparation is absorbing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +61,7 @@ class ClientProfile:
     motivations: tuple[str, ...]
     plans: tuple[str, ...]
     initial_stage: str
-    action_counts: dict[str, dict[str, float]]
+    action_counts: dict[str, dict[str, float]] = field(default_factory=dict)
     prep_threshold: float | None = None
 
     def __post_init__(self):
@@ -74,21 +75,17 @@ class ClientProfile:
                     raise UnknownActionError(f"unknown client action {action!r}")
                 if not n >= 0:  # NaN fails too
                     raise ValueError("action counts must be non-negative")
+        t = self.prep_threshold  # a bool is not a number here, and NaN is never crossed
+        if t is not None and (isinstance(t, bool) or not isinstance(t, (int, float))
+                              or not math.isfinite(t)):
+            raise ValueError(f"prep_threshold must be a finite number, got {t!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClientProfile":
-        return cls(
-            id=d["id"],
-            topic=d["topic"],
-            behavior=d["behavior"],
-            personas=tuple(d.get("personas", ())),
-            beliefs=tuple(d.get("beliefs", ())),
-            motivations=tuple(d.get("motivations", ())),
-            plans=tuple(d.get("plans", ())),
-            initial_stage=d["initial_stage"],
-            action_counts=d.get("action_counts", {}),
-            prep_threshold=d.get("prep_threshold"),
-        )
+        kwargs = {k: d[k] for k in cls.__dataclass_fields__ if k in d}
+        for k in ("personas", "beliefs", "motivations", "plans"):
+            kwargs[k] = tuple(d.get(k, ()))
+        return cls(**kwargs)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ClientProfile":
@@ -346,9 +343,8 @@ class ClientSession:
         }
 
     def opening_statement(self) -> str:
-        context = {"stage": self.stage, **self._response_context()}
         return self.backend.generate_client_reply(
-            "Opening", "", context, template_id="client_opening"
+            "Opening", "", self._response_context(), template_id="client_opening"
         )
 
     def _transition(self) -> None:

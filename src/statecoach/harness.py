@@ -21,7 +21,7 @@ from .backends import DATA_DIR, ScriptedBackend, ask_once
 from .belief import BeliefState, bayes_update, free_energy, fuse, widen_observation
 from .client_sim import ClientSession
 from .config import RunConfig
-from .errors import EmptyInputError, NoGoldLabelsError
+from .errors import EmptyInputError, NoGoldLabelsError, UnknownLabelError
 from .memory import STM, MemoryStore
 from .planner import (
     EfeReport,
@@ -29,9 +29,9 @@ from .planner import (
     planner_prior,
     select_action,
 )
-from .probs import Categorical, normalize, uniform
+from .probs import Categorical, normalize, point_mass, uniform
 from .vocab import COUNSELOR_ACTIONS, STAGES
-from .world_model import TurnEvidence, WorldModel
+from .world_model import WorldModel
 
 # Rotation used when expected-free-energy selection is switched off.
 FALLBACK_ROTATION = ("Open Question", "Complex Reflection", "Give Information")
@@ -129,14 +129,8 @@ def init_world_model(cfg: RunConfig) -> WorldModel:
     symmetry while washing out quickly under real evidence.
     """
     wm = WorldModel(kappa_t=cfg.kappa_t, kappa_o=cfg.kappa_o)
-    for stage in STAGES.labels:
-        wm.observation_counts[STAGES.index(stage), wm.cues.index(stage)] += (
-            cfg.obs_seed_count
-        )
-    for cue, stage in AUX_CUE_STAGE.items():
-        wm.observation_counts[STAGES.index(stage), wm.cues.index(cue)] += (
-            cfg.obs_seed_count
-        )
+    for cue, stage in {**{s: s for s in STAGES}, **AUX_CUE_STAGE}.items():
+        wm.observation_counts[STAGES.index(stage), wm.cues.index(cue)] += cfg.obs_seed_count
     return wm
 
 
@@ -163,7 +157,8 @@ class BeliefTracker:
 
     def observe(self, utterance: str, cue: str) -> tuple[BeliefState, np.ndarray]:
         """Widen the cue's stage estimate by utterance quality, fuse it with
-        the predictive prior and credit the world model with the turn.
+        the predictive prior and credit the world model with the turn (with
+        argmax point masses in place of the beliefs under ``hard_counts``).
 
         Returns the belief, without posterior or free energy, and the cue's
         likelihood over stages as it was before the world-model update.
@@ -176,14 +171,16 @@ class BeliefTracker:
         else:
             p_prior, beta, q = UNIFORM_STAGE_PRIOR, 0.0, widened
         if self.action is not None:
-            self.wm.update(
-                TurnEvidence(self.q, self.action, q, cue), hard=self.cfg.hard_counts
-            )
+            self.wm.update(self._credited(self.q), self.action, self._credited(q), cue)
         else:
-            self.wm.add_observation(q, cue, hard=self.cfg.hard_counts)
+            self.wm.add_observation(self._credited(q), cue)
         self.q = q
         belief = BeliefState(q=q, p_obs=widened, p_prior=p_prior, alpha=alpha, beta=beta)
         return belief, likelihood
+
+    def _credited(self, q: Categorical) -> Categorical:
+        """The belief the world model learns from."""
+        return point_mass(q.space, q.argmax_label()) if self.cfg.hard_counts else q
 
     def act(self, action: str) -> Categorical:
         """Commit to ``action``; returns the predictive prior for the next turn."""
@@ -277,13 +274,12 @@ class RandomCounselor:
 class FixedCounselor:
     """Round-robins a small fixed action set; no belief machinery."""
 
-    def __init__(self, backend, rotation: tuple[str, ...] = FALLBACK_ROTATION):
+    def __init__(self, backend):
         self.backend = backend
-        self.rotation = rotation
         self.turn = 0
 
     def counselor_turn(self, client_utterance: str) -> CounselorMove:
-        action = self.rotation[self.turn % len(self.rotation)]
+        action = FALLBACK_ROTATION[self.turn % len(FALLBACK_ROTATION)]
         self.turn += 1
         text = self.backend.generate_response(action, None, None, client_utterance)
         return CounselorMove(action=action, text=text)
@@ -382,6 +378,11 @@ def offline_eval(sessions: list[dict], cfg: RunConfig | None = None, backend=Non
         if any(not t.get("gold_stage") for t in turns):
             raise NoGoldLabelsError(
                 f"session {session.get('id', '?')!r} is missing gold stage labels"
+            )
+        unknown = sorted({t["gold_stage"] for t in turns} - set(STAGES))
+        if unknown:
+            raise UnknownLabelError(
+                f"session {session.get('id', '?')!r} has unknown gold stages {unknown}"
             )
         n = len(turns)
         warmup = int(n * cfg.warmup_ratio)

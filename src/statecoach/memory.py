@@ -56,15 +56,9 @@ class MemoryEntry:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MemoryEntry":
-        return cls(
-            id=d["id"],
-            tier=d["tier"],
-            text=d["text"],
-            embedding=np.asarray(d["embedding"], dtype=float),
-            turn_created=d["turn_created"],
-            session_id=d["session_id"],
-            seq=d.get("seq", 0),
-        )
+        kwargs = {k: d[k] for k in cls.__dataclass_fields__ if k in d}
+        kwargs["embedding"] = np.asarray(d["embedding"], dtype=float)
+        return cls(**kwargs)
 
 
 def _entry_id(tier: str, text: str, turn: int, session: str) -> str:
@@ -175,11 +169,8 @@ class MemoryStore:
         if k < 0:
             raise ValueError("k must be non-negative")
         rows, tiers, sessions, turns, seqs = self._columns()
-        if session is None:
-            visible = np.arange(len(self.entries))
-        else:
-            own = sessions == self._sessions.get(session, -1)
-            visible = np.flatnonzero((tiers == _TIERS[LTM]) | own)
+        own = sessions == self._sessions.get(session, -1)
+        visible = np.flatnonzero((tiers == _TIERS[LTM]) | own | (session is None))
         relevant: list[MemoryEntry] = []
         if k > 0 and visible.size and query_text.strip():
             q_row = self._embed(query_text)

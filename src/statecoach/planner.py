@@ -198,7 +198,7 @@ def select_action(
         )
     if repeat_penalty < 0:
         raise ValueError("repeat_penalty must be non-negative")
-    labels = tuple(actions.labels if isinstance(actions, LabelSpace) else actions)
+    labels = tuple(actions)
     if not labels:
         raise EmptyActionSetError("no candidate actions to choose from")
     q_next, joint, p_obs = _rollout(belief, model, labels)

@@ -17,15 +17,16 @@ The model is held as two arrays, and every consumer reads them as such:
 count arrays directly is always safe.  ``TableModel`` holds fixed, validated
 T and O arrays instead.
 
-Updates are soft by default: instead of committing to an argmax stage, each
-turn deposits fractional counts weighted by the current belief, which keeps
-the model honest about its own uncertainty.
+There is one update rule: each turn deposits counts weighted by the beliefs,
+the outer product of the previous and current belief for the transition and
+the current belief for the emission, which keeps the model honest about its
+own uncertainty.  Hard counts are the same rule fed the argmax stage's point
+mass: its row adds exactly 1.0 to one cell and 0.0 to every other.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,21 +35,6 @@ from .probs import Categorical, LabelSpace
 from .vocab import COUNSELOR_ACTIONS, CUES, STAGES
 
 DEFAULT_KAPPA = 1.0
-
-
-@dataclass(frozen=True)
-class TurnEvidence:
-    """One turn's worth of learning signal.
-
-    ``q_prev`` is the belief before the counselor acted, ``action`` the
-    counselor action taken, ``q_curr`` the belief after observing the reply,
-    and ``cue`` the classified observation for that reply.
-    """
-
-    q_prev: Categorical
-    action: str
-    q_curr: Categorical
-    cue: str
 
 
 def _smoothed(counts: np.ndarray, kappa: float) -> np.ndarray:
@@ -101,30 +87,17 @@ class WorldModel:
         """p(cue | s) for every state s, one column of O: the evidence vector."""
         return self.observations()[:, self.cues.index(cue)]
 
-    def add_observation(self, q: Categorical, cue: str, hard: bool = False) -> None:
+    def add_observation(self, q: Categorical, cue: str) -> None:
         """Credit the emission table only (used when no prior action exists)."""
-        j = self.cues.index(cue)
-        if hard:
-            self.observation_counts[self.states.index(q.argmax_label()), j] += 1.0
-        else:
-            self.observation_counts[:, j] += q.probs
+        self.observation_counts[:, self.cues.index(cue)] += q.probs
 
-    def update(self, evidence: TurnEvidence, hard: bool = False) -> None:
-        """Deposit one turn of counts into both tables.
-
-        Soft updates spread mass across states according to the beliefs;
-        hard updates commit a single count at the argmax states.
-        """
-        a = self.actions.index(evidence.action)
-        if hard:
-            i = self.states.index(evidence.q_prev.argmax_label())
-            k = self.states.index(evidence.q_curr.argmax_label())
-            self.transition_counts[i, a, k] += 1.0
-        else:
-            self.transition_counts[:, a, :] += np.outer(
-                evidence.q_prev.probs, evidence.q_curr.probs
-            )
-        self.add_observation(evidence.q_curr, evidence.cue, hard=hard)
+    def update(self, q_prev: Categorical, action: str, q_curr: Categorical, cue: str) -> None:
+        """Deposit one turn of counts into both tables: ``q_prev`` is the belief
+        before the counselor took ``action``, ``q_curr`` the belief after the
+        reply, and ``cue`` the reply's classified observation."""
+        a = self.actions.index(action)
+        self.transition_counts[:, a, :] += np.outer(q_prev.probs, q_curr.probs)
+        self.add_observation(q_curr, cue)
 
     def to_dict(self) -> dict:
         return {

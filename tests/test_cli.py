@@ -261,6 +261,39 @@ def test_missing_sessions_file_exits_2(capsys):
     assert code == 2
 
 
+def test_unknown_gold_label_exits_2(tmp_path, capsys):
+    data = json.loads((DATA_DIR / "annotated_sessions.json").read_text())
+    sessions = data["sessions"] if isinstance(data, dict) else data
+    sessions[0]["turns"][0]["gold_stage"] = "Contemplation"
+    path = tmp_path / "sessions.json"
+    path.write_text(json.dumps(data))
+    code = main(["eval-offline", "--sessions", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "'Contemplation'" in captured.err
+
+
+@pytest.mark.parametrize("value", ['"0.5"', "NaN", "true"])
+def test_bad_profile_prep_threshold_exits_2_before_writing(tmp_path, capsys, value):
+    profiles = tmp_path / "profiles"
+    profiles.mkdir()
+    for src in sorted((DATA_DIR / "profiles").glob("*.json")):
+        (profiles / src.name).write_bytes(src.read_bytes())
+    text = (profiles / "p05_diet.json").read_text()
+    assert '"prep_threshold": 6.0' in text
+    (profiles / "p05_diet.json").write_text(
+        text.replace('"prep_threshold": 6.0', f'"prep_threshold": {value}')
+    )
+    out = tmp_path / "runs"
+    code = main(["run-dynamic", "--profiles", str(profiles), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "prep_threshold must be a finite number" in captured.err
+    assert list(out.glob("*.jsonl")) == []
+
+
 def test_http_backend_without_endpoint_exits_2(tmp_path, capsys):
     code, _ = run_cli(
         capsys, ["run-dynamic", "--out", str(tmp_path), "--backend", "http"]

@@ -1,5 +1,6 @@
 """Simulated client: triggers, content gating, readiness, and stage dynamics."""
 
+import dataclasses
 import json
 import math
 
@@ -191,6 +192,24 @@ def test_profile_from_dict_defaults(tmp_path):
         )
     )
     assert ClientProfile.from_file(path).prep_threshold == 2.5
+
+
+@pytest.mark.parametrize("bad", ["0.5", True, False, float("nan"), float("inf"), -math.inf, [0.5]])
+def test_profile_rejects_bad_prep_threshold(bad):
+    with pytest.raises(ValueError, match="prep_threshold must be a finite number"):
+        make_profile(prep_threshold=bad)
+
+
+@pytest.mark.parametrize("good", [None, 0, 2, 0.5, -1.0])
+def test_profile_accepts_numeric_prep_threshold(good):
+    assert make_profile(prep_threshold=good).prep_threshold == good
+
+
+def test_bundled_profiles_round_trip_through_asdict():
+    profiles = load_profiles(DATA_DIR / "profiles")
+    assert len(profiles) == 5
+    for p in profiles:
+        assert ClientProfile.from_dict(dataclasses.asdict(p)) == p
 
 
 # --- trigger construction ---

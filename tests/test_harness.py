@@ -20,7 +20,7 @@ from statecoach.client_sim import (
     load_profiles,
 )
 from statecoach.config import RunConfig
-from statecoach.errors import EmptyInputError, NoGoldLabelsError
+from statecoach.errors import EmptyInputError, NoGoldLabelsError, UnknownLabelError
 from statecoach.harness import (
     AUX_CUE_STAGE,
     FALLBACK_ROTATION,
@@ -473,6 +473,14 @@ def test_offline_eval_requires_gold_labels():
         }
     ]
     with pytest.raises(NoGoldLabelsError):
+        offline_eval(sessions, RunConfig(), scripted())
+
+
+def test_offline_eval_rejects_unknown_gold_label():
+    sessions = load_annotated_sessions()
+    for turn in sessions[0]["turns"]:
+        turn["gold_stage"] = turn["gold_stage"].upper()
+    with pytest.raises(UnknownLabelError, match="PRECONTEMPLATION|CONTEMPLATION|PREPARATION"):
         offline_eval(sessions, RunConfig(), scripted())
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from statecoach.probs import Categorical, LabelSpace, point_mass, uniform
 from statecoach.vocab import CUES, STAGES
-from statecoach.world_model import DEFAULT_KAPPA, TableModel, TurnEvidence, WorldModel
+from statecoach.world_model import DEFAULT_KAPPA, TableModel, WorldModel
 
 A2 = LabelSpace("a", ("ask", "tell"))
 O4 = LabelSpace("o", ("o1", "o2", "o3", "o4"))
@@ -69,13 +69,12 @@ def test_observation_likelihood_is_column():
 
 def test_hard_update_point_masses_increment_single_cells():
     m = fresh()
-    ev = TurnEvidence(
+    m.update(
         point_mass(STAGES, "precontemplation"),
         "ask",
         point_mass(STAGES, "contemplation"),
         "o2",
     )
-    m.update(ev, hard=True)
     assert m.transition_counts[0, 0, 1] == 1.0
     assert m.transition_counts.sum() == 1.0
     assert m.observation_counts[1, 1] == 1.0
@@ -86,7 +85,7 @@ def test_soft_update_spreads_outer_product():
     m = fresh()
     q_prev = Categorical(STAGES, np.array([0.5, 0.5, 0.0]))
     q_curr = point_mass(STAGES, "precontemplation")
-    m.update(TurnEvidence(q_prev, "ask", q_curr, "o1"))
+    m.update(q_prev, "ask", q_curr, "o1")
     assert m.transition_counts[0, 0, 0] == pytest.approx(0.5)
     assert m.transition_counts[1, 0, 0] == pytest.approx(0.5)
     assert m.transition_counts.sum() == pytest.approx(1.0)
@@ -95,8 +94,8 @@ def test_soft_update_spreads_outer_product():
 
 def test_updates_commute():
     evs = [
-        TurnEvidence(uniform(STAGES), "ask", point_mass(STAGES, "contemplation"), "o1"),
-        TurnEvidence(
+        (uniform(STAGES), "ask", point_mass(STAGES, "contemplation"), "o1"),
+        (
             point_mass(STAGES, "contemplation"),
             "tell",
             Categorical(STAGES, np.array([0.2, 0.3, 0.5])),
@@ -105,18 +104,16 @@ def test_updates_commute():
     ]
     m1, m2 = fresh(), fresh()
     for e in evs:
-        m1.update(e)
+        m1.update(*e)
     for e in reversed(evs):
-        m2.update(e)
+        m2.update(*e)
     assert np.allclose(m1.transition_counts, m2.transition_counts)
     assert np.allclose(m1.observation_counts, m2.observation_counts)
 
 
 def test_save_load_round_trip(tmp_path):
     m = fresh()
-    m.update(
-        TurnEvidence(uniform(STAGES), "tell", point_mass(STAGES, "preparation"), "o4")
-    )
+    m.update(uniform(STAGES), "tell", point_mass(STAGES, "preparation"), "o4")
     path = tmp_path / "wm.json"
     m.save(path)
     back = WorldModel.load(path)
