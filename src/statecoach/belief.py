@@ -82,8 +82,8 @@ def _evidence(likelihood, p: Categorical) -> tuple[np.ndarray, bool]:
         raise DimensionMismatchError(
             f"likelihood shape {lik.shape} does not match space {p.space.name!r}"
         )
-    positive = (lik > 0).all()
-    if not positive and not (lik >= 0).all():  # NaN fails too
+    positive = np.logical_and.reduce(lik > 0)
+    if not positive and not np.logical_and.reduce(lik >= 0):  # NaN fails too
         raise ValueError("likelihood values must be non-negative")
     return lik, positive
 
@@ -97,7 +97,7 @@ def bayes_update(prior: Categorical, likelihood) -> Categorical:
     evidence has probability zero under the model.
     """
     joint = prior.probs * _evidence(likelihood, prior)[0]
-    evidence = joint.sum()
+    evidence = np.add.reduce(joint)
     if evidence <= 0:
         raise ZeroEvidenceError(
             "prior and likelihood have disjoint support; posterior undefined"
@@ -116,9 +116,9 @@ def free_energy(q: Categorical, prior: Categorical, likelihood) -> float:
     lik, positive = _evidence(likelihood, q)
     qp = q.probs
     nz = qp > 0
-    if not positive and (nz & (lik <= 0)).any():
+    if not positive and np.logical_or.reduce(nz & (lik <= 0)):
         return float("inf")
-    expected_log_lik = float((qp[nz] * np.log(lik[nz])).sum())
+    expected_log_lik = float(np.add.reduce(qp[nz] * np.log(lik[nz])))
     return kl_divergence(q, prior) - expected_log_lik
 
 

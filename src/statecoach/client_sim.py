@@ -50,6 +50,9 @@ TRIGGER_RULES = {
 
 BASE_GATE = 0.1
 
+# The profile fields that hold lists of sentences.
+_SENTENCE_FIELDS = ("personas", "beliefs", "motivations", "plans")
+
 
 @dataclass(frozen=True)
 class ClientProfile:
@@ -65,6 +68,11 @@ class ClientProfile:
     prep_threshold: float | None = None
 
     def __post_init__(self):
+        for k in _SENTENCE_FIELDS:  # a string here would load as one-character sentences
+            v = getattr(self, k)
+            if not isinstance(v, (list, tuple)) or not all(isinstance(x, str) for x in v):
+                raise ValueError(f"profile field {k!r} must be a list of strings")
+            object.__setattr__(self, k, tuple(v))
         if self.initial_stage not in STAGES:
             raise UnknownLabelError(f"unknown initial stage {self.initial_stage!r}")
         for stage, row in self.action_counts.items():
@@ -83,8 +91,8 @@ class ClientProfile:
     @classmethod
     def from_dict(cls, d: dict) -> "ClientProfile":
         kwargs = {k: d[k] for k in cls.__dataclass_fields__ if k in d}
-        for k in ("personas", "beliefs", "motivations", "plans"):
-            kwargs[k] = tuple(d.get(k, ()))
+        for k in _SENTENCE_FIELDS:
+            kwargs.setdefault(k, ())
         return cls(**kwargs)
 
     @classmethod
@@ -239,7 +247,7 @@ def client_action_dist(
     """Dirichlet-smoothed blend of the profile's counts with the population prior."""
     counts = profile.action_counts.get(stage, {})
     n = np.array([counts.get(a, 0.0) for a in CLIENT_ACTIONS.labels], dtype=float)
-    total = n.sum()
+    total = np.add.reduce(n)
     return Categorical(CLIENT_ACTIONS, (n + alpha * pop_row.probs) / (total + alpha))
 
 

@@ -371,19 +371,21 @@ def offline_eval(sessions: list[dict], cfg: RunConfig | None = None, backend=Non
     """
     cfg = cfg or RunConfig()
     backend = backend or ScriptedBackend()
+    for session in sessions:  # every label is checked before any backend call
+        turns = session["turns"]
+        sid = session.get("id", "?")
+        if any(not t.get("gold_stage") for t in turns):
+            raise NoGoldLabelsError(f"session {sid!r} is missing gold stage labels")
+        unknown = sorted({t["gold_stage"] for t in turns} - set(STAGES))
+        if unknown:
+            raise UnknownLabelError(f"session {sid!r} has unknown gold stages {unknown}")
+        unknown = sorted({t["counselor_action"] for t in turns} - set(COUNSELOR_ACTIONS))
+        if unknown:
+            raise UnknownLabelError(f"session {sid!r} has unknown counselor actions {unknown}")
     curr_hit = curr_tot = next_hit = next_tot = 0
     sessions_scored = 0
     for session in sessions:
         turns = session["turns"]
-        if any(not t.get("gold_stage") for t in turns):
-            raise NoGoldLabelsError(
-                f"session {session.get('id', '?')!r} is missing gold stage labels"
-            )
-        unknown = sorted({t["gold_stage"] for t in turns} - set(STAGES))
-        if unknown:
-            raise UnknownLabelError(
-                f"session {session.get('id', '?')!r} has unknown gold stages {unknown}"
-            )
         n = len(turns)
         warmup = int(n * cfg.warmup_ratio)
         if n - warmup < cfg.min_eval_turns:

@@ -131,7 +131,8 @@ class EfeReport:
 def _predict(belief: Categorical, model, actions: Sequence[str]) -> np.ndarray:
     """q'[a, s'] = sum_s q(s) * T[s, a, s'] for each action: the one rollout step."""
     idx = [model.actions.index(a) for a in actions]
-    return (belief.probs[:, None, None] * model.transitions().take(idx, axis=1)).sum(axis=0)
+    weighted = belief.probs[:, None, None] * model.transitions().take(idx, axis=1)
+    return np.add.reduce(weighted, axis=0)
 
 
 def _rollout(
@@ -140,7 +141,7 @@ def _rollout(
     """q'[a, s'], the joint q'[a, s'] * O[s', c], and p(c | a) for each action."""
     q_next = _predict(belief, model, actions)
     joint = q_next[:, :, None] * model.observations()
-    return q_next, joint, joint.sum(axis=1)
+    return q_next, joint, np.add.reduce(joint, axis=1)
 
 
 def _epistemic(joint: np.ndarray, p_obs: np.ndarray) -> np.ndarray:
@@ -148,14 +149,14 @@ def _epistemic(joint: np.ndarray, p_obs: np.ndarray) -> np.ndarray:
     seen = (p_obs > 0)[:, None, :]
     post = np.divide(joint, p_obs[:, None, :], out=np.zeros_like(joint), where=seen)
     log_post = np.log(post, out=np.zeros_like(post), where=post > 0)
-    h = -(post * log_post).sum(axis=1)
+    h = -np.add.reduce(post * log_post, axis=1)
     # +0.0 so that a fully revealing action (every posterior certain) reports 0.0, not -0.0.
-    return 0.0 + (p_obs * h).sum(axis=1)
+    return 0.0 + np.add.reduce(p_obs * h, axis=1)
 
 
 def _pragmatic(p_obs: np.ndarray, pref: PreferenceModel) -> np.ndarray:
     """Expected negative log preference of the elicited cue, per action."""
-    return -(p_obs * pref.log_pref).sum(axis=1)
+    return -np.add.reduce(p_obs * pref.log_pref, axis=1)
 
 
 def epistemic_value(belief: Categorical, model, action: str) -> float:

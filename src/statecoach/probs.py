@@ -4,6 +4,17 @@ built on them.
 All distributions are finite, labelled, and stored as numpy vectors in the
 order fixed by their LabelSpace.  Logs are natural throughout, and the
 0 * log 0 = 0 convention applies to entropy terms.
+
+A distribution that depends only on its space is built and checked once and
+then shared: ``uniform(space)`` returns the same read-only instance for the
+life of ``space``.
+
+The vectors are short (3 to 17 entries in the bundled vocabularies), so the
+fixed cost of a numpy call outweighs its arithmetic.  The checks therefore
+call the ufunc reductions (``np.add.reduce``, ``np.logical_or.reduce``,
+``np.logical_and.reduce``) directly rather than ``ndarray.sum``/``any``/
+``all``, which reach the same ufuncs through a Python-level wrapper: every
+value, error type and message is the same either way.
 """
 
 from __future__ import annotations
@@ -73,9 +84,9 @@ class Categorical:
                 f"expected {len(self.space)} probabilities for space "
                 f"{self.space.name!r}, got shape {p.shape}"
             )
-        if (p < 0).any():
+        if np.logical_or.reduce(p < 0):
             raise ValueError("probabilities must be non-negative")
-        total = p.sum()
+        total = np.add.reduce(p)
         if not abs(total - 1.0) <= PROB_TOL:  # NaN fails too
             raise ValueError(f"probabilities must sum to 1, got {total!r}")
         p.flags.writeable = False
@@ -86,7 +97,7 @@ class Categorical:
 
     def argmax_label(self) -> str:
         """Most probable label; ties break toward the smaller index."""
-        return self.space.labels[int(np.argmax(self.probs))]
+        return self.space.labels[int(self.probs.argmax())]
 
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.space.labels, self.probs.tolist()))
@@ -98,19 +109,24 @@ def check_rows(space: LabelSpace, rows: np.ndarray) -> None:
         raise DimensionMismatchError(
             f"expected rows of {len(space)} probabilities for {space.name!r}, got {rows.shape}"
         )
-    negative = (rows < 0).any(axis=1)
-    totals = rows.sum(axis=1)
+    negative = np.logical_or.reduce(rows < 0, axis=1)
+    totals = np.add.reduce(rows, axis=1)
     bad = negative | ~(np.abs(totals - 1.0) <= PROB_TOL)  # NaN fails too
-    if bad.any():
-        i = int(np.argmax(bad))  # the first bad row fails as its own Categorical would
+    if np.logical_or.reduce(bad):
+        i = int(bad.argmax())  # the first bad row fails as its own Categorical would
         if negative[i]:
             raise ValueError("probabilities must be non-negative")
         raise ValueError(f"probabilities must sum to 1, got {totals[i]!r}")
 
 
 def uniform(space: LabelSpace) -> Categorical:
-    n = len(space)
-    return Categorical(space, np.full(n, 1.0 / n))
+    """The uniform distribution over ``space``, built on first use and then shared."""
+    u = getattr(space, "_uniform", None)
+    if u is None:
+        n = len(space)
+        u = Categorical(space, np.full(n, 1.0 / n))
+        object.__setattr__(space, "_uniform", u)  # not a field: equality and repr ignore it
+    return u
 
 
 def point_mass(space: LabelSpace, label: str) -> Categorical:
@@ -135,9 +151,9 @@ def normalize(space: LabelSpace, weights) -> Categorical:
     that does not match the space, so a wrong-length all-zero one is AllZeroError.
     """
     w = np.asarray(weights, dtype=float)
-    if not (w >= 0).all():  # NaN fails too
+    if not np.logical_and.reduce(w >= 0, axis=None):  # NaN fails too
         raise ValueError("weights must be non-negative")
-    total = w.sum()
+    total = np.add.reduce(w, axis=None)
     if total <= 0:
         raise AllZeroError(f"cannot normalize all-zero weights over {space.name!r}")
     return Categorical(space, w / total)
@@ -164,10 +180,10 @@ def kl_divergence(q: Categorical, p: Categorical) -> float:
     pp = p.probs
     nz = qp > 0
     bad = nz & (pp <= 0)
-    if bad.any():
+    if np.logical_or.reduce(bad):
         labels = [q.space.labels[i] for i in bad.nonzero()[0]]
         raise SupportViolationError(f"q has mass outside p's support at {labels}")
-    return float((qp[nz] * (np.log(qp[nz]) - np.log(pp[nz]))).sum())
+    return float(np.add.reduce(qp[nz] * (np.log(qp[nz]) - np.log(pp[nz]))))
 
 
 def mix(a: Categorical, b: Categorical, weight: float) -> Categorical:

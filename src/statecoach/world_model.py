@@ -14,8 +14,11 @@ The model is held as two arrays, and every consumer reads them as such:
   O[s, :] a distribution.
 
 ``WorldModel`` derives both from its counts on every read, so writing the
-count arrays directly is always safe.  ``TableModel`` holds fixed, validated
-T and O arrays instead.
+count arrays directly is always safe.  ``observation_likelihood(cue)``, read
+once per turn, derives only its own column of O from the counts: the same
+arithmetic per entry as ``observations()[:, c]``, so the same bits, without
+smoothing the other columns.  ``TableModel`` holds fixed, validated T and O
+arrays instead.
 
 There is one update rule: each turn deposits counts weighted by the beliefs,
 the outer product of the previous and current belief for the transition and
@@ -40,7 +43,7 @@ DEFAULT_KAPPA = 1.0
 def _smoothed(counts: np.ndarray, kappa: float) -> np.ndarray:
     """Symmetric Dirichlet smoothing of count rows along the last axis."""
     n = counts.shape[-1]
-    return (counts + kappa / n) / (counts.sum(axis=-1, keepdims=True) + kappa)
+    return (counts + kappa / n) / (np.add.reduce(counts, axis=-1, keepdims=True) + kappa)
 
 
 class WorldModel:
@@ -85,7 +88,11 @@ class WorldModel:
 
     def observation_likelihood(self, cue: str) -> np.ndarray:
         """p(cue | s) for every state s, one column of O: the evidence vector."""
-        return self.observations()[:, self.cues.index(cue)]
+        counts = self.observation_counts
+        n = counts.shape[-1]
+        return (counts[:, self.cues.index(cue)] + self.kappa_o / n) / (
+            np.add.reduce(counts, axis=-1) + self.kappa_o
+        )
 
     def add_observation(self, q: Categorical, cue: str) -> None:
         """Credit the emission table only (used when no prior action exists)."""
@@ -96,7 +103,7 @@ class WorldModel:
         before the counselor took ``action``, ``q_curr`` the belief after the
         reply, and ``cue`` the reply's classified observation."""
         a = self.actions.index(action)
-        self.transition_counts[:, a, :] += np.outer(q_prev.probs, q_curr.probs)
+        self.transition_counts[:, a, :] += q_prev.probs[:, None] * q_curr.probs[None, :]
         self.add_observation(q_curr, cue)
 
     def to_dict(self) -> dict:
@@ -167,6 +174,8 @@ class TableModel:
     def observations(self) -> np.ndarray:
         return self.O
 
+    def observation_likelihood(self, cue: str) -> np.ndarray:
+        return self.O[:, self.cues.index(cue)]
+
     transition_prob = WorldModel.transition_prob
     observation_prob = WorldModel.observation_prob
-    observation_likelihood = WorldModel.observation_likelihood

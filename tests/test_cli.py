@@ -294,6 +294,36 @@ def test_bad_profile_prep_threshold_exits_2_before_writing(tmp_path, capsys, val
     assert list(out.glob("*.jsonl")) == []
 
 
+def test_profile_sentence_field_given_as_string_exits_2_before_writing(tmp_path, capsys):
+    profiles = tmp_path / "profiles"
+    profiles.mkdir()
+    for src in sorted((DATA_DIR / "profiles").glob("*.json")):
+        (profiles / src.name).write_bytes(src.read_bytes())
+    data = json.loads((profiles / "p03_exercise.json").read_text())
+    data["beliefs"] = " ".join(data["beliefs"])
+    (profiles / "p03_exercise.json").write_text(json.dumps(data))
+    out = tmp_path / "runs"
+    code = main(["run-dynamic", "--profiles", str(profiles), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "profile field 'beliefs' must be a list of strings" in captured.err
+    assert not out.exists()
+
+
+def test_unknown_counselor_action_exits_2(tmp_path, capsys):
+    data = json.loads((DATA_DIR / "annotated_sessions.json").read_text())
+    sessions = data["sessions"] if isinstance(data, dict) else data
+    sessions[-1]["turns"][-1]["counselor_action"] = "Lecture"
+    path = tmp_path / "sessions.json"
+    path.write_text(json.dumps(data))
+    code = main(["eval-offline", "--sessions", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "'Lecture'" in captured.err and repr(sessions[-1]["id"]) in captured.err
+
+
 def test_http_backend_without_endpoint_exits_2(tmp_path, capsys):
     code, _ = run_cli(
         capsys, ["run-dynamic", "--out", str(tmp_path), "--backend", "http"]

@@ -205,6 +205,22 @@ def test_profile_accepts_numeric_prep_threshold(good):
     assert make_profile(prep_threshold=good).prep_threshold == good
 
 
+@pytest.mark.parametrize("field", ["personas", "beliefs", "motivations", "plans"])
+@pytest.mark.parametrize(
+    "bad",
+    ["I do not think drinking is a problem for me", None, 3, {"a": "b"}, ["ok", 7], [None]],
+    ids=["string", "none", "number", "object", "number-item", "none-item"],
+)
+def test_profile_rejects_sentence_field_that_is_not_a_list_of_strings(field, bad):
+    with pytest.raises(ValueError, match=f"profile field '{field}' must be a list of strings"):
+        make_profile(**{field: bad})
+
+
+def test_profile_sentence_fields_load_as_tuples():
+    p = make_profile(beliefs=[BELIEF_A, BELIEF_B], plans=[])
+    assert p.beliefs == (BELIEF_A, BELIEF_B) and p.plans == ()
+
+
 def test_bundled_profiles_round_trip_through_asdict():
     profiles = load_profiles(DATA_DIR / "profiles")
     assert len(profiles) == 5

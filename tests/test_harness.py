@@ -484,6 +484,19 @@ def test_offline_eval_rejects_unknown_gold_label():
         offline_eval(sessions, RunConfig(), scripted())
 
 
+@pytest.mark.parametrize("session", [0, 2])  # a scored session and one too short to score
+def test_offline_eval_rejects_unknown_counselor_action_before_any_backend_call(session):
+    class NoCalls(ScriptedBackend):
+        def classify_talk_type(self, utterance):
+            raise AssertionError("backend called before the labels were checked")
+
+    sessions = load_annotated_sessions()
+    sessions[session]["turns"][-1]["counselor_action"] = "Lecture"
+    sid = sessions[session]["id"]
+    with pytest.raises(UnknownLabelError, match=f"session '{sid}' has unknown counselor actions"):
+        offline_eval(sessions, RunConfig(), NoCalls())
+
+
 def test_load_annotated_sessions_default():
     ids = [s["id"] for s in load_annotated_sessions()]
     assert ids == ["hand-count", "stationary", "too-short"]

@@ -14,6 +14,7 @@ from statecoach.errors import (
 from statecoach.probs import (
     Categorical,
     LabelSpace,
+    check_rows,
     entropy,
     from_dict,
     kl_divergence,
@@ -68,6 +69,85 @@ def test_categorical_is_read_only():
     c = uniform(S3)
     with pytest.raises(ValueError):
         c.probs[0] = 0.9
+
+
+def test_uniform_is_built_once_per_space():
+    space = LabelSpace("fresh", ("a", "b", "c", "d"))
+    u = uniform(space)
+    assert uniform(space) is u
+    assert u.space is space
+    assert np.array_equal(u.probs, np.full(4, 0.25))
+    assert not u.probs.flags.writeable
+    with pytest.raises(ValueError):
+        u.probs[0] = 1.0
+    # An equal but distinct space gets its own instance, on itself.
+    twin = LabelSpace("fresh", ("a", "b", "c", "d"))
+    assert uniform(twin).space is twin and uniform(twin) is not u
+    # The shared instance is not a field: equality, hashing and repr ignore it.
+    assert twin == space and hash(twin) == hash(space)
+    assert repr(space) == "LabelSpace(name='fresh', labels=('a', 'b', 'c', 'd'))"
+
+
+# What each check raises, exact type and message, for the inputs its reductions
+# could treat differently: negative, NaN, infinite, short-sum, wrong-length and
+# wrong-rank values.
+def _sum_message(total):
+    return f"probabilities must sum to 1, got {np.float64(total)!r}"
+
+
+NAN, INF = float("nan"), float("inf")
+RAISES = [
+    # Categorical(S3, value)
+    ("Categorical", [-0.1, 0.6, 0.5], ValueError, "probabilities must be non-negative"),
+    ("Categorical", [-INF, 0.5, 0.5], ValueError, "probabilities must be non-negative"),
+    ("Categorical", [NAN, 0.5, 0.5], ValueError, _sum_message(NAN)),
+    ("Categorical", [INF, 0.5, 0.5], ValueError, _sum_message(INF)),
+    ("Categorical", [0.3, 0.3, 0.3], ValueError, _sum_message(0.8999999999999999)),
+    ("Categorical", [0.5, 0.5], DimensionMismatchError,
+     "expected 3 probabilities for space 's3', got shape (2,)"),
+    ("Categorical", [[0.2, 0.3, 0.5]], DimensionMismatchError,
+     "expected 3 probabilities for space 's3', got shape (1, 3)"),
+    ("Categorical", 1.0, DimensionMismatchError,
+     "expected 3 probabilities for space 's3', got shape ()"),
+    # normalize(S3, value)
+    ("normalize", [-0.1, 0.6, 0.5], ValueError, "weights must be non-negative"),
+    ("normalize", [NAN, 0.5, 0.5], ValueError, "weights must be non-negative"),
+    ("normalize", [INF, 0.5, 0.5], ValueError, _sum_message(NAN)),
+    ("normalize", [0.0, 0.0, 0.0], AllZeroError, "cannot normalize all-zero weights over 's3'"),
+    ("normalize", [0.5, 0.5], DimensionMismatchError,
+     "expected 3 probabilities for space 's3', got shape (2,)"),
+    ("normalize", [[0.2, 0.3, 0.5]], DimensionMismatchError,
+     "expected 3 probabilities for space 's3', got shape (1, 3)"),
+    ("normalize", [[-0.2, 0.3, 0.5]], ValueError, "weights must be non-negative"),
+    ("normalize", [[0.0, 0.0, 0.0]], AllZeroError, "cannot normalize all-zero weights over 's3'"),
+    ("normalize", 2.0, DimensionMismatchError,
+     "expected 3 probabilities for space 's3', got shape ()"),
+    # check_rows(S3, value): the first bad row fails as its own Categorical would
+    ("check_rows", [[-0.1, 0.6, 0.5]], ValueError, "probabilities must be non-negative"),
+    ("check_rows", [[1.0, 0.0, 0.0], [NAN, 0.5, 0.5]], ValueError, _sum_message(NAN)),
+    ("check_rows", [[INF, 0.5, 0.5]], ValueError, _sum_message(INF)),
+    ("check_rows", [[1.0, 0.0, 0.0], [0.3, 0.3, 0.3], [-1.0, 1.0, 1.0]], ValueError,
+     _sum_message(0.8999999999999999)),
+    ("check_rows", [[0.5, 0.5]], DimensionMismatchError,
+     "expected rows of 3 probabilities for 's3', got (1, 2)"),
+    ("check_rows", [0.2, 0.3, 0.5], DimensionMismatchError,
+     "expected rows of 3 probabilities for 's3', got (3,)"),
+    ("check_rows", [[[0.2, 0.3, 0.5]]], DimensionMismatchError,
+     "expected rows of 3 probabilities for 's3', got (1, 1, 3)"),
+]
+CHECKS = {
+    "Categorical": lambda v: Categorical(S3, v),
+    "normalize": lambda v: normalize(S3, v),
+    "check_rows": lambda v: check_rows(S3, np.asarray(v, dtype=float)),
+}
+
+
+@pytest.mark.parametrize("check, value, error, message", RAISES)
+def test_checks_raise_exact_type_and_message(check, value, error, message):
+    with np.errstate(invalid="ignore"), pytest.raises(error) as info:
+        CHECKS[check](value)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_point_mass_and_prob():

@@ -165,3 +165,38 @@ def test_smoothed_rows_are_distributions(counts, kappa):
     row = m.transition_prob("contemplation", "tell")
     assert math.isclose(float(row.probs.sum()), 1.0, abs_tol=1e-9)
     assert np.all(row.probs > 0)
+
+
+COUNT = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=10.0),
+    st.floats(min_value=1e100, max_value=1e200),
+)
+
+
+@given(
+    st.lists(st.lists(COUNT, min_size=4, max_size=4), min_size=3, max_size=3),
+    st.floats(min_value=1e-6, max_value=1e6),
+    st.sampled_from(["float", "int", "zero_row"]),
+    st.tuples(st.integers(0, 2), st.integers(0, 3), st.floats(min_value=0.0, max_value=1e3)),
+)
+def test_observation_likelihood_is_bit_equal_to_the_column(table, kappa, kind, write):
+    m = WorldModel(states=STAGES, actions=A2, cues=O4, kappa_o=kappa)
+    counts = np.array(table)
+    if kind == "int":  # a direct write of whole counts in another dtype
+        counts = np.minimum(counts, 1e12).astype(np.int64)
+    elif kind == "zero_row":
+        counts[1] = 0.0
+    m.observation_counts = counts
+
+    def columns_match():
+        table_o = m.observations()
+        return all(
+            np.array_equal(m.observation_likelihood(cue), table_o[:, c])
+            for c, cue in enumerate(O4.labels)
+        )
+
+    assert columns_match()
+    s, c, n = write
+    m.observation_counts[s, c] += n  # a direct write between reads
+    assert columns_match()
