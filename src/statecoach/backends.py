@@ -15,10 +15,16 @@ summarize, embed.
 
 ``ask_once`` keeps a backend's answer to each text-only query (embed, both
 classifiers) for the backend object's life, an HttpBackend fallback label too.
+
+``hashed_embedding`` hashes each distinct token once: its md5 bucket is kept
+in one module-level memo of at most ``TOKEN_MEMO_SIZE`` tokens, least recently
+used out first.  A bucket depends only on its token, so the memo is never
+stale and needs no invalidating.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -40,6 +46,8 @@ EMBED_DIM = 256
 API_KEY_ENV = "STATECOACH_API_KEY"
 # Wait before the n-th resend of an HTTP request: RETRY_BACKOFF_S * 2**(n-1).
 RETRY_BACKOFF_S = 0.5
+# Most distinct tokens whose md5 bucket hashed_embedding keeps.
+TOKEN_MEMO_SIZE = 1 << 14
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
@@ -106,19 +114,24 @@ def tokenize(text: str) -> list[str]:
     return text.lower().translate(_PUNCT_TABLE).split()
 
 
+@functools.lru_cache(maxsize=TOKEN_MEMO_SIZE)
+def _bucket(token: str) -> int:
+    """The embedding dimension ``token`` counts toward, from its md5."""
+    return int(hashlib.md5(token.encode("utf-8")).hexdigest(), 16) % EMBED_DIM
+
+
 def hashed_embedding(text: str) -> np.ndarray:
     """Deterministic 256-dim bag-of-tokens embedding, unit L2 norm.
 
     Token buckets come from md5, which is stable across platforms and
-    processes (unlike the builtin hash).
+    processes (unlike the builtin hash), read through the token memo.
     """
     tokens = tokenize(text)
     if not tokens:
         raise EmptyTextError("cannot embed text with no tokens")
     v = np.zeros(EMBED_DIM)
     for tok in tokens:
-        bucket = int(hashlib.md5(tok.encode("utf-8")).hexdigest(), 16) % EMBED_DIM
-        v[bucket] += 1.0
+        v[_bucket(tok)] += 1.0
     return v / np.linalg.norm(v)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -54,6 +55,11 @@ BASE_GATE = 0.1
 _SENTENCE_FIELDS = ("personas", "beliefs", "motivations", "plans")
 
 
+def _is_number(x) -> bool:
+    """Whether a profile value is a number; a bool is not one here."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ClientProfile:
     id: str
@@ -75,17 +81,24 @@ class ClientProfile:
             object.__setattr__(self, k, tuple(v))
         if self.initial_stage not in STAGES:
             raise UnknownLabelError(f"unknown initial stage {self.initial_stage!r}")
-        for stage, row in self.action_counts.items():
+        counts = self.action_counts
+        if not isinstance(counts, Mapping) or not all(
+            isinstance(row, Mapping) for row in counts.values()
+        ):
+            raise ValueError("action_counts must map each stage to a mapping of action counts")
+        for stage, row in counts.items():
             if stage not in STAGES:
                 raise UnknownLabelError(f"unknown stage {stage!r} in action_counts")
             for action, n in row.items():
                 if action not in CLIENT_ACTIONS:
                     raise UnknownActionError(f"unknown client action {action!r}")
-                if not n >= 0:  # NaN fails too
-                    raise ValueError("action counts must be non-negative")
-        t = self.prep_threshold  # a bool is not a number here, and NaN is never crossed
-        if t is not None and (isinstance(t, bool) or not isinstance(t, (int, float))
-                              or not math.isfinite(t)):
+                if not _is_number(n) or not 0 <= n < math.inf:  # NaN fails too
+                    raise ValueError(
+                        f"action_counts[{stage!r}][{action!r}] must be a finite "
+                        f"non-negative number, got {n!r}"
+                    )
+        t = self.prep_threshold  # NaN is never crossed
+        if t is not None and (not _is_number(t) or not math.isfinite(t)):
             raise ValueError(f"prep_threshold must be a finite number, got {t!r}")
 
     @classmethod

@@ -7,12 +7,19 @@ where the action comes from: expected free energy, or the annotation.  The
 full agent then touches memory and generates the reply.  Baseline agents
 (random, fixed rotation, fully scripted) share the same interface so the
 loop and the metrics treat all counselors alike.
+
+The full agent does each piece of a turn once.  The planner's rollout under
+the chosen action is the next turn's prior, so an expected-free-energy turn
+reads it from the report instead of rolling the belief forward again
+(``planner_prior`` serves the turns with no report: the no-EFE rotation and
+offline evaluation).  Each turn builds one ``BeliefState``, diagnostics
+included, and one ``CounselorMove``, text included.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +170,11 @@ class BeliefTracker:
         Returns the belief, without posterior or free energy, and the cue's
         likelihood over stages as it was before the world-model update.
         """
+        parts, likelihood = self._observe(utterance, cue)
+        return BeliefState(*parts), likelihood
+
+    def _observe(self, utterance: str, cue: str) -> tuple[tuple, np.ndarray]:
+        """``observe``'s work; the belief as its fields (q, p_obs, p_prior, alpha, beta)."""
         likelihood = self.wm.observation_likelihood(cue)
         widened, alpha = widen_observation(normalize(STAGES, likelihood), utterance)
         if self.prior is not None and not self.cfg.disable_planner:
@@ -175,17 +187,24 @@ class BeliefTracker:
         else:
             self.wm.add_observation(self._credited(q), cue)
         self.q = q
-        belief = BeliefState(q=q, p_obs=widened, p_prior=p_prior, alpha=alpha, beta=beta)
-        return belief, likelihood
+        return (q, widened, p_prior, alpha, beta), likelihood
 
     def _credited(self, q: Categorical) -> Categorical:
         """The belief the world model learns from."""
         return point_mass(q.space, q.argmax_label()) if self.cfg.hard_counts else q
 
-    def act(self, action: str) -> Categorical:
-        """Commit to ``action``; returns the predictive prior for the next turn."""
+    def act(self, action: str, report: EfeReport | None = None) -> Categorical:
+        """Commit to ``action``; returns the predictive prior for the next turn.
+
+        ``report``, the planner's report on the current belief and model,
+        already holds that prior as its row for ``action``; without one the
+        belief is rolled forward here.
+        """
         self.action = action
-        self.prior = planner_prior(self.q, self.wm, action)
+        if report is None:
+            self.prior = planner_prior(self.q, self.wm, action)
+        else:
+            self.prior = Categorical(report.space, report.q_next[report.actions.index(action)])
         return self.prior
 
 
@@ -213,19 +232,23 @@ class ActiveCounselor:
     def decide(self, client_utterance: str) -> CounselorMove:
         """Classify the client's reply, track the belief and commit to the
         next action; the move has no text yet, and memory is not touched."""
+        action, belief, report, cue = self._decide(client_utterance)
+        return CounselorMove(action, "", belief, report, cue)
+
+    def _decide(self, client_utterance: str) -> tuple[str, BeliefState, EfeReport | None, str]:
+        """``decide``'s work: the action, the belief, the planner's report and the cue."""
         cue = ask_once(self.backend, "classify_talk_type", client_utterance)
         self.turn += 1
-        belief, likelihood = self.tracker.observe(client_utterance, cue)
-        belief = replace(
-            belief,
-            posterior=bayes_update(belief.p_prior, likelihood),
-            free_energy=free_energy(belief.q, belief.p_prior, likelihood),
+        parts, likelihood = self.tracker._observe(client_utterance, cue)
+        q, _p_obs, p_prior, _alpha, _beta = parts
+        belief = BeliefState(
+            *parts, bayes_update(p_prior, likelihood), free_energy(q, p_prior, likelihood)
         )
 
         report: EfeReport | None = None
         if self.cfg.efe_action:
             report = select_action(
-                belief.q,
+                q,
                 self.wm,
                 COUNSELOR_ACTIONS,
                 self.pref,
@@ -237,8 +260,8 @@ class ActiveCounselor:
             action = report.chosen
         else:
             action = FALLBACK_ROTATION[(self.turn - 1) % len(FALLBACK_ROTATION)]
-        self.tracker.act(action)
-        return CounselorMove(action=action, text="", belief=belief, efe=report, cue=cue)
+        self.tracker.act(action, report)
+        return action, belief, report, cue
 
     def counselor_turn(self, client_utterance: str) -> CounselorMove:
         # Embed first: an utterance with no tokens then fails before any state moves.
@@ -249,13 +272,12 @@ class ActiveCounselor:
             dist_thres=self.cfg.dist_thres,
             session=self.session_id,
         )
-        move = self.decide(client_utterance)
+        action, belief, report, cue = self._decide(client_utterance)
         self.memory.add(STM, client_utterance, self.turn, self.session_id)
-        action, q = move.action, move.belief.q
-        text = self.backend.generate_response(action, q, memories, client_utterance)
+        text = self.backend.generate_response(action, belief.q, memories, client_utterance)
         self.memory.add(STM, text, self.turn, self.session_id)
         self.memory.consolidate(self.session_id, self.cfg.consolidate_every)
-        return replace(move, text=text)
+        return CounselorMove(action, text, belief, report, cue)
 
 
 class RandomCounselor:
@@ -359,6 +381,10 @@ def run_dialogue(
     return transcript
 
 
+# The keys every annotated turn carries.
+_TURN_KEYS = ("client_text", "gold_stage", "counselor_action")
+
+
 def offline_eval(sessions: list[dict], cfg: RunConfig | None = None, backend=None) -> dict:
     """Score state inference against annotated sessions.
 
@@ -368,12 +394,18 @@ def offline_eval(sessions: list[dict], cfg: RunConfig | None = None, backend=Non
     compares the fused belief's argmax to gold, next-state accuracy compares
     the predictive prior under the session's actual action to the next gold.
     Sessions left with fewer than ``min_eval_turns`` scored turns are skipped.
+    Every turn's keys and labels are checked before any backend call; turn
+    indices in the errors count from 0.
     """
     cfg = cfg or RunConfig()
     backend = backend or ScriptedBackend()
     for session in sessions:  # every label is checked before any backend call
         turns = session["turns"]
         sid = session.get("id", "?")
+        for t, turn in enumerate(turns):
+            missing = [k for k in _TURN_KEYS if k not in turn]
+            if missing:
+                raise ValueError(f"session {sid!r} turn {t} has no {', '.join(missing)}")
         if any(not t.get("gold_stage") for t in turns):
             raise NoGoldLabelsError(f"session {sid!r} is missing gold stage labels")
         unknown = sorted({t["gold_stage"] for t in turns} - set(STAGES))

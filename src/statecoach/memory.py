@@ -13,6 +13,11 @@ of a matrix of embeddings, and each entry one row of an integer table
 pass over the distinct rows and one sort.  Embeddings come through
 ``backends.ask_once``, so a backend is asked once per distinct text across
 every store, client and trigger set that shares it, for the backend's life.
+
+Each session also keeps a mark: its highest short-term turn, raised as
+entries are appended (by ``add`` or ``load``).  ``consolidate`` reads only
+the mark until it reaches the next fold, so an idle call never scans the
+entry table.
 """
 
 from __future__ import annotations
@@ -107,6 +112,8 @@ class MemoryStore:
         # One row per entry: embedding row, tier code, session code, turn, seq.
         self._table = np.empty((0, 5), dtype=np.int64)
         self._sessions: dict[str, int] = {}
+        # session -> its highest short-term turn; no key until it has one.
+        self._stm_mark: dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -130,6 +137,10 @@ class MemoryStore:
         tier = _TIERS.get(entry.tier, -1)
         self._table[n] = (row, tier, session, entry.turn_created, entry.seq)
         self.entries.append(entry)
+        if tier == _TIERS[STM]:
+            turn = int(self._table[n, 3])  # the turn as the table holds it
+            marks = self._stm_mark
+            marks[entry.session_id] = max(turn, marks.get(entry.session_id, turn))
 
     def _columns(self) -> np.ndarray:
         """The entry table as five columns: row, tier, session, turn, seq."""
@@ -187,19 +198,18 @@ class MemoryStore:
     ) -> MemoryEntry | None:
         """Fold the latest block of short-term entries into one long-term summary.
 
-        Fires when the session's highest stored turn reaches the next multiple
-        of ``every_n_turns`` since the previous consolidation; otherwise no-op.
+        Fires when the session's highest short-term turn (its mark) reaches
+        the next multiple of ``every_n_turns`` since the previous
+        consolidation; otherwise returns None without reading the entry table.
         """
         if every_n_turns <= 0:
             raise ValueError("every_n_turns must be positive")
-        _, tiers, sessions, turns, _ = self._columns()
-        stm = (tiers == _TIERS[STM]) & (sessions == self._sessions.get(session, -1))
-        if not stm.any():
-            return None
-        turn_count = int(turns[stm].max())
+        turn_count = self._stm_mark.get(session)
         last = self._last_consolidated.get(session, 0)
-        if turn_count < last + every_n_turns:
+        if turn_count is None or turn_count < last + every_n_turns:
             return None
+        _, tiers, sessions, turns, _ = self._columns()
+        stm = (tiers == _TIERS[STM]) & (sessions == self._sessions[session])
         block = np.flatnonzero(stm & (turns > last))
         summary = self.backend.summarize([self.entries[i].text for i in block])
         self._last_consolidated[session] = turn_count

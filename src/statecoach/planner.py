@@ -14,7 +14,10 @@ action on two axes:
 The chosen action minimizes a weighted sum of the two.  Planning is a single
 step deep: the score enumerates one future turn, not a policy tree.  The
 predictive state distribution under the chosen action is also the prior the
-next turn's belief is fused with (``planner_prior``); one rollout serves both.
+next turn's belief is fused with, so one rollout serves both: the counselor
+takes that prior from the report's ``q_next`` row for the chosen action.
+``planner_prior`` repeats the rollout for one action, for callers that chose
+the action without scoring (the no-EFE rotation, offline evaluation).
 
 All candidate actions are scored in one pass over the model's arrays
 T[s, a, s'] and O[s', c] (see ``world_model``).  For k candidates, S states
@@ -219,6 +222,7 @@ def select_action(
 def planner_prior(belief: Categorical, model, chosen: str) -> Categorical:
     """Predictive state distribution under the chosen action.
 
-    This is what the next turn fuses with its observation estimate.
+    This is what the next turn fuses with its observation estimate; it is bit
+    for bit the chosen action's ``q_next`` row in ``select_action``'s report.
     """
     return Categorical(belief.space, _predict(belief, model, (chosen,))[0])

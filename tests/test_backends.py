@@ -1,15 +1,19 @@
 import gc
+import hashlib
 import math
 import weakref
 
 import numpy as np
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statecoach import backends
 from statecoach.backends import (
     EMBED_DIM,
     RETRY_BACKOFF_S,
+    TOKEN_MEMO_SIZE,
     BackendConfig,
     HttpBackend,
     ScriptedBackend,
@@ -43,6 +47,35 @@ def test_hashed_embedding_deterministic_and_unit():
 def test_hashed_embedding_empty_raises():
     with pytest.raises(EmptyTextError):
         hashed_embedding("...")
+
+
+def reference_embedding(text):
+    """The embedding with each token's md5 taken afresh, as before the token memo."""
+    v = np.zeros(EMBED_DIM)
+    for tok in tokenize(text):
+        v[int(hashlib.md5(tok.encode("utf-8")).hexdigest(), 16) % EMBED_DIM] += 1.0
+    return v / np.linalg.norm(v)
+
+
+WORDS = ["drink", "Drink!", "drink", "naïve", "日本語", "café", "🙂", "...", "?!", "--", "ok"]
+texts = st.lists(
+    st.one_of(st.sampled_from(WORDS), st.text(max_size=6)), max_size=12
+).map(" ".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=texts, cold=st.booleans())
+def test_hashed_embedding_matches_per_token_md5(text, cold):
+    if cold:
+        backends._bucket.cache_clear()
+    if not tokenize(text):
+        with pytest.raises(EmptyTextError):
+            hashed_embedding(text)
+        return
+    expected = reference_embedding(text)
+    for _ in range(2):  # the second call reads every token from a warm memo
+        assert np.array_equal(hashed_embedding(text), expected)
+    assert backends._bucket.cache_info().maxsize == TOKEN_MEMO_SIZE
 
 
 def test_disjoint_token_sets_are_orthogonal():

@@ -294,6 +294,30 @@ def test_bad_profile_prep_threshold_exits_2_before_writing(tmp_path, capsys, val
     assert list(out.glob("*.jsonl")) == []
 
 
+@pytest.mark.parametrize(
+    "counts",
+    [[3, 2], {"contemplation": [3, 2]}, {"contemplation": {"Inform": "3"}},
+     {"contemplation": {"Inform": True}}],
+    ids=["list", "list-row", "string-count", "bool-count"],
+)
+def test_bad_profile_action_counts_exits_2_before_writing(tmp_path, capsys, counts):
+    profiles = tmp_path / "profiles"
+    profiles.mkdir()
+    for src in sorted((DATA_DIR / "profiles").glob("*.json")):
+        (profiles / src.name).write_bytes(src.read_bytes())
+    data = json.loads((profiles / "p04_gambling.json").read_text())
+    data["action_counts"] = counts
+    (profiles / "p04_gambling.json").write_text(json.dumps(data))
+    out = tmp_path / "runs"
+    code = main(["run-dynamic", "--profiles", str(profiles), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: action_counts")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_profile_sentence_field_given_as_string_exits_2_before_writing(tmp_path, capsys):
     profiles = tmp_path / "profiles"
     profiles.mkdir()
@@ -322,6 +346,20 @@ def test_unknown_counselor_action_exits_2(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert "'Lecture'" in captured.err and repr(sessions[-1]["id"]) in captured.err
+
+
+@pytest.mark.parametrize("key", ["client_text", "gold_stage", "counselor_action"])
+def test_annotated_turn_missing_a_key_exits_2(tmp_path, capsys, key):
+    data = json.loads((DATA_DIR / "annotated_sessions.json").read_text())
+    sessions = data["sessions"] if isinstance(data, dict) else data
+    del sessions[1]["turns"][3][key]
+    path = tmp_path / "sessions.json"
+    path.write_text(json.dumps(data))
+    code = main(["eval-offline", "--sessions", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: session {sessions[1]['id']!r} turn 3 has no {key}\n"
 
 
 def test_http_backend_without_endpoint_exits_2(tmp_path, capsys):

@@ -200,6 +200,29 @@ def test_profile_rejects_bad_prep_threshold(bad):
         make_profile(prep_threshold=bad)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [["Inform", 3.0]],
+        {"contemplation": [3.0, 2.0]},
+        {"contemplation": {"Inform": "3"}},
+        {"contemplation": {"Inform": True}},
+        {"contemplation": {"Inform": None}},
+        {"contemplation": {"Inform": math.inf}},
+        "contemplation",
+    ],
+    ids=["list", "list-row", "string-count", "bool-count", "null-count", "inf-count", "string"],
+)
+def test_profile_rejects_action_counts_that_are_not_count_mappings(bad):
+    with pytest.raises(ValueError, match="action_counts"):
+        make_profile(action_counts=bad)
+
+
+def test_profile_accepts_int_and_zero_action_counts():
+    counts = {"contemplation": {"Inform": 3, "Deny": 0}}
+    assert make_profile(action_counts=counts).action_counts == counts
+
+
 @pytest.mark.parametrize("good", [None, 0, 2, 0.5, -1.0])
 def test_profile_accepts_numeric_prep_threshold(good):
     assert make_profile(prep_threshold=good).prep_threshold == good

@@ -3,6 +3,8 @@
 Its transcript form must be the bytes the per-action construction gave (one
 ``Categorical`` and Python-float total per action), its rows are checked as
 distributions with ``Categorical``'s rule and messages, and it is read-only.
+Each ``q_next`` row is bit for bit ``planner_prior`` of its action, since the
+counselor takes the chosen row as its next prior.
 """
 
 import json
@@ -17,6 +19,7 @@ from statecoach.planner import (
     _epistemic,
     _pragmatic,
     _rollout,
+    planner_prior,
     select_action,
 )
 from statecoach.probs import Categorical, LabelSpace, uniform
@@ -93,6 +96,8 @@ def test_report_bytes_equal_the_per_action_construction(case):
     best = labels.index(report.chosen)
     assert report.total[best] == report.total.min()
     assert (report.total[:best] > report.total.min()).all()
+    for i, a in enumerate(labels):
+        assert np.array_equal(report.q_next[i], planner_prior(belief, model, a).probs)
 
 
 def test_tie_with_repeat_penalty_goes_to_the_next_earliest_action():

@@ -497,6 +497,22 @@ def test_offline_eval_rejects_unknown_counselor_action_before_any_backend_call(s
         offline_eval(sessions, RunConfig(), NoCalls())
 
 
+@pytest.mark.parametrize("session", [0, 2])  # a scored session and one too short to score
+def test_offline_eval_rejects_a_turn_missing_a_key_before_any_backend_call(session):
+    class NoCalls(ScriptedBackend):
+        def classify_talk_type(self, utterance):
+            raise AssertionError("backend called before the turns were checked")
+
+    sessions = load_annotated_sessions()
+    turns = sessions[session]["turns"]
+    del turns[-1]["counselor_action"], turns[-1]["client_text"]
+    sid, last = sessions[session]["id"], len(turns) - 1
+    with pytest.raises(
+        ValueError, match=f"session '{sid}' turn {last} has no client_text, counselor_action"
+    ):
+        offline_eval(sessions, RunConfig(), NoCalls())
+
+
 def test_load_annotated_sessions_default():
     ids = [s["id"] for s in load_annotated_sessions()]
     assert ids == ["hand-count", "stationary", "too-short"]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -284,3 +285,79 @@ def test_retrieve_matches_per_entry_reference(tmp_path_factory, data):
             out = store.retrieve(query, k, dist_thres, session)
             relevant = reference_retrieve(store.entries, backend, query, k, dist_thres, session)
             assert [id(e) for e in out["relevant"]] == [id(e) for e in relevant]
+
+
+# -- consolidate against a full-scan reference ---------------------------------
+
+C_SESSIONS = ["s0", "s1", "ltm-only"]  # "ltm-only" never gets a short-term entry
+
+
+class FullScanConsolidate:
+    """``consolidate`` as it was before the per-session mark: every call scans
+    every entry.  It folds into ``store``, a store given the same adds and loads."""
+
+    def __init__(self, store):
+        self.store = store
+        self.last = {}
+
+    def __call__(self, session, every_n_turns):
+        stm = [e for e in self.store.entries if e.tier == STM and e.session_id == session]
+        if not stm:
+            return None
+        turn_count = max(e.turn_created for e in stm)
+        last = self.last.get(session, 0)
+        if turn_count < last + every_n_turns:
+            return None
+        block = [e.text for e in stm if e.turn_created > last]
+        summary = self.store.backend.summarize(block)
+        self.last[session] = turn_count
+        self.store.add(LTM, summary, turn_count, session)
+        return self.store.entries[-1]
+
+
+def _stored(draw, tiers):
+    tier = draw(st.sampled_from(tiers))
+    session = draw(st.sampled_from(C_SESSIONS if tier != STM else C_SESSIONS[:2]))
+    return tier, draw(st.sampled_from(POOL)), draw(st.integers(0, 30)), session
+
+
+def _write_entries(path, rows):
+    """A memory file as ``save`` writes one; tiers and turn order as given."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for seq, (tier, text, turn, session) in enumerate(rows):
+            entry = {"id": f"loaded-{seq}", "tier": tier, "text": text, "turn_created": turn,
+                     "session_id": session, "seq": seq, "embedding": [0.0, 1.0, 0.0]}
+            fh.write(json.dumps(entry) + "\n")
+
+
+def _outcome(entry):
+    return None if entry is None else (entry.id, entry.text, entry.turn_created)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_consolidate_matches_full_scan_reference(tmp_path_factory, data):
+    draw = data.draw
+    path = tmp_path_factory.getbasetemp() / "consolidate.jsonl"
+    store, twin = MemoryStore(VectorBackend({})), MemoryStore(VectorBackend({}))
+    reference = FullScanConsolidate(twin)
+    for _ in range(draw(st.integers(1, 20))):
+        op = draw(st.sampled_from(["add", "load", "consolidate", "consolidate"]))
+        if op == "add":
+            args = _stored(draw, [STM, LTM])
+            store.add(*args)
+            twin.add(*args)
+        elif op == "load":
+            # Loaded short-term turns come in any order; "MTM" is no tier at all.
+            rows = [_stored(draw, [STM, LTM, "MTM"]) for _ in range(draw(st.integers(0, 5)))]
+            _write_entries(path, rows)
+            store.load(path)
+            twin.load(path)
+        else:
+            session = draw(st.sampled_from(C_SESSIONS + ["nobody"]))
+            every = draw(st.integers(1, 15))
+            got = store.consolidate(session, every)
+            assert _outcome(got) == _outcome(reference(session, every))
+    assert [_outcome(e) + (e.tier,) for e in store.entries] == [
+        _outcome(e) + (e.tier,) for e in twin.entries
+    ]
