@@ -12,7 +12,9 @@ cannot be farmed from one lucky sentence.
 Stage transitions are one-way: precontemplation moves to contemplation once
 enough triggers have been discovered (readiness resets to zero at that
 boundary), contemplation moves to preparation once readiness crosses the
-profile's threshold, and preparation is absorbing.
+profile's threshold, and preparation is absorbing.  Threshold calibration
+replays an annotated trajectory through a live ``ClientSession``'s own
+readiness step and stage-entry rule, so the two cannot drift apart.
 """
 
 from __future__ import annotations
@@ -311,7 +313,10 @@ class ClientTurn:
 
 
 class ClientSession:
-    """One client's side of a dialogue: state, dynamics, and response generation."""
+    """One client's side of a dialogue: state, dynamics, and response generation.
+
+    The client is deterministic: ``seed`` is accepted and stored but never read.
+    """
 
     def __init__(
         self,
@@ -376,11 +381,30 @@ class ClientSession:
                     f"profile {self.profile.id!r} has no triggers; coverage undefined"
                 )
             if self.coverage >= self.theta_cov:
-                self.stage = "contemplation"
-                self.readiness = 0.0
+                self._enter("contemplation")
         elif self.stage == "contemplation":
             if self.readiness >= self.theta_prep:
-                self.stage = "preparation"
+                self._enter("preparation")
+
+    def _enter(self, stage: str) -> None:
+        """Move to ``stage``; entering contemplation from precontemplation resets r."""
+        if stage not in STAGES:
+            raise UnknownLabelError(f"unknown stage {stage!r}")
+        if self.stage == "precontemplation" and stage == "contemplation":
+            self.readiness = 0.0
+        self.stage = stage
+
+    def _advance(self, text: str, action: str) -> tuple[list[TriggerMatch], float, float]:
+        """Update readiness under the current stage; returns (matches, gate, Δr̄)."""
+        if action not in COUNSELOR_ACTIONS:
+            raise UnknownActionError(f"unknown counselor action {action!r}")
+        vector = ask_once(self.backend, "embed", text)
+        matches = match_triggers(self.triggers, vector, self.tau)
+        g = content_gate(matches)
+        delta = expected_delta_r(self.table.row(self.stage, action))
+        bonuses = [m.trigger.bonus for m in matches if m.newly_discovered]
+        self.readiness = update_readiness(self.readiness, delta, g, bonuses)
+        return matches, g, delta
 
     def respond(self, counselor_text: str, counselor_action: str) -> ClientTurn:
         """Consume one counselor move and produce the client's reply.
@@ -389,16 +413,8 @@ class ClientSession:
         pre-turn stage, stage transition, then action selection and response
         generation under the post-transition stage.
         """
-        if counselor_action not in COUNSELOR_ACTIONS:
-            raise UnknownActionError(f"unknown counselor action {counselor_action!r}")
-        vector = ask_once(self.backend, "embed", counselor_text)
+        matches, g, delta = self._advance(counselor_text, counselor_action)
         self.turn += 1
-        stage_before = self.stage
-        matches = match_triggers(self.triggers, vector, self.tau)
-        g = content_gate(matches)
-        delta = expected_delta_r(self.table.row(stage_before, counselor_action))
-        bonuses = [m.trigger.bonus for m in matches if m.newly_discovered]
-        self.readiness = update_readiness(self.readiness, delta, g, bonuses)
         self._transition()
         action, _dist = select_client_action(
             self.profile,
@@ -437,25 +453,18 @@ def calibrate_prep_threshold(
     which the gold labels first move from contemplation to preparation.
 
     Each trajectory turn needs counselor_text, counselor_action, and
-    gold_stage.  If the trajectory never shows that transition, the default
-    threshold is returned unchanged.
+    gold_stage.  The replay runs a live ``ClientSession``'s own readiness
+    step and stage-entry rule, the gold labels taking the place of its
+    transitions, so an unknown action or stage raises as it does live.  If
+    the trajectory never shows that transition, the default is returned.
     """
-    triggers = build_triggers(profile, backend)
-    r = 0.0
-    prev_stage = profile.initial_stage
+    client = ClientSession(profile, table, backend, {}, tau=tau)  # the step reads no prior
     for turn in trajectory:
-        vector = ask_once(backend, "embed", turn["counselor_text"])
-        matches = match_triggers(triggers, vector, tau)
-        g = content_gate(matches)
-        delta = expected_delta_r(table.row(prev_stage, turn["counselor_action"]))
-        bonuses = [m.trigger.bonus for m in matches if m.newly_discovered]
-        r = update_readiness(r, delta, g, bonuses)
+        client._advance(turn["counselor_text"], turn["counselor_action"])
         gold = turn["gold_stage"]
-        if prev_stage == "contemplation" and gold == "preparation":
-            return r
-        if prev_stage == "precontemplation" and gold == "contemplation":
-            r = 0.0
-        prev_stage = gold
+        if client.stage == "contemplation" and gold == "preparation":
+            return client.readiness
+        client._enter(gold)
     return default
 
 

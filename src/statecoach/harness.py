@@ -394,15 +394,22 @@ def offline_eval(sessions: list[dict], cfg: RunConfig | None = None, backend=Non
     compares the fused belief's argmax to gold, next-state accuracy compares
     the predictive prior under the session's actual action to the next gold.
     Sessions left with fewer than ``min_eval_turns`` scored turns are skipped.
-    Every turn's keys and labels are checked before any backend call; turn
-    indices in the errors count from 0.
+    Every session's shape and every turn's keys and labels are checked
+    before any backend call.  Session and turn indices in the errors count
+    from 0, and a session without an id is named by its index.
     """
     cfg = cfg or RunConfig()
     backend = backend or ScriptedBackend()
-    for session in sessions:  # every label is checked before any backend call
-        turns = session["turns"]
-        sid = session.get("id", "?")
+    for i, session in enumerate(sessions):  # every label is checked before any backend call
+        if not isinstance(session, dict):
+            raise ValueError(f"session {i} is not an object")
+        sid = session.get("id", i)
+        turns = session.get("turns")
+        if not isinstance(turns, list):
+            raise ValueError(f"session {sid!r} has no list of turns")
         for t, turn in enumerate(turns):
+            if not isinstance(turn, dict):
+                raise ValueError(f"session {sid!r} turn {t} is not an object")
             missing = [k for k in _TURN_KEYS if k not in turn]
             if missing:
                 raise ValueError(f"session {sid!r} turn {t} has no {', '.join(missing)}")
@@ -446,5 +453,10 @@ def offline_eval(sessions: list[dict], cfg: RunConfig | None = None, backend=Non
 
 def load_annotated_sessions(path: str | Path | None = None) -> list[dict]:
     path = Path(path) if path else DATA_DIR / "annotated_sessions.json"
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return data["sessions"] if isinstance(data, dict) else data
+    data = json.loads(path.read_text(encoding="utf-8"))
+    sessions = data.get("sessions") if isinstance(data, dict) else data
+    if not isinstance(sessions, list):
+        raise ValueError(
+            f"{path}: expected a list of sessions or an object whose 'sessions' is a list"
+        )
+    return sessions

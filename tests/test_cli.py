@@ -362,6 +362,35 @@ def test_annotated_turn_missing_a_key_exits_2(tmp_path, capsys, key):
     assert captured.err == f"error: session {sessions[1]['id']!r} turn 3 has no {key}\n"
 
 
+_NOT_A_SESSION_LIST = "expected a list of sessions or an object whose 'sessions' is a list"
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ([{"id": "x"}], "session 'x' has no list of turns"),
+        (["abc"], "session 0 is not an object"),
+        ([{"id": "x", "turns": "abc"}], "session 'x' has no list of turns"),
+        ([{"id": "x", "turns": [1]}], "session 'x' turn 0 is not an object"),
+        ({"foo": []}, _NOT_A_SESSION_LIST),
+        ({"sessions": 5}, _NOT_A_SESSION_LIST),
+    ],
+    ids=["no-turns", "session-string", "turns-string", "turn-int", "no-sessions-key",
+         "sessions-int"],
+)
+def test_malformed_sessions_file_exits_2_naming_the_fault(tmp_path, capsys, content, message):
+    path = tmp_path / "sessions.json"
+    path.write_text(json.dumps(content))
+    code = main(["eval-offline", "--sessions", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    if message == _NOT_A_SESSION_LIST:
+        assert str(path) in captured.err
+
+
 def test_http_backend_without_endpoint_exits_2(tmp_path, capsys):
     code, _ = run_cli(
         capsys, ["run-dynamic", "--out", str(tmp_path), "--backend", "http"]

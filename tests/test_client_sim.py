@@ -6,10 +6,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statecoach.backends import DATA_DIR, BackendConfig, ScriptedBackend
+from statecoach.backends import DATA_DIR, BackendConfig, ScriptedBackend, ask_once
 from statecoach.client_sim import (
     BASE_GATE,
     ClientProfile,
@@ -29,13 +29,16 @@ from statecoach.client_sim import (
     select_client_action,
     update_readiness,
 )
+from statecoach.config import RunConfig
 from statecoach.errors import (
+    EmptyTextError,
     EmptyTriggerSetError,
     UnknownActionError,
     UnknownLabelError,
 )
+from statecoach.harness import ActiveCounselor, FixedCounselor, run_dialogue
 from statecoach.probs import Categorical, from_dict, point_mass, uniform
-from statecoach.vocab import CLIENT_ACTIONS, STAGES, TALK_TYPES
+from statecoach.vocab import CLIENT_ACTIONS, COUNSELOR_ACTIONS, STAGES, TALK_TYPES
 
 
 def unit(v):
@@ -737,6 +740,129 @@ def test_calibration_without_gold_transition_returns_default():
         make_profile(), traj, make_table(), StubBackend(profile_embeds())
     )
     assert got == 0.5
+
+
+_BUNDLED_PROFILES = load_profiles(DATA_DIR / "profiles")
+_SHIPPED_TABLE = TalkTypeTable.from_file(DATA_DIR / "talk_type_table.json")
+
+
+@pytest.mark.parametrize(
+    "key, value, error",
+    [("counselor_action", "Bogus", UnknownActionError),
+     ("gold_stage", "prep", UnknownLabelError)],
+)
+def test_calibration_rejects_labels_the_live_client_rejects(key, value, error):
+    profile = ClientProfile.from_file(DATA_DIR / "profiles" / "p01_alcohol.json")
+    traj = json.loads((DATA_DIR / "calibration_trajectory.json").read_text())["turns"]
+    traj[1][key] = value
+    with pytest.raises(error, match=repr(value)):
+        calibrate_prep_threshold(profile, traj, _SHIPPED_TABLE, ScriptedBackend())
+
+
+# Whether the counselor is active (else FixedCounselor), and the config, for
+# each live run the calibration must agree with.
+_LIVE_RUNS = {
+    "active": (True, {}),
+    "fixed": (False, {}),
+    "rotation-40": (True, {"efe_action": False, "max_turns": 40}),
+    "active-tau-theta": (True, {"tau": 0.3, "theta_prep": 0.8}),
+    "fixed-tau-theta": (False, {"tau": 0.3, "theta_prep": 0.8}),
+    "rotation-40-tau-theta": (
+        True, {"efe_action": False, "max_turns": 40, "tau": 0.3, "theta_prep": 0.8}
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_LIVE_RUNS))
+def test_calibration_replays_a_live_run_to_its_prep_readiness(run):
+    """Replaying a live transcript with its hidden stages as gold labels reads
+    off exactly the readiness at which the live client entered preparation."""
+    active, over = _LIVE_RUNS[run]
+    cfg = RunConfig(**over)
+    backend = ScriptedBackend(BackendConfig(kind="scripted"))
+    pop = load_pop_prior(DATA_DIR / "pop_prior.json")
+    for profile in _BUNDLED_PROFILES:
+        counselor = (
+            ActiveCounselor(backend, cfg, session_id=profile.id) if active
+            else FixedCounselor(backend)
+        )
+        client = ClientSession(
+            profile, _SHIPPED_TABLE, backend, pop,
+            tau=cfg.tau, theta_cov=cfg.theta_cov, theta_prep=cfg.theta_prep,
+        )
+        records = run_dialogue(counselor, client, cfg).records
+        traj = [
+            {"counselor_text": r.counselor_text, "counselor_action": r.counselor_action,
+             "gold_stage": r.sim_stage}
+            for r in records
+        ]
+        prep = [r.readiness for r in records if r.sim_stage == "preparation"]
+        want = prep[0] if prep else -1.0
+        assert calibrate_prep_threshold(
+            profile, traj, _SHIPPED_TABLE, backend, tau=cfg.tau, default=-1.0
+        ) == want
+
+
+def reference_calibration(profile, trajectory, table, backend, tau=0.45, default=0.5):
+    """The calibration loop as a stand-alone copy of the live client's rule.
+
+    Written out step by step, independent of ``ClientSession``: the
+    readiness step is taken under the previous gold stage, and readiness
+    resets only on the gold move from precontemplation to contemplation.
+    """
+    triggers = build_triggers(profile, backend)
+    r = 0.0
+    prev_stage = profile.initial_stage
+    for turn in trajectory:
+        vector = ask_once(backend, "embed", turn["counselor_text"])
+        matches = match_triggers(triggers, vector, tau)
+        g = content_gate(matches)
+        delta = expected_delta_r(table.row(prev_stage, turn["counselor_action"]))
+        bonuses = [m.trigger.bonus for m in matches if m.newly_discovered]
+        r = update_readiness(r, delta, g, bonuses)
+        gold = turn["gold_stage"]
+        if prev_stage == "contemplation" and gold == "preparation":
+            return r
+        if prev_stage == "precontemplation" and gold == "contemplation":
+            r = 0.0
+        prev_stage = gold
+    return default
+
+
+_PROFILE_SENTENCES = sorted(
+    {s for p in _BUNDLED_PROFILES for f in ("personas", "beliefs", "motivations", "plans")
+     for s in getattr(p, f)}
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    profile=st.sampled_from(_BUNDLED_PROFILES),
+    turns=st.lists(
+        st.fixed_dictionaries({
+            "counselor_text": st.one_of(  # half the draws can match a trigger
+                st.sampled_from(_PROFILE_SENTENCES),
+                st.sampled_from(_PROFILE_SENTENCES),
+                st.from_regex(r"[a-z][a-z ]{0,40}", fullmatch=True),
+                st.text(max_size=40),
+            ),
+            "counselor_action": st.sampled_from(COUNSELOR_ACTIONS.labels),
+            "gold_stage": st.sampled_from(STAGES.labels),
+        }),
+        max_size=12,
+    ),
+    tau=st.floats(-0.2, 1.0),
+)
+def test_calibration_equals_the_reference_loop(profile, turns, tau):
+    """Bit for bit, or the same error (free text may hold no token to embed)."""
+    def outcome(calibrate):
+        try:
+            return calibrate(profile, turns, _SHIPPED_TABLE, backend, tau=tau)
+        except EmptyTextError as exc:
+            return type(exc)
+
+    backend = ScriptedBackend(BackendConfig(kind="scripted"))
+    assert outcome(calibrate_prep_threshold) == outcome(reference_calibration)
 
 
 # --- shipped data loaders ---
