@@ -32,6 +32,7 @@ from .config import RunConfig
 from .errors import BackendUnavailableError, StateCoachError
 from .harness import (
     ActiveCounselor,
+    BeliefTracker,
     FixedCounselor,
     RandomCounselor,
     init_world_model,
@@ -40,7 +41,7 @@ from .harness import (
     run_dialogue,
 )
 from .metrics import dynamic_metrics
-from .planner import epistemic_value, planner_prior
+from .planner import PreferenceModel, epistemic_value, planner_prior
 from .probs import Categorical, LabelSpace, entropy, kl_divergence, point_mass, uniform
 from .vocab import CLIENT_ACTIONS, STAGES
 
@@ -221,20 +222,21 @@ def cmd_validate_sim(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _advise(shadow: ActiveCounselor, client_text: str) -> None:
-    move = shadow.decide(client_text)
-    probs = {s: round(p, 3) for s, p in move.belief.q.as_dict().items()}
+def _advise(tracker: BeliefTracker, backend, pref: PreferenceModel, client_text: str) -> None:
+    tracker.observe(client_text, ask_once(backend, "classify_talk_type", client_text))
+    probs = {s: round(p, 3) for s, p in tracker.q.as_dict().items()}
     line = f"  advisory belief: {json.dumps(probs)}"
-    if move.efe is not None:
-        line += f" | suggested action: {move.efe.chosen}"
+    if tracker.cfg.efe_action:
+        line += f" | suggested action: {tracker.plan(pref).chosen}"
     print(line)
 
 
 def cmd_repl(args: argparse.Namespace) -> int:
     """Type counselor turns against a simulated client.
 
-    The advisory display is read-only: the belief tracker runs alongside but
-    the typed utterance is what the client actually hears.
+    The advisory display is read-only: the typed utterance is what the client
+    hears.  The advisor takes the live counselor's belief step, acting on each
+    typed line's action, never on its own suggestion.
     """
     cfg = _cfg_from_args(args)
     backend = _make_backend(cfg)
@@ -243,12 +245,13 @@ def cmd_repl(args: argparse.Namespace) -> int:
         ClientProfile.from_file(args.profile) if args.profile else profiles[0]
     )
     client = _client_session(profile, table, pop, backend, cfg)
-    shadow = ActiveCounselor(backend, cfg, session_id="repl") if args.show_belief else None
+    tracker = BeliefTracker(cfg) if args.show_belief else None
+    pref = PreferenceModel.default()
 
     opening = client.opening_statement()
     print(f"client [{client.stage}, r={client.readiness:.2f}]: {opening}")
-    if shadow is not None:
-        _advise(shadow, opening)
+    if tracker is not None:
+        _advise(tracker, backend, pref, opening)
     turns = 0
     while turns < cfg.max_turns:
         try:
@@ -275,8 +278,9 @@ def cmd_repl(args: argparse.Namespace) -> int:
             else ""
         )
         print(f"  matched triggers: {matched}{suffix}")
-        if shadow is not None:
-            _advise(shadow, outcome.text)
+        if tracker is not None:
+            tracker.act(action)
+            _advise(tracker, backend, pref, outcome.text)
         if outcome.stage == "preparation" and cfg.early_stop:
             print("client reached preparation; session complete.")
             break

@@ -123,7 +123,10 @@ class Trigger:
     bonus: float
     embedding: np.ndarray
     hit_count: int = 0
-    discovered: bool = False
+
+    @property
+    def discovered(self) -> bool:
+        return self.hit_count > 0
 
 
 def build_triggers(profile: ClientProfile, backend) -> list[Trigger]:
@@ -163,10 +166,8 @@ def match_triggers(
     for trig in triggers:
         rho = float(np.dot(trig.embedding, utterance_embedding))
         if rho >= tau:
-            newly = not trig.discovered
+            matches.append(TriggerMatch(trig, rho, not trig.discovered))
             trig.hit_count += 1
-            trig.discovered = True
-            matches.append(TriggerMatch(trig, rho, newly))
     return matches
 
 

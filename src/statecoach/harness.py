@@ -1,19 +1,21 @@
 """Dialogue orchestration: counselor agents, the turn loop, transcripts,
 and offline evaluation against annotated sessions.
 
-One ``BeliefTracker`` advances the belief and the world model every turn,
-for the full agent and for offline evaluation alike; the two differ only in
-where the action comes from: expected free energy, or the annotation.  The
-full agent then touches memory and generates the reply.  Baseline agents
+``BeliefTracker`` is the only path to the belief: each turn it observes the
+client's reply, advancing the belief and the world model, then acts on the
+action actually taken.  Its three drivers differ only in where that action
+comes from: expected free energy (the full agent), the annotation (offline
+evaluation), or the line the user typed (the ``repl`` advisor).  The full
+agent then touches memory and generates the reply.  Baseline agents
 (random, fixed rotation, fully scripted) share the same interface so the
 loop and the metrics treat all counselors alike.
 
 The full agent does each piece of a turn once.  The planner's rollout under
 the chosen action is the next turn's prior, so an expected-free-energy turn
 reads it from the report instead of rolling the belief forward again
-(``planner_prior`` serves the turns with no report: the no-EFE rotation and
-offline evaluation).  Each turn builds one ``BeliefState``, diagnostics
-included, and one ``CounselorMove``, text included.
+(``planner_prior`` serves the turns with no report: the no-EFE rotation,
+offline evaluation and the advisor).  Each turn builds one ``BeliefState``,
+diagnostics included, and one ``CounselorMove``, text included.
 """
 
 from __future__ import annotations
@@ -150,9 +152,9 @@ class BeliefTracker:
     """The belief over the client's stage and the world model learned with it.
 
     Each turn is ``observe`` (the client's reply) then ``act`` (the counselor
-    action taken after it).  ``q`` is the last belief, ``action`` the last
-    action and ``prior`` the predictive prior under it; all are ``None``
-    until the first turn sets them.
+    action taken after it); ``plan`` scores the actions in between.  ``q`` is
+    the last belief, ``action`` the last action and ``prior`` the predictive
+    prior under it; all are ``None`` until the first turn sets them.
     """
 
     def __init__(self, cfg: RunConfig, world_model: WorldModel | None = None):
@@ -162,19 +164,14 @@ class BeliefTracker:
         self.action: str | None = None
         self.prior: Categorical | None = None
 
-    def observe(self, utterance: str, cue: str) -> tuple[BeliefState, np.ndarray]:
+    def observe(self, utterance: str, cue: str) -> tuple[tuple, np.ndarray]:
         """Widen the cue's stage estimate by utterance quality, fuse it with
         the predictive prior and credit the world model with the turn (with
         argmax point masses in place of the beliefs under ``hard_counts``).
 
-        Returns the belief, without posterior or free energy, and the cue's
-        likelihood over stages as it was before the world-model update.
+        Returns the belief's fields ``(q, p_obs, p_prior, alpha, beta)`` and
+        the cue's likelihood over stages from before the world-model update.
         """
-        parts, likelihood = self._observe(utterance, cue)
-        return BeliefState(*parts), likelihood
-
-    def _observe(self, utterance: str, cue: str) -> tuple[tuple, np.ndarray]:
-        """``observe``'s work; the belief as its fields (q, p_obs, p_prior, alpha, beta)."""
         likelihood = self.wm.observation_likelihood(cue)
         widened, alpha = widen_observation(normalize(STAGES, likelihood), utterance)
         if self.prior is not None and not self.cfg.disable_planner:
@@ -188,6 +185,12 @@ class BeliefTracker:
             self.wm.add_observation(self._credited(q), cue)
         self.q = q
         return (q, widened, p_prior, alpha, beta), likelihood
+
+    def plan(self, pref: PreferenceModel) -> EfeReport:
+        """The planner's report on every counselor action from the current belief."""
+        cfg = self.cfg
+        return select_action(self.q, self.wm, COUNSELOR_ACTIONS, pref, cfg.lambda_e,
+                             cfg.lambda_p, cfg.repeat_penalty, self.action)
 
     def _credited(self, q: Categorical) -> Categorical:
         """The belief the world model learns from."""
@@ -229,40 +232,6 @@ class ActiveCounselor:
         self.pref = preference or PreferenceModel.default()
         self.turn = 0
 
-    def decide(self, client_utterance: str) -> CounselorMove:
-        """Classify the client's reply, track the belief and commit to the
-        next action; the move has no text yet, and memory is not touched."""
-        action, belief, report, cue = self._decide(client_utterance)
-        return CounselorMove(action, "", belief, report, cue)
-
-    def _decide(self, client_utterance: str) -> tuple[str, BeliefState, EfeReport | None, str]:
-        """``decide``'s work: the action, the belief, the planner's report and the cue."""
-        cue = ask_once(self.backend, "classify_talk_type", client_utterance)
-        self.turn += 1
-        parts, likelihood = self.tracker._observe(client_utterance, cue)
-        q, _p_obs, p_prior, _alpha, _beta = parts
-        belief = BeliefState(
-            *parts, bayes_update(p_prior, likelihood), free_energy(q, p_prior, likelihood)
-        )
-
-        report: EfeReport | None = None
-        if self.cfg.efe_action:
-            report = select_action(
-                q,
-                self.wm,
-                COUNSELOR_ACTIONS,
-                self.pref,
-                self.cfg.lambda_e,
-                self.cfg.lambda_p,
-                repeat_penalty=self.cfg.repeat_penalty,
-                last_action=self.tracker.action,
-            )
-            action = report.chosen
-        else:
-            action = FALLBACK_ROTATION[(self.turn - 1) % len(FALLBACK_ROTATION)]
-        self.tracker.act(action, report)
-        return action, belief, report, cue
-
     def counselor_turn(self, client_utterance: str) -> CounselorMove:
         # Embed first: an utterance with no tokens then fails before any state moves.
         ask_once(self.backend, "embed", client_utterance)
@@ -272,9 +241,22 @@ class ActiveCounselor:
             dist_thres=self.cfg.dist_thres,
             session=self.session_id,
         )
-        action, belief, report, cue = self._decide(client_utterance)
+        cue = ask_once(self.backend, "classify_talk_type", client_utterance)
+        self.turn += 1
+        parts, likelihood = self.tracker.observe(client_utterance, cue)
+        q, _p_obs, p_prior, _alpha, _beta = parts
+        belief = BeliefState(
+            *parts, bayes_update(p_prior, likelihood), free_energy(q, p_prior, likelihood)
+        )
+        if self.cfg.efe_action:
+            report = self.tracker.plan(self.pref)
+            action = report.chosen
+        else:
+            report = None
+            action = FALLBACK_ROTATION[(self.turn - 1) % len(FALLBACK_ROTATION)]
+        self.tracker.act(action, report)
         self.memory.add(STM, client_utterance, self.turn, self.session_id)
-        text = self.backend.generate_response(action, belief.q, memories, client_utterance)
+        text = self.backend.generate_response(action, q, memories, client_utterance)
         self.memory.add(STM, text, self.turn, self.session_id)
         self.memory.consolidate(self.session_id, self.cfg.consolidate_every)
         return CounselorMove(action, text, belief, report, cue)
@@ -394,8 +376,9 @@ def offline_eval(sessions: list[dict], cfg: RunConfig | None = None, backend=Non
     compares the fused belief's argmax to gold, next-state accuracy compares
     the predictive prior under the session's actual action to the next gold.
     Sessions left with fewer than ``min_eval_turns`` scored turns are skipped.
-    Every session's shape and every turn's keys and labels are checked
-    before any backend call.  Session and turn indices in the errors count
+    Every session's shape and every turn's keys, value types and labels are
+    checked before any backend call; a ``client_text`` must hold a non-space
+    character.  Session and turn indices in the errors count
     from 0, and a session without an id is named by its index.
     """
     cfg = cfg or RunConfig()
@@ -413,8 +396,13 @@ def offline_eval(sessions: list[dict], cfg: RunConfig | None = None, backend=Non
             missing = [k for k in _TURN_KEYS if k not in turn]
             if missing:
                 raise ValueError(f"session {sid!r} turn {t} has no {', '.join(missing)}")
-        if any(not t.get("gold_stage") for t in turns):
-            raise NoGoldLabelsError(f"session {sid!r} is missing gold stage labels")
+            if not turn["gold_stage"]:
+                raise NoGoldLabelsError(f"session {sid!r} is missing gold stage labels")
+            bad = [k for k in _TURN_KEYS if not isinstance(turn[k], str)]
+            if bad:
+                raise ValueError(f"session {sid!r} turn {t} has a non-string {', '.join(bad)}")
+            if not turn["client_text"].strip():
+                raise ValueError(f"session {sid!r} turn {t} has a blank client_text")
         unknown = sorted({t["gold_stage"] for t in turns} - set(STAGES))
         if unknown:
             raise UnknownLabelError(f"session {sid!r} has unknown gold stages {unknown}")
@@ -433,11 +421,11 @@ def offline_eval(sessions: list[dict], cfg: RunConfig | None = None, backend=Non
         tracker = BeliefTracker(cfg)
         for t, turn in enumerate(turns):
             cue = ask_once(backend, "classify_talk_type", turn["client_text"])
-            belief, _likelihood = tracker.observe(turn["client_text"], cue)
+            tracker.observe(turn["client_text"], cue)
             prior_next = tracker.act(turn["counselor_action"])
             if t >= warmup:
                 curr_tot += 1
-                curr_hit += belief.q.argmax_label() == turn["gold_stage"]
+                curr_hit += tracker.q.argmax_label() == turn["gold_stage"]
                 if t + 1 < n:
                     next_tot += 1
                     next_hit += prior_next.argmax_label() == turns[t + 1]["gold_stage"]

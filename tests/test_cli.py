@@ -6,14 +6,16 @@ import json
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 import statecoach
 from statecoach.backends import DATA_DIR, ScriptedBackend
 from statecoach.cli import _add_config_flags, _advise, _cfg_from_args, build_parser, main
 from statecoach.config import RunConfig
-from statecoach.harness import ActiveCounselor, Transcript
-from statecoach.vocab import CLIENT_ACTIONS
+from statecoach.harness import BeliefTracker, Transcript
+from statecoach.planner import PreferenceModel
+from statecoach.vocab import CLIENT_ACTIONS, COUNSELOR_ACTIONS
 
 PROFILE_IDS = ["p01-alcohol", "p02-smoking", "p03-exercise", "p04-gambling",
                "p05-diet"]
@@ -187,23 +189,24 @@ REPL_INPUT = (
     "You want to wake up clear-headed and save real money?\n"
     "What if you swap the evening beer for sparkling water?\n"
 )
-# What `repl --show-belief` printed for REPL_INPUT when the advisor still ran
-# a full shadow counselor turn (reply, memory and summaries included).
+# What `repl --show-belief` prints for REPL_INPUT.  The advisor acts on the
+# typed actions, not on its suggestions, so Open Question is still untried at
+# suggestions 2 and 3 and wins the index-order tie among untried actions.
 REPL_OUTPUT = (
     "client [precontemplation, r=0.00]: I'm only here because my family keeps pushing me about drinking.\n"
     '  advisory belief: {"precontemplation": 0.637, "contemplation": 0.182, "preparation": 0.182} | suggested action: Open Question\n'
     'you>   [classified as: Simple Reflection]\n'
     "client [precontemplation, r=0.26]: Honestly, it's not a big deal. Drinking helps me unwind after a long shift.\n"
     '  matched triggers: beliefs-0 (new: beliefs-0)\n'
-    '  advisory belief: {"precontemplation": 0.55, "contemplation": 0.225, "preparation": 0.225} | suggested action: Closed Question\n'
+    '  advisory belief: {"precontemplation": 0.55, "contemplation": 0.225, "preparation": 0.225} | suggested action: Open Question\n'
     'you>   [classified as: Closed Question]\n'
     "client [precontemplation, r=0.25]: Honestly, it's not a big deal. A few beers with friends is how I stay social.\n"
     '  matched triggers: none\n'
-    '  advisory belief: {"precontemplation": 0.489, "contemplation": 0.256, "preparation": 0.256} | suggested action: Simple Reflection\n'
+    '  advisory belief: {"precontemplation": 0.489, "contemplation": 0.256, "preparation": 0.256} | suggested action: Open Question\n'
     'you>   [classified as: Open Question]\n'
     'client [contemplation, r=0.00]: What matters to me is this: I want to wake up with a clear head for my kids.\n'
     '  matched triggers: plans-0 (new: plans-0)\n'
-    '  advisory belief: {"precontemplation": 0.21, "contemplation": 0.569, "preparation": 0.221} | suggested action: Simple Reflection\n'
+    '  advisory belief: {"precontemplation": 0.21, "contemplation": 0.569, "preparation": 0.221} | suggested action: Open Question\n'
     'you> \n'
     'session ended.\n'
 )
@@ -225,12 +228,34 @@ def test_repl_advisor_only_classifies(capsys):
                 called.append(name)
             return super().__getattribute__(name)
 
-    shadow = ActiveCounselor(MethodLog(), RunConfig(consolidate_every=1), session_id="repl")
+    backend, tracker = MethodLog(), BeliefTracker(RunConfig(consolidate_every=1))
+    pref = PreferenceModel.default()
     for text in REPL_INPUT.splitlines():
-        _advise(shadow, text)
+        _advise(tracker, backend, pref, text)
     assert called == ["classify_talk_type"] * 3
-    assert len(shadow.memory) == 0
     assert capsys.readouterr().out.count("suggested action:") == 3
+
+
+def test_repl_advisor_tracks_the_typed_actions(capsys, monkeypatch):
+    seen = []  # (tracker, its transition counts, its action) after each advisory line
+
+    def advise(tracker, backend, pref, client_text):
+        _advise(tracker, backend, pref, client_text)
+        seen.append((tracker, tracker.wm.transition_counts.copy(), tracker.action))
+
+    monkeypatch.setattr("statecoach.cli._advise", advise)
+    monkeypatch.setattr("sys.stdin", io.StringIO(REPL_INPUT))
+    code, _ = run_cli(capsys, ["repl", "--show-belief"])
+    assert code == 0
+    assert len(seen) == 4 and len({id(tracker) for tracker, _, _ in seen}) == 1
+    # After the first line, classified Simple Reflection, and the client's reply.
+    _, counts, action = seen[1]
+    assert action == "Simple Reflection"
+    typed = COUNSELOR_ACTIONS.index("Simple Reflection")
+    assert counts[:, typed, :].sum() > 0
+    assert not np.delete(counts, typed, axis=1).any()
+    # The last line typed was classified Open Question.
+    assert seen[-1][2] == "Open Question"
 
 
 def test_unknown_flag_exits_with_usage_error(capsys):
@@ -365,6 +390,14 @@ def test_annotated_turn_missing_a_key_exits_2(tmp_path, capsys, key):
 _NOT_A_SESSION_LIST = "expected a list of sessions or an object whose 'sessions' is a list"
 
 
+def _bad_turn_3(key, value):
+    """One session of 6 well-formed turns, but turn 3's ``key`` set to ``value``."""
+    turns = [{"client_text": "I'm not sure.", "gold_stage": "contemplation",
+              "counselor_action": "Affirm"} for _ in range(6)]
+    turns[3][key] = value
+    return [{"id": "x", "turns": turns}]
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
@@ -374,9 +407,16 @@ _NOT_A_SESSION_LIST = "expected a list of sessions or an object whose 'sessions'
         ([{"id": "x", "turns": [1]}], "session 'x' turn 0 is not an object"),
         ({"foo": []}, _NOT_A_SESSION_LIST),
         ({"sessions": 5}, _NOT_A_SESSION_LIST),
+        (_bad_turn_3("client_text", 5), "session 'x' turn 3 has a non-string client_text"),
+        (_bad_turn_3("client_text", "   "), "session 'x' turn 3 has a blank client_text"),
+        (_bad_turn_3("counselor_action", ["Affirm"]),
+         "session 'x' turn 3 has a non-string counselor_action"),
+        (_bad_turn_3("gold_stage", ["contemplation"]),
+         "session 'x' turn 3 has a non-string gold_stage"),
     ],
     ids=["no-turns", "session-string", "turns-string", "turn-int", "no-sessions-key",
-         "sessions-int"],
+         "sessions-int", "client-text-int", "client-text-blank", "action-list",
+         "gold-stage-list"],
 )
 def test_malformed_sessions_file_exits_2_naming_the_fault(tmp_path, capsys, content, message):
     path = tmp_path / "sessions.json"

@@ -327,6 +327,11 @@ def test_second_match_is_not_newly_discovered():
     assert not again[0].newly_discovered
 
 
+def test_discovered_is_read_from_the_hit_count():
+    assert Trigger("beliefs-0", "beliefs", "x", 0.2, unit([1.0, 0.0]), hit_count=1).discovered
+    assert not Trigger("beliefs-0", "beliefs", "x", 0.2, unit([1.0, 0.0])).discovered
+
+
 def test_match_threshold_is_inclusive():
     trig = Trigger("beliefs-0", "beliefs", "x", 0.2, unit([1.0, 0.0]))
     probe = np.array([0.6, 0.8])

@@ -94,12 +94,12 @@ def test_tracker_credits_argmax_point_masses_under_hard_counts(steps):
     q_prev = action_prev = None
     for utterance, action in steps:
         cue = backend.classify_talk_type(utterance)
-        belief, _ = tracker.observe(utterance, cue)
+        tracker.observe(utterance, cue)
         if action_prev is None:
-            reference_hard_observation(ref, belief.q, cue)
+            reference_hard_observation(ref, tracker.q, cue)
         else:
-            reference_hard_update(ref, q_prev, action_prev, belief.q, cue)
+            reference_hard_update(ref, q_prev, action_prev, tracker.q, cue)
         tracker.act(action)
-        q_prev, action_prev = belief.q, action
+        q_prev, action_prev = tracker.q, action
     assert np.array_equal(tracker.wm.transition_counts, ref.transition_counts)
     assert np.array_equal(tracker.wm.observation_counts, ref.observation_counts)

@@ -513,6 +513,38 @@ def test_offline_eval_rejects_a_turn_missing_a_key_before_any_backend_call(sessi
         offline_eval(sessions, RunConfig(), NoCalls())
 
 
+@pytest.mark.parametrize("session", [0, 2])  # a scored session and one too short to score
+@pytest.mark.parametrize(
+    "key, value, fault",
+    [
+        ("client_text", 5, "a non-string client_text"),
+        ("client_text", " \t ", "a blank client_text"),
+        ("gold_stage", ["contemplation"], "a non-string gold_stage"),
+        ("counselor_action", ["Affirm"], "a non-string counselor_action"),
+    ],
+    ids=["client-text-int", "client-text-blank", "gold-stage-list", "action-list"],
+)
+def test_offline_eval_rejects_a_bad_turn_value_before_any_backend_call(session, key, value,
+                                                                       fault):
+    class NoCalls(ScriptedBackend):
+        def classify_talk_type(self, utterance):
+            raise AssertionError("backend called before the turns were checked")
+
+    sessions = load_annotated_sessions()
+    turns = sessions[session]["turns"]
+    turns[-1][key] = value
+    sid, last = sessions[session]["id"], len(turns) - 1
+    with pytest.raises(ValueError, match=f"session '{sid}' turn {last} has {fault}$"):
+        offline_eval(sessions, RunConfig(), NoCalls())
+
+
+def test_offline_eval_accepts_a_turn_of_punctuation():
+    # Offline evaluation embeds nothing, so a client_text with no tokens is accepted.
+    sessions = load_annotated_sessions()
+    sessions[0]["turns"][0]["client_text"] = "..."
+    assert offline_eval(sessions, RunConfig(), scripted())["eval_turns"] > 0
+
+
 def test_load_annotated_sessions_default():
     ids = [s["id"] for s in load_annotated_sessions()]
     assert ids == ["hand-count", "stationary", "too-short"]
