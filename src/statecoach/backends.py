@@ -307,8 +307,10 @@ class HttpBackend:
         try:
             text = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError):
+            text = None
+        if not isinstance(text, str):
             raise BackendUnavailableError("malformed chat-completions response")
-        if not text or not text.strip():
+        if not text.strip():
             raise BackendUnavailableError("backend returned empty text")
         return text.strip()
 
@@ -377,9 +379,13 @@ class HttpBackend:
             {"model": self.config.model_name or "default", "input": text},
         )
         try:
-            vec = np.asarray(data["data"][0]["embedding"], dtype=float)
-        except (KeyError, IndexError, TypeError):
+            vec = np.asarray(data["data"][0]["embedding"])
+        except (KeyError, IndexError, TypeError, ValueError):  # ragged rows raise ValueError
+            vec = None
+        # Only a non-empty flat list of numbers is a vector: no strings, bools or nesting.
+        if vec is None or vec.ndim != 1 or not vec.size or vec.dtype.kind not in "iuf":
             raise BackendUnavailableError("malformed embeddings response")
+        vec = vec.astype(float)
         norm = np.linalg.norm(vec)
         if norm == 0 or not np.isfinite(norm):
             raise BackendUnavailableError("degenerate embedding vector")

@@ -17,7 +17,7 @@ records both next to the fused belief.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,22 +57,19 @@ class BeliefState:
     p_prior: Categorical
     alpha: float
     beta: float
-    posterior: Categorical | None = field(default=None)
-    free_energy: float | None = field(default=None)
+    posterior: Categorical
+    free_energy: float
 
     def as_dict(self) -> dict:
-        out = {
+        return {
             "q": self.q.as_dict(),
             "p_obs": self.p_obs.as_dict(),
             "p_prior": self.p_prior.as_dict(),
             "alpha": self.alpha,
             "beta": self.beta,
+            "posterior": self.posterior.as_dict(),
+            "free_energy": self.free_energy,
         }
-        if self.posterior is not None:
-            out["posterior"] = self.posterior.as_dict()
-        if self.free_energy is not None:
-            out["free_energy"] = self.free_energy
-        return out
 
 
 def _evidence(likelihood, p: Categorical) -> tuple[np.ndarray, bool]:

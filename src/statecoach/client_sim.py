@@ -76,6 +76,9 @@ class ClientProfile:
     prep_threshold: float | None = None
 
     def __post_init__(self):
+        pid = self.id  # names a transcript file, so it must not reach another directory
+        if not isinstance(pid, str) or pid in ("", ".", "..") or any(c in pid for c in "/\\\0"):
+            raise ValueError(f"profile id must be a plain file name, got {pid!r}")
         for k in _SENTENCE_FIELDS:  # a string here would load as one-character sentences
             v = getattr(self, k)
             if not isinstance(v, (list, tuple)) or not all(isinstance(x, str) for x in v):
@@ -274,7 +277,7 @@ def select_client_action(
     backend,
     context: str = "",
     alpha: float = DEFAULT_ALPHA_DIRICHLET,
-) -> tuple[str, Categorical]:
+) -> str:
     """Pick the client's next behavior given its smoothed action distribution.
 
     The backend gets the distribution plus context and may answer with any
@@ -283,8 +286,7 @@ def select_client_action(
     """
     dist = client_action_dist(profile, stage, pop_row, alpha)
     reply = backend.choose_client_action(dist, context)
-    action = match_label(reply, CLIENT_ACTIONS.labels) or dist.argmax_label()
-    return action, dist
+    return match_label(reply, CLIENT_ACTIONS.labels) or dist.argmax_label()
 
 
 def act_kl(sim_dist: Categorical, gold_dist: Categorical, eps: float = 1e-6) -> float:
@@ -316,7 +318,7 @@ class ClientTurn:
 class ClientSession:
     """One client's side of a dialogue: state, dynamics, and response generation.
 
-    The client is deterministic: ``seed`` is accepted and stored but never read.
+    The client is deterministic: ``seed`` is accepted and never read.
     """
 
     def __init__(
@@ -341,7 +343,6 @@ class ClientSession:
             profile.prep_threshold if profile.prep_threshold is not None else theta_prep
         )
         self.alpha = alpha
-        self.seed = seed
         self.stage = profile.initial_stage
         self.readiness = 0.0
         self.turn = 0
@@ -417,7 +418,7 @@ class ClientSession:
         matches, g, delta = self._advance(counselor_text, counselor_action)
         self.turn += 1
         self._transition()
-        action, _dist = select_client_action(
+        action = select_client_action(
             self.profile,
             self.stage,
             self.pop_prior[self.stage],
@@ -475,5 +476,15 @@ def load_pop_prior(path: str | Path) -> dict[str, Categorical]:
 
 
 def load_profiles(directory: str | Path) -> list[ClientProfile]:
-    paths = sorted(Path(directory).glob("*.json"))
-    return [ClientProfile.from_file(p) for p in paths]
+    """Every ``*.json`` profile under ``directory``, by file name; ids must be unique."""
+    by_id: dict[str, Path] = {}
+    profiles = []
+    for path in sorted(Path(directory).glob("*.json")):
+        profile = ClientProfile.from_file(path)
+        if profile.id in by_id:
+            raise ValueError(
+                f"{by_id[profile.id].name} and {path.name} share profile id {profile.id!r}"
+            )
+        by_id[profile.id] = path
+        profiles.append(profile)
+    return profiles

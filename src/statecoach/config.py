@@ -78,7 +78,8 @@ class RunConfig:
         for name, lo in (("beta", 0.0), ("warmup_ratio", 0.0), ("theta_cov", 0.0), ("tau", -1.0)):
             if not lo <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [{lo:g}, 1], got {getattr(self, name)}")
-        for name in ("consolidate_every", "alpha_dirichlet", "kappa_t", "kappa_o"):
+        for name in ("consolidate_every", "min_eval_turns", "alpha_dirichlet", "kappa_t",
+                     "kappa_o"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not math.isfinite(self.theta_prep):

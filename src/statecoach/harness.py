@@ -21,6 +21,7 @@ diagnostics included, and one ``CounselorMove``, text included.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -88,6 +89,11 @@ class TurnRecord:
         return cls(**{k: d[k] for k in cls.__dataclass_fields__})
 
 
+def _jsonl_line(d: dict) -> str:
+    """One transcript line: the header or a record."""
+    return json.dumps(d) + "\n"
+
+
 @dataclass
 class Transcript:
     profile_id: str
@@ -111,12 +117,9 @@ class Transcript:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"}
 
     def to_jsonl(self) -> str:
-        lines = [json.dumps(self.header_dict())]
-        lines.extend(json.dumps(rec.to_dict()) for rec in self.records)
-        return "\n".join(lines) + "\n"
-
-    def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_jsonl(), encoding="utf-8")
+        return _jsonl_line(self.header_dict()) + "".join(
+            _jsonl_line(rec.to_dict()) for rec in self.records
+        )
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "Transcript":
@@ -227,7 +230,6 @@ class ActiveCounselor:
         self.cfg = cfg or RunConfig()
         self.session_id = session_id
         self.tracker = BeliefTracker(self.cfg, world_model)
-        self.wm = self.tracker.wm
         self.memory = memory if memory is not None else MemoryStore(backend)
         self.pref = preference or PreferenceModel.default()
         self.turn = 0
@@ -292,17 +294,15 @@ class FixedCounselor:
 class ScriptedCounselor:
     """Plays back a fixed list of (action, text) moves; cycles when exhausted."""
 
-    def __init__(self, moves: list[tuple[str, str]], cycle: bool = True):
+    def __init__(self, moves: list[tuple[str, str]]):
         if not moves:
             raise ValueError("scripted counselor needs at least one move")
         self.moves = list(moves)
-        self.cycle = cycle
         self.turn = 0
 
     def counselor_turn(self, client_utterance: str) -> CounselorMove:
-        i = self.turn % len(self.moves) if self.cycle else min(self.turn, len(self.moves) - 1)
+        action, text = self.moves[self.turn % len(self.moves)]
         self.turn += 1
-        action, text = self.moves[i]
         return CounselorMove(action=action, text=text)
 
 
@@ -327,12 +327,15 @@ def run_dialogue(
         n_triggers=len(client.triggers),
         opening=opening,
     )
-    fh = None
-    if out_path is not None:
-        fh = open(out_path, "w", encoding="utf-8")
-        fh.write(json.dumps(transcript.header_dict()) + "\n")
-        fh.flush()
-    try:
+    sink = open(out_path, "w", encoding="utf-8") if out_path is not None else nullcontext()
+    with sink as fh:
+
+        def emit(d: dict) -> None:
+            if fh is not None:
+                fh.write(_jsonl_line(d))
+                fh.flush()
+
+        emit(transcript.header_dict())
         client_utterance = opening
         for turn in range(1, cfg.max_turns + 1):
             move = counselor.counselor_turn(client_utterance)
@@ -351,15 +354,10 @@ def run_dialogue(
                 matched_trigger_ids=list(outcome.matched_ids),
             )
             transcript.records.append(record)
-            if fh is not None:
-                fh.write(json.dumps(record.to_dict()) + "\n")
-                fh.flush()
+            emit(record.to_dict())
             client_utterance = outcome.text
             if cfg.early_stop and outcome.stage == "preparation":
                 break
-    finally:
-        if fh is not None:
-            fh.close()
     return transcript
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .errors import EmptyInputError
-from .vocab import stage_ordinal
+from .vocab import STAGES
 
 
 @dataclass
@@ -35,7 +35,7 @@ def dynamic_metrics(transcripts) -> Metrics:
     n = len(transcripts)
     lift = (
         sum(
-            stage_ordinal(t.final_stage) - stage_ordinal(t.initial_stage)
+            STAGES.index(t.final_stage) - STAGES.index(t.initial_stage)
             for t in transcripts
         )
         / n

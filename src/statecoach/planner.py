@@ -62,13 +62,12 @@ CUE_TALK_TYPE = {
 
 @dataclass(frozen=True)
 class PreferenceModel:
-    """Preference over observed cues, stored both normalized and in log form.
+    """Log preference over observed cues.
 
-    Only differences of log preferences matter to the argmin, but the
-    normalized companion fixes an absolute scale for reported values.
+    Only differences of log preferences matter to the argmin; normalizing
+    the weights first fixes an absolute scale for reported values.
     """
 
-    dist: Categorical
     log_pref: np.ndarray
 
     @classmethod
@@ -76,10 +75,9 @@ class PreferenceModel:
         w = np.array([weights[c] for c in space.labels], dtype=float)
         if not (w > 0).all():  # NaN fails too
             raise ValueError("preference weights must be strictly positive")
-        dist = normalize(space, w)
-        log_pref = np.log(dist.probs)
+        log_pref = np.log(normalize(space, w).probs)
         log_pref.flags.writeable = False
-        return cls(dist, log_pref)
+        return cls(log_pref)
 
     @classmethod
     def default(cls, cues: LabelSpace = CUES) -> "PreferenceModel":

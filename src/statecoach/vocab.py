@@ -76,8 +76,3 @@ TALK_TYPES = LabelSpace("talk_types", ("neutral", "change", "sustain"))
 # Readiness weight of each talk type: change talk pushes up, sustain talk
 # pushes down, neutral drifts gently upward.
 TALK_TYPE_WEIGHTS = {"change": 1.0, "neutral": 0.3, "sustain": -1.0}
-
-
-def stage_ordinal(stage: str) -> int:
-    """Ordinal score of a stage (its index in STAGES), used by progress metrics."""
-    return STAGES.index(stage)

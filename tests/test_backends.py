@@ -319,6 +319,31 @@ def test_http_embed_degenerate_vector_is_error():
         b.embed("hello")
 
 
+@pytest.mark.parametrize("content", [5, ["a"], {"text": "hi"}])
+def test_http_non_string_reply_is_unavailable(content):
+    session = FakeSession([FakeResponse(payload=chat_payload(content))])
+    b = HttpBackend(http_config(), session=session)
+    with pytest.raises(BackendUnavailableError):
+        b.generate_response("Affirm", None, None, "hi")
+
+
+@pytest.mark.parametrize(
+    "embedding",
+    ["abc", [1, "x"], ["1", "2"], [[1, 2], [3, 4]], [[1, 2], [3]], 3, [True, False]],
+)
+def test_http_malformed_embedding_is_unavailable(embedding):
+    session = FakeSession([FakeResponse(payload={"data": [{"embedding": embedding}]})])
+    b = HttpBackend(http_config(), session=session)
+    with pytest.raises(BackendUnavailableError):
+        b.embed("hello")
+
+
+def test_http_integer_embedding_is_a_vector():
+    session = FakeSession([FakeResponse(payload={"data": [{"embedding": [3, 4]}]})])
+    vec = HttpBackend(http_config(), session=session).embed("hello")
+    assert vec.dtype == float and np.allclose(vec, [0.6, 0.8])
+
+
 def test_make_backend_factory():
     assert isinstance(make_backend(BackendConfig()), ScriptedBackend)
     assert isinstance(make_backend(http_config()), HttpBackend)

@@ -168,13 +168,10 @@ def test_default_beta():
 
 def test_belief_state_as_dict_contents():
     q = uniform(S3)
-    b = BeliefState(q=q, p_obs=q, p_prior=q, alpha=0.5, beta=0.0)
+    b = BeliefState(q=q, p_obs=q, p_prior=q, alpha=0.5, beta=0.0, posterior=q, free_energy=1.0)
     d = b.as_dict()
     assert d["alpha"] == 0.5 and d["beta"] == 0.0
-    assert "posterior" not in d and "free_energy" not in d
-    b2 = BeliefState(q=q, p_obs=q, p_prior=q, alpha=0.5, beta=0.0, posterior=q, free_energy=1.0)
-    d2 = b2.as_dict()
-    assert d2["free_energy"] == 1.0 and d2["posterior"] == q.as_dict()
+    assert d["free_energy"] == 1.0 and d["posterior"] == q.as_dict()
 
 
 @given(

@@ -150,6 +150,8 @@ def test_negative_max_turns_exits_2(tmp_path, capsys):
         ([], {"kappa_o": 0}, "kappa_o must be positive"),
         ([], {"dist_thres": -1.0}, "dist_thres must be non-negative"),
         ([], {"obs_seed_count": -1.0}, "obs_seed_count must be non-negative"),
+        ([], {"min_eval_turns": 0}, "min_eval_turns must be positive"),
+        ([], {"min_eval_turns": -1}, "min_eval_turns must be positive"),
     ],
 )
 def test_out_of_range_config_exits_2_before_writing(tmp_path, capsys, flags, config, message):
@@ -357,6 +359,45 @@ def test_profile_sentence_field_given_as_string_exits_2_before_writing(tmp_path,
     assert code == 2
     assert captured.out == ""
     assert "profile field 'beliefs' must be a list of strings" in captured.err
+    assert not out.exists()
+
+
+def _bundled_profiles_copy(tmp_path):
+    profiles = tmp_path / "profiles"
+    profiles.mkdir()
+    for src in sorted((DATA_DIR / "profiles").glob("*.json")):
+        (profiles / src.name).write_bytes(src.read_bytes())
+    return profiles
+
+
+@pytest.mark.parametrize("pid", ["../escaped", "..", ""])
+def test_profile_id_outside_out_exits_2_before_writing(tmp_path, capsys, pid):
+    profiles = _bundled_profiles_copy(tmp_path)
+    data = json.loads((profiles / "p02_smoking.json").read_text())
+    data["id"] = pid
+    (profiles / "p02_smoking.json").write_text(json.dumps(data))
+    out = tmp_path / "runs"
+    code = main(["run-dynamic", "--profiles", str(profiles), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: profile id must be a plain file name")
+    assert captured.err.count("\n") == 1
+    assert not out.exists() and list(tmp_path.glob("*.jsonl")) == []
+
+
+def test_duplicate_profile_ids_exit_2_before_writing(tmp_path, capsys):
+    profiles = _bundled_profiles_copy(tmp_path)
+    data = json.loads((profiles / "p02_smoking.json").read_text())
+    data["id"] = json.loads((profiles / "p01_alcohol.json").read_text())["id"]
+    (profiles / "p02_smoking.json").write_text(json.dumps(data))
+    out = tmp_path / "runs"
+    code = main(["run-dynamic", "--profiles", str(profiles), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: p01_alcohol.json and p02_smoking.json share")
+    assert captured.err.count("\n") == 1
     assert not out.exists()
 
 

@@ -177,6 +177,19 @@ def test_profile_rejects_nan_counts():
         make_profile(action_counts={"contemplation": {"Inform": float("nan")}})
 
 
+@pytest.mark.parametrize("bad", ["../escaped", "a/b", "a\\b", ".", "..", "", "a\0b", 7, None])
+def test_profile_rejects_an_id_that_is_not_a_plain_file_name(bad):
+    with pytest.raises(ValueError, match="profile id must be a plain file name"):
+        make_profile(id=bad)
+
+
+def test_load_profiles_rejects_duplicate_ids(tmp_path):
+    for name in ("a.json", "b.json"):
+        (tmp_path / name).write_text(json.dumps(dataclasses.asdict(make_profile())))
+    with pytest.raises(ValueError, match="a.json and b.json share profile id 't01'"):
+        load_profiles(tmp_path)
+
+
 def test_profile_from_dict_defaults(tmp_path):
     p = ClientProfile.from_dict(
         {"id": "x", "topic": "t", "behavior": "b", "initial_stage": "contemplation"}
@@ -525,7 +538,7 @@ def test_smoothed_action_dist_is_always_proper(counts):
 
 def test_select_action_accepts_valid_backend_label():
     backend = StubBackend(choice=" Deny ")
-    action, dist = select_client_action(
+    action = select_client_action(
         make_profile(), "precontemplation", make_pop()["precontemplation"], backend
     )
     assert action == "Deny"
@@ -535,18 +548,19 @@ def test_select_action_accepts_valid_backend_label():
 @pytest.mark.parametrize("reply", ["accept.", " Accept ", "ACCEPT"])
 def test_select_action_uses_the_shared_label_rule(reply):
     # The same rule HttpBackend's classifiers apply: case, space and a final '.'.
-    action, dist = select_client_action(
-        make_profile(), "precontemplation", make_pop()["precontemplation"],
-        StubBackend(choice=reply),
+    pop_row = make_pop()["precontemplation"]
+    action = select_client_action(
+        make_profile(), "precontemplation", pop_row, StubBackend(choice=reply)
     )
+    dist = client_action_dist(make_profile(), "precontemplation", pop_row)
     assert action == "Accept" != dist.argmax_label()
 
 
 def test_select_action_falls_back_to_argmax_on_garbage():
     backend = StubBackend(choice="definitely Inform, probably")
-    action, dist = select_client_action(
-        make_profile(), "precontemplation", make_pop()["precontemplation"], backend
-    )
+    pop_row = make_pop()["precontemplation"]
+    action = select_client_action(make_profile(), "precontemplation", pop_row, backend)
+    dist = client_action_dist(make_profile(), "precontemplation", pop_row)
     assert action == "Downplay"
     assert action == dist.argmax_label()
 

@@ -37,7 +37,7 @@ from statecoach.harness import (
 )
 from statecoach.metrics import Metrics, dynamic_metrics
 from statecoach.probs import uniform
-from statecoach.vocab import COUNSELOR_ACTIONS, STAGES, stage_ordinal
+from statecoach.vocab import COUNSELOR_ACTIONS, STAGES
 
 
 def scripted():
@@ -105,7 +105,7 @@ def test_turn_record_round_trips():
 def test_transcript_jsonl_round_trip(tmp_path):
     t = make_transcript("contemplation", discovered=("beliefs-0", "plans-1"))
     path = tmp_path / "t.jsonl"
-    t.write(path)
+    path.write_text(t.to_jsonl(), encoding="utf-8")
     back = Transcript.from_jsonl(path)
     assert back == t
     assert back.final_stage == "contemplation"
@@ -188,10 +188,10 @@ def test_efe_off_walks_the_fallback_rotation():
 def test_counselor_accumulates_soft_counts_across_turns():
     agent = ActiveCounselor(scripted())
     agent.counselor_turn("There's nothing wrong with how I live.")
-    assert agent.wm.transition_counts.sum() == 0.0  # first turn has no pair yet
+    assert agent.tracker.wm.transition_counts.sum() == 0.0  # first turn has no pair yet
     agent.counselor_turn("I guess it does affect the people around me.")
-    assert agent.wm.transition_counts.sum() == pytest.approx(1.0)
-    assert agent.wm.observation_counts.sum() == pytest.approx(8.0)  # 6 seeds + 2
+    assert agent.tracker.wm.transition_counts.sum() == pytest.approx(1.0)
+    assert agent.tracker.wm.observation_counts.sum() == pytest.approx(8.0)  # 6 seeds + 2
 
 
 def test_counselor_cue_and_memory_plumbing():
@@ -228,10 +228,6 @@ def test_scripted_counselor_cycles_or_clamps():
     cycling = ScriptedCounselor([("Affirm", "a"), ("Support", "b")])
     assert [cycling.counselor_turn("x").action for _ in range(3)] == [
         "Affirm", "Support", "Affirm"
-    ]
-    clamped = ScriptedCounselor([("Affirm", "a"), ("Support", "b")], cycle=False)
-    assert [clamped.counselor_turn("x").action for _ in range(3)] == [
-        "Affirm", "Support", "Support"
     ]
     with pytest.raises(ValueError):
         ScriptedCounselor([])
@@ -417,7 +413,7 @@ def test_run_dialogue_loop_invariants(profile, **knobs):
     stage = t.initial_stage
     for rec in t.records:
         assert abs(sum(rec.belief["q"].values()) - 1.0) <= 1e-9
-        assert stage_ordinal(rec.sim_stage) >= stage_ordinal(stage)
+        assert STAGES.index(rec.sim_stage) >= STAGES.index(stage)
         if (stage, rec.sim_stage) == ("precontemplation", "contemplation"):
             assert rec.readiness == 0.0
         stage = rec.sim_stage

@@ -62,7 +62,7 @@ def test_default_lambdas():
 
 def test_preference_model_normalizes_and_logs():
     pref = PreferenceModel.from_weights(O2, {"o1": 0.8, "o2": 0.2})
-    assert np.allclose(pref.dist.probs, [0.8, 0.2])
+    assert np.allclose(np.exp(pref.log_pref), [0.8, 0.2])
     assert np.allclose(pref.log_pref, np.log([0.8, 0.2]))
     with pytest.raises(ValueError):
         PreferenceModel.from_weights(O2, {"o1": 1.0, "o2": 0.0})
@@ -70,8 +70,8 @@ def test_preference_model_normalizes_and_logs():
 
 def test_default_preference_covers_all_cues():
     pref = PreferenceModel.default()
-    assert math.isclose(float(pref.dist.probs.sum()), 1.0, abs_tol=1e-12)
-    assert len(pref.dist.space) == 7
+    assert math.isclose(float(np.exp(pref.log_pref).sum()), 1.0, abs_tol=1e-12)
+    assert len(pref.log_pref) == 7
 
 
 def p_obs(belief, model, action):
