@@ -62,13 +62,8 @@ class BeliefState:
 
     def as_dict(self) -> dict:
         return {
-            "q": self.q.as_dict(),
-            "p_obs": self.p_obs.as_dict(),
-            "p_prior": self.p_prior.as_dict(),
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "posterior": self.posterior.as_dict(),
-            "free_energy": self.free_energy,
+            k: v.as_dict() if isinstance(v := getattr(self, k), Categorical) else v
+            for k in self.__dataclass_fields__
         }
 
 

@@ -47,11 +47,9 @@ from .vocab import CLIENT_ACTIONS, STAGES
 
 CONFIG_ERRORS = (
     FileNotFoundError,
+    FileExistsError,
     NotADirectoryError,
     IsADirectoryError,
-    json.JSONDecodeError,
-    KeyError,
-    TypeError,
     ValueError,
     StateCoachError,
 )

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .backends import ask_once, match_label
-from .errors import EmptyTriggerSetError, UnknownActionError, UnknownLabelError
+from .errors import EmptyTriggerSetError, UnknownActionError, UnknownLabelError, naming_file
 from .probs import Categorical, from_dict, uniform
 from .vocab import (
     CLIENT_ACTIONS,
@@ -56,6 +56,9 @@ BASE_GATE = 0.1
 # The profile fields that hold lists of sentences.
 _SENTENCE_FIELDS = ("personas", "beliefs", "motivations", "plans")
 
+# The profile fields a file must give; the rest have defaults.
+_REQUIRED_FIELDS = ("id", "topic", "behavior", "initial_stage")
+
 
 def _is_number(x) -> bool:
     """Whether a profile value is a number; a bool is not one here."""
@@ -79,6 +82,10 @@ class ClientProfile:
         pid = self.id  # names a transcript file, so it must not reach another directory
         if not isinstance(pid, str) or pid in ("", ".", "..") or any(c in pid for c in "/\\\0"):
             raise ValueError(f"profile id must be a plain file name, got {pid!r}")
+        for k in ("topic", "behavior", "initial_stage"):  # null would reply as "None"
+            v = getattr(self, k)
+            if not isinstance(v, str):
+                raise ValueError(f"profile field {k!r} must be a string, got {v!r}")
         for k in _SENTENCE_FIELDS:  # a string here would load as one-character sentences
             v = getattr(self, k)
             if not isinstance(v, (list, tuple)) or not all(isinstance(x, str) for x in v):
@@ -108,14 +115,26 @@ class ClientProfile:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClientProfile":
-        kwargs = {k: d[k] for k in cls.__dataclass_fields__ if k in d}
-        for k in _SENTENCE_FIELDS:
-            kwargs.setdefault(k, ())
-        return cls(**kwargs)
+        """A profile from its JSON object; a sentence field left out is empty.
+
+        A value that is not an object, a missing required field, or a key that
+        names no field (a typo such as ``beleifs``) is a ValueError.
+        """
+        if not isinstance(d, dict):
+            raise ValueError(f"a profile must be a JSON object, got {type(d).__name__}")
+        missing = [k for k in _REQUIRED_FIELDS if k not in d]
+        if missing:
+            raise ValueError(f"profile is missing required field(s): {', '.join(missing)}")
+        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown profile key(s): {', '.join(unknown)}")
+        return cls(**{k: () for k in _SENTENCE_FIELDS} | d)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ClientProfile":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        """The profile in a JSON file; every fault in its content names the file."""
+        with naming_file(path):
+            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 @dataclass

@@ -16,6 +16,7 @@ from .client_sim import (
     DEFAULT_THETA_PREP,
     TRIGGER_RULES,
 )
+from .errors import naming_file
 from .memory import DEFAULT_CONSOLIDATE_EVERY, DEFAULT_DIST_THRES, DEFAULT_K
 from .planner import DEFAULT_LAMBDA_E, DEFAULT_LAMBDA_P
 from .vocab import TALK_TYPE_WEIGHTS
@@ -92,7 +93,8 @@ class RunConfig:
         A key that names no field (a typo such as ``lamda_e``) is a
         ValueError, so it cannot silently leave its default in force.
         """
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        with naming_file(path):
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(data, dict):
             raise ValueError(f"config file {path} must hold a JSON object")
         unknown = sorted(set(data) - {f.name for f in fields(cls)})

@@ -6,6 +6,8 @@ everything derives from StateCoachError so the CLI can catch broadly.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class StateCoachError(Exception):
     pass
@@ -73,3 +75,18 @@ class EmptyInputError(StateCoachError):
 
 class NoGoldLabelsError(StateCoachError):
     """Offline evaluation requires per-turn gold labels."""
+
+
+@contextmanager
+def naming_file(path):
+    """Append `` (in <path>)`` to a ValueError or StateCoachError raised inside.
+
+    A StateCoachError keeps its class.  Any other ValueError, such as a JSON
+    decode error, becomes a plain ValueError: its class may not take a message.
+    """
+    try:
+        yield
+    except StateCoachError as exc:
+        raise type(exc)(f"{exc} (in {path})") from exc
+    except ValueError as exc:
+        raise ValueError(f"{exc} (in {path})") from exc

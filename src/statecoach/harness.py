@@ -31,7 +31,7 @@ from .backends import DATA_DIR, ScriptedBackend, ask_once
 from .belief import BeliefState, bayes_update, free_energy, fuse, widen_observation
 from .client_sim import ClientSession
 from .config import RunConfig
-from .errors import EmptyInputError, NoGoldLabelsError, UnknownLabelError
+from .errors import EmptyInputError, NoGoldLabelsError, UnknownLabelError, naming_file
 from .memory import STM, MemoryStore
 from .planner import (
     EfeReport,
@@ -439,7 +439,8 @@ def offline_eval(sessions: list[dict], cfg: RunConfig | None = None, backend=Non
 
 def load_annotated_sessions(path: str | Path | None = None) -> list[dict]:
     path = Path(path) if path else DATA_DIR / "annotated_sessions.json"
-    data = json.loads(path.read_text(encoding="utf-8"))
+    with naming_file(path):
+        data = json.loads(path.read_text(encoding="utf-8"))
     sessions = data.get("sessions") if isinstance(data, dict) else data
     if not isinstance(sessions, list):
         raise ValueError(

@@ -13,12 +13,10 @@ The model is held as two arrays, and every consumer reads them as such:
 * ``observations()`` is O[s, c] = p(c | s), shape (states, cues), each
   O[s, :] a distribution.
 
-``WorldModel`` derives both from its counts on every read, so writing the
-count arrays directly is always safe.  ``observation_likelihood(cue)``, read
-once per turn, derives only its own column of O from the counts: the same
-arithmetic per entry as ``observations()[:, c]``, so the same bits, without
-smoothing the other columns.  ``TableModel`` holds fixed, validated T and O
-arrays instead.
+Every read is a slice of T or O: a row of T, a row of O, or a column of O.
+``WorldModel`` derives both arrays from its counts on every read, so writing
+the count arrays directly is always safe.  ``TableModel`` holds fixed,
+validated T and O arrays instead and borrows ``WorldModel``'s reads.
 
 There is one update rule: each turn deposits counts weighted by the beliefs,
 the outer product of the previous and current belief for the transition and
@@ -88,11 +86,7 @@ class WorldModel:
 
     def observation_likelihood(self, cue: str) -> np.ndarray:
         """p(cue | s) for every state s, one column of O: the evidence vector."""
-        counts = self.observation_counts
-        n = counts.shape[-1]
-        return (counts[:, self.cues.index(cue)] + self.kappa_o / n) / (
-            np.add.reduce(counts, axis=-1) + self.kappa_o
-        )
+        return self.observations()[:, self.cues.index(cue)]
 
     def add_observation(self, q: Categorical, cue: str) -> None:
         """Credit the emission table only (used when no prior action exists)."""
@@ -174,8 +168,6 @@ class TableModel:
     def observations(self) -> np.ndarray:
         return self.O
 
-    def observation_likelihood(self, cue: str) -> np.ndarray:
-        return self.O[:, self.cues.index(cue)]
-
     transition_prob = WorldModel.transition_prob
     observation_prob = WorldModel.observation_prob
+    observation_likelihood = WorldModel.observation_likelihood

@@ -1,16 +1,22 @@
 """Command-line surface: subcommands, outputs, and exit codes."""
 
 import argparse
+import contextlib
 import io
 import json
 import math
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import statecoach
 from statecoach.backends import DATA_DIR, ScriptedBackend
+from statecoach.client_sim import ClientProfile
 from statecoach.cli import _add_config_flags, _advise, _cfg_from_args, build_parser, main
 from statecoach.config import RunConfig
 from statecoach.harness import BeliefTracker, Transcript
@@ -399,6 +405,91 @@ def test_duplicate_profile_ids_exit_2_before_writing(tmp_path, capsys):
     assert captured.err.startswith("error: p01_alcohol.json and p02_smoking.json share")
     assert captured.err.count("\n") == 1
     assert not out.exists()
+
+
+# Any JSON value: null, bools, numbers, strings, lists and nested objects.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _loads_as_profile(data) -> bool:
+    try:
+        ClientProfile.from_dict(data)
+    except Exception:  # how it fails is for the CLI run to show
+        return False
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    key=st.sampled_from([f.name for f in fields(ClientProfile)] + [None]),
+    value=JSON_VALUES,
+)
+def test_hostile_profile_json_exits_2_naming_the_file(key, value):
+    """Arbitrary JSON in place of one profile field (``key``) or of the whole
+    file (``key`` None): a profile that does not load ends the run with exit 2
+    and one ``error:`` line naming the file, before any transcript is written."""
+    data = json.loads((DATA_DIR / "profiles" / "p03_exercise.json").read_text())
+    if key is None:
+        data = value
+    else:
+        data[key] = value
+    assume(not _loads_as_profile(data))
+    with tempfile.TemporaryDirectory() as tmp:
+        profiles = _bundled_profiles_copy(Path(tmp))
+        (profiles / "p03_exercise.json").write_text(json.dumps(data))
+        out = Path(tmp) / "runs"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["run-dynamic", "--profiles", str(profiles), "--out", str(out)])
+        assert code == 2
+        assert stdout.getvalue() == ""
+        (line,) = stderr.getvalue().splitlines()
+        assert line.startswith("error: ")
+        assert line.endswith(f" (in {profiles / 'p03_exercise.json'})")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--config", ["run-dynamic", "--out", "runs"]),
+        ("--sessions", ["eval-offline"]),
+        ("--profile", ["repl"]),
+        ("--profiles", ["run-dynamic", "--out", "runs"]),
+    ],
+)
+def test_malformed_json_names_its_file(tmp_path, capsys, monkeypatch, flag, argv):
+    monkeypatch.chdir(tmp_path)
+    if flag == "--profiles":
+        arg = _bundled_profiles_copy(tmp_path)
+        path = arg / "p02_smoking.json"
+    else:
+        path = arg = tmp_path / "bad.json"
+    path.write_text('{"id":\n')
+    code = main(argv + [flag, str(arg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: Expecting value: line 2 column 1 (char 7) (in {path})\n"
+    assert not (tmp_path / "runs").exists()
+
+
+def test_out_naming_an_existing_file_exits_2_before_any_session(tmp_path, capsys):
+    out = tmp_path / "runs"
+    out.write_text("keep me")
+    code = main(["run-dynamic", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(out) in captured.err
+    assert out.read_text() == "keep me" and list(tmp_path.glob("*.jsonl")) == []
 
 
 def test_unknown_counselor_action_exits_2(tmp_path, capsys):

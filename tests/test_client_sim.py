@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -181,6 +182,34 @@ def test_profile_rejects_nan_counts():
 def test_profile_rejects_an_id_that_is_not_a_plain_file_name(bad):
     with pytest.raises(ValueError, match="profile id must be a plain file name"):
         make_profile(id=bad)
+
+
+_MINIMAL = {"id": "x", "topic": "t", "behavior": "b", "initial_stage": "contemplation"}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([1, 2], "a profile must be a JSON object, got list"),
+        ({"id": "x", "behavior": "b"}, "missing required field(s): topic, initial_stage"),
+        ({**_MINIMAL, "beleifs": []}, "unknown profile key(s): beleifs"),
+        ({**_MINIMAL, "topic": None}, "profile field 'topic' must be a string, got None"),
+        ({**_MINIMAL, "behavior": 3}, "profile field 'behavior' must be a string, got 3"),
+        ({**_MINIMAL, "initial_stage": []},
+         "profile field 'initial_stage' must be a string, got []"),
+    ],
+    ids=["list", "missing", "unknown-key", "null-topic", "int-behavior", "list-stage"],
+)
+def test_profile_from_dict_rejects_a_malformed_object(data, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ClientProfile.from_dict(data)
+
+
+def test_profile_errors_name_their_file(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**_MINIMAL, "initial_stage": "ready"}))
+    with pytest.raises(UnknownLabelError, match=re.escape(f"'ready' (in {path})")):
+        ClientProfile.from_file(path)
 
 
 def test_load_profiles_rejects_duplicate_ids(tmp_path):
