@@ -132,9 +132,22 @@ class ClientProfile:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ClientProfile":
-        """The profile in a JSON file; every fault in its content names the file."""
+        """The profile in a JSON file; every fault in its content names the file.
+
+        A profile that starts in precontemplation needs a trigger to leave it, so
+        one with no sentence long enough to become a trigger is an
+        EmptyTriggerSetError here, before any session runs.
+        """
         with naming_file(path):
-            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+            profile = cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+            if profile.initial_stage == "precontemplation" and not any(
+                _trigger_sentences(profile)
+            ):
+                raise EmptyTriggerSetError(
+                    f"profile {profile.id!r} starts in precontemplation with no "
+                    "sentence long enough to become a trigger"
+                )
+            return profile
 
 
 @dataclass
@@ -151,26 +164,30 @@ class Trigger:
         return self.hit_count > 0
 
 
-def build_triggers(profile: ClientProfile, backend) -> list[Trigger]:
-    """Turn profile sentences into triggers.
+def _trigger_sentences(profile: ClientProfile):
+    """``(category, index, sentence, bonus)`` for each sentence that becomes a trigger.
 
     Beliefs and plans qualify above 10 characters, motivations above 20;
     persona sentences are background color and never become triggers.
     """
-    triggers = []
     for category, (min_len, bonus) in TRIGGER_RULES.items():
         for i, sentence in enumerate(getattr(profile, category)):
             if len(sentence) > min_len:
-                triggers.append(
-                    Trigger(
-                        id=f"{category}-{i}",
-                        category=category,
-                        text=sentence,
-                        bonus=bonus,
-                        embedding=ask_once(backend, "embed", sentence),
-                    )
-                )
-    return triggers
+                yield category, i, sentence, bonus
+
+
+def build_triggers(profile: ClientProfile, backend) -> list[Trigger]:
+    """Turn the profile's qualifying sentences into triggers."""
+    return [
+        Trigger(
+            id=f"{category}-{i}",
+            category=category,
+            text=sentence,
+            bonus=bonus,
+            embedding=ask_once(backend, "embed", sentence),
+        )
+        for category, i, sentence, bonus in _trigger_sentences(profile)
+    ]
 
 
 @dataclass(frozen=True)
@@ -247,12 +264,14 @@ class TalkTypeTable:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TalkTypeTable":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        rows, support = {}, {}
-        for cell in data["rows"]:
-            key = (cell["stage"], cell["action"])
-            rows[key] = from_dict(TALK_TYPES, cell["p"])
-            support[key] = int(cell["support"])
+        """The table in a JSON file; a ValueError in its content names the file."""
+        with naming_file(path):
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            rows, support = {}, {}
+            for cell in data["rows"]:
+                key = (cell["stage"], cell["action"])
+                rows[key] = from_dict(TALK_TYPES, cell["p"])
+                support[key] = int(cell["support"])
         return cls(rows, support, min_support=data.get("min_support", DEFAULT_MIN_SUPPORT))
 
     def _marginal(self, stage: str) -> Categorical:
@@ -490,8 +509,12 @@ def calibrate_prep_threshold(
 
 
 def load_pop_prior(path: str | Path) -> dict[str, Categorical]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return {stage: from_dict(CLIENT_ACTIONS, row) for stage, row in data.items()}
+    """Each stage's prior over client actions; a ValueError in the file names it."""
+    with naming_file(path):
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError(f"a population prior must be a JSON object, got {type(data).__name__}")
+        return {stage: from_dict(CLIENT_ACTIONS, row) for stage, row in data.items()}
 
 
 def load_profiles(directory: str | Path) -> list[ClientProfile]:

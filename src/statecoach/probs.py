@@ -9,12 +9,13 @@ A distribution that depends only on its space is built and checked once and
 then shared: ``uniform(space)`` returns the same read-only instance for the
 life of ``space``.
 
-The vectors are short (3 to 17 entries in the bundled vocabularies), so the
-fixed cost of a numpy call outweighs its arithmetic.  The checks therefore
-call the ufunc reductions (``np.add.reduce``, ``np.logical_or.reduce``,
-``np.logical_and.reduce``) directly rather than ``ndarray.sum``/``any``/
-``all``, which reach the same ufuncs through a Python-level wrapper: every
-value, error type and message is the same either way.
+The vectors are short (3 to 17 entries in the bundled vocabularies), and a
+numpy call costs more than the arithmetic on a vector that short.  So
+``Categorical`` and ``normalize`` check their vector on the Python floats of
+one ``tolist()``: a plain loop tests each entry's sign, and a vector of fewer
+than 8 entries is added up in order, as numpy adds it; a longer one, which
+numpy adds pairwise, is summed by ``np.add.reduce``.  Every value, error type
+and message is the one the numpy reductions give.
 """
 
 from __future__ import annotations
@@ -33,6 +34,30 @@ from .errors import (
 
 # Tolerance for "sums to one" checks on constructed distributions.
 PROB_TOL = 1e-9
+
+# numpy sums a float64 vector in order from 0.0 below this length and pairwise
+# from it on, so only below it does an in-order Python total equal numpy's.
+_PAIRWISE_FROM = 8
+
+
+def _checked_total(p: np.ndarray, what: str, nan_passes: bool) -> float:
+    """The total of the 1-d float vector ``p``, checked on its Python floats.
+
+    An entry below zero raises ValueError("<what> must be non-negative"), and so
+    does a NaN unless ``nan_passes``.  The total is ``np.add.reduce(p)``'s bit for
+    bit; it is added here by hand, not by ``sum``, which compensates its rounding
+    from Python 3.12 on.
+    """
+    values = p.tolist()
+    for v in values:
+        if (v < 0) if nan_passes else (not v >= 0):
+            raise ValueError(f"{what} must be non-negative")
+    if len(values) >= _PAIRWISE_FROM:
+        return float(np.add.reduce(p))
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 @dataclass(frozen=True)
@@ -84,11 +109,9 @@ class Categorical:
                 f"expected {len(self.space)} probabilities for space "
                 f"{self.space.name!r}, got shape {p.shape}"
             )
-        if np.logical_or.reduce(p < 0):
-            raise ValueError("probabilities must be non-negative")
-        total = np.add.reduce(p)
+        total = _checked_total(p, "probabilities", nan_passes=True)
         if not abs(total - 1.0) <= PROB_TOL:  # NaN fails too
-            raise ValueError(f"probabilities must sum to 1, got {total!r}")
+            raise ValueError(f"probabilities must sum to 1, got {np.float64(total)!r}")
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
@@ -151,9 +174,7 @@ def normalize(space: LabelSpace, weights) -> Categorical:
     that does not match the space, so a wrong-length all-zero one is AllZeroError.
     """
     w = np.asarray(weights, dtype=float)
-    if not np.logical_and.reduce(w >= 0, axis=None):  # NaN fails too
-        raise ValueError("weights must be non-negative")
-    total = np.add.reduce(w, axis=None)
+    total = _checked_total(w.ravel(), "weights", nan_passes=False)
     if total <= 0:
         raise AllZeroError(f"cannot normalize all-zero weights over {space.name!r}")
     return Categorical(space, w / total)

@@ -407,6 +407,31 @@ def test_duplicate_profile_ids_exit_2_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("command", ["run-dynamic", "repl"])
+def test_precontemplation_profile_without_triggers_exits_2_naming_its_file(
+    tmp_path, capsys, command
+):
+    """A profile that could never leave precontemplation fails as it loads."""
+    profiles = _bundled_profiles_copy(tmp_path)
+    zz = profiles / "zz.json"
+    zz.write_text(json.dumps({"id": "zz", "topic": "t", "behavior": "b",
+                              "initial_stage": "precontemplation"}))
+    out = tmp_path / "runs"
+    if command == "run-dynamic":
+        argv = ["run-dynamic", "--profiles", str(profiles), "--out", str(out)]
+    else:
+        argv = ["repl", "--profile", str(zz)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: profile 'zz' starts in precontemplation with no sentence long enough "
+        f"to become a trigger (in {zz})\n"
+    )
+    assert not out.exists() and list(tmp_path.rglob("*.jsonl")) == []
+
 # Any JSON value: null, bools, numbers, strings, lists and nested objects.
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)

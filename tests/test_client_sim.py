@@ -474,6 +474,14 @@ def test_table_from_file_exposes_cells_and_min_support():
     assert row.prob("sustain") == pytest.approx(0.20)
 
 
+def test_table_errors_name_their_file(tmp_path):
+    path = tmp_path / "table.json"
+    cell = {"stage": "contemplation", "action": "Facilitate", "support": 4,
+            "p": {"change": 0.5, "neutral": 0.4}}
+    path.write_text(json.dumps({"rows": [cell]}))
+    with pytest.raises(ValueError, match=re.escape(f"sum to 1, got {np.float64(0.9)!r} (in {path})")):
+        TalkTypeTable.from_file(path)
+
 def test_table_missing_cell_backs_off_to_stage_marginal():
     table = TalkTypeTable.from_file(DATA_DIR / "talk_type_table.json")
     raw = json.loads((DATA_DIR / "talk_type_table.json").read_text())
@@ -922,3 +930,18 @@ def test_pop_prior_loads_proper_rows():
     for row in pop.values():
         assert len(row.space) == len(CLIENT_ACTIONS)
         assert row.probs.sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [("[1, 2]", "a population prior must be a JSON object, got list"),
+     ('{"contemplation": {"Inform": -1.0, "Engage": 2.0}}', "probabilities must be non-negative")],
+    ids=["array", "negative-row"],
+)
+def test_pop_prior_errors_name_their_file(tmp_path, content, message):
+    path = tmp_path / "pop.json"
+    path.write_text(content)
+    with pytest.raises(ValueError) as info:
+        load_pop_prior(path)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"{message} (in {path})"

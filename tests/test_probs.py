@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from statecoach.errors import (
     AllZeroError,
@@ -12,8 +12,10 @@ from statecoach.errors import (
     WeightOutOfRangeError,
 )
 from statecoach.probs import (
+    PROB_TOL,
     Categorical,
     LabelSpace,
+    _checked_total,
     check_rows,
     entropy,
     from_dict,
@@ -148,6 +150,122 @@ def test_checks_raise_exact_type_and_message(check, value, error, message):
         CHECKS[check](value)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+# The numpy checks Categorical and normalize made before they checked Python
+# floats, kept as the reference: the float-list checks must raise what these
+# raise, with the same message, or accept and return the same vector.
+def reference_categorical(space, value):
+    p = np.array(value, dtype=float)
+    if p.ndim != 1 or p.shape[0] != len(space):
+        raise DimensionMismatchError(
+            f"expected {len(space)} probabilities for space {space.name!r}, got shape {p.shape}"
+        )
+    if np.logical_or.reduce(p < 0):
+        raise ValueError("probabilities must be non-negative")
+    total = np.add.reduce(p)
+    if not abs(total - 1.0) <= PROB_TOL:
+        raise ValueError(f"probabilities must sum to 1, got {total!r}")
+    return p
+
+
+def reference_normalize(space, weights):
+    w = np.asarray(weights, dtype=float)
+    if not np.logical_and.reduce(w >= 0, axis=None):
+        raise ValueError("weights must be non-negative")
+    total = np.add.reduce(w, axis=None)
+    if total <= 0:
+        raise AllZeroError(f"cannot normalize all-zero weights over {space.name!r}")
+    return reference_categorical(space, w / total)
+
+
+def outcome(check, space, value):
+    """``("ok", dtype, shape, bytes)`` of the checked vector, or ``(error type, message)``."""
+    with np.errstate(all="ignore"):
+        try:
+            result = check(space, value)
+        except Exception as exc:
+            return type(exc), str(exc)
+    probs = result.probs if isinstance(result, Categorical) else result
+    return "ok", probs.dtype, probs.shape, probs.tobytes()
+
+
+SPACES = {n: LabelSpace(f"s{n}", tuple(f"l{i}" for i in range(n))) for n in range(1, 21)}
+SPECIAL = [0.0, -0.0, NAN, INF, -INF, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-300, 1.0]
+
+
+def nudged(x, ulps):
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(INF, ulps))
+    return x
+
+
+@st.composite
+def vectors(draw):
+    """0 to 20 floats: arbitrary ones, or ones summing within a few ulps of 1 or 1 ± PROB_TOL."""
+    n = draw(st.integers(0, 20))
+    if draw(st.booleans()):
+        entry = st.one_of(st.floats(allow_subnormal=True), st.sampled_from(SPECIAL))
+        return draw(st.lists(entry, min_size=n, max_size=n))
+    v = draw(st.lists(st.floats(0.0, 1.0, allow_subnormal=True), min_size=n, max_size=n))
+    total = math.fsum(v)
+    if total > 0:
+        v = [x / total for x in v]
+    if v:
+        target = draw(st.sampled_from([1.0, 1.0 + PROB_TOL, 1.0 - PROB_TOL]))
+        i = draw(st.integers(0, n - 1))
+        v[i] = nudged(v[i] + (target - math.fsum(v)), draw(st.integers(-4, 4)))
+    for _ in range(draw(st.integers(0, 2))):
+        if v:
+            v[draw(st.integers(0, n - 1))] = draw(st.sampled_from(SPECIAL + [-v[0]]))
+    return v
+
+
+def space_for(draw, n):
+    """Mostly the space of the vector's length; one draw in five, any space."""
+    return SPACES[n if n and draw(st.integers(0, 4)) else draw(st.integers(1, 20))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_categorical_matches_the_numpy_checks(data):
+    v = data.draw(vectors())
+    space = space_for(data.draw, len(v))
+    for value in (v, np.array(v, dtype=float)):
+        assert outcome(Categorical, space, value) == outcome(reference_categorical, space, value)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_normalize_matches_the_numpy_checks(data):
+    v = data.draw(vectors())
+    space = space_for(data.draw, len(v))
+    shape = data.draw(st.sampled_from(["1-d", "strided", "0-d", "row", "column", "2-d"]))
+    value = np.array(v, dtype=float)
+    if shape == "strided":
+        value = np.repeat(value, 2)[::2]
+    elif shape == "0-d":
+        value = np.array(v[0] if v else 0.0)
+    elif shape == "row":
+        value = value.reshape(1, -1)
+    elif shape == "column":
+        value = value.reshape(-1, 1)
+    elif shape == "2-d" and len(v) % 2 == 0:
+        value = value.reshape(2, -1)
+    assert outcome(normalize, space, value) == outcome(reference_normalize, space, value)
+
+
+def test_checked_total_is_numpys_sum_bit_for_bit():
+    """Below 8 entries the total is added in order by hand, which is only numpy's
+    total while numpy sums that short a vector in order too: a numpy release that
+    reorders it fails here.  From 8 entries on the total is numpy's own."""
+    rng = np.random.default_rng(16)
+    for n in range(1, 21):
+        for _ in range(500):
+            p = rng.random(n) * 10.0 ** rng.integers(-8, 9, size=n)
+            total = _checked_total(p, "weights", nan_passes=False)
+            assert type(total) is float
+            assert np.float64(total).tobytes() == np.add.reduce(p).tobytes(), (n, p.tolist())
 
 
 def test_point_mass_and_prob():
