@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyTextError, ZeroEvidenceError
-from .probs import Categorical, DimensionMismatchError, kl_divergence, mix, uniform
+from .probs import Categorical, DimensionMismatchError, _total, kl_divergence, mix, uniform
 
 # Share of the fused belief taken from the predictive prior.
 DEFAULT_BETA = 0.35
@@ -86,15 +86,18 @@ def bayes_update(prior: Categorical, likelihood) -> Categorical:
     ``likelihood`` is a vector of non-negative evidence values aligned with
     the prior's label space (it need not normalize over states).  Raises
     ZeroEvidenceError when prior and likelihood share no support, i.e. the
-    evidence has probability zero under the model.
+    evidence has probability zero under the model.  The arithmetic runs on
+    Python floats, entry by entry and summed by ``_total``, so every value is
+    the numpy expression's.
     """
-    joint = prior.probs * _evidence(likelihood, prior)[0]
-    evidence = np.add.reduce(joint)
+    lik = _evidence(likelihood, prior)[0]
+    joint = [p * e for p, e in zip(prior.probs.tolist(), lik.tolist())]
+    evidence = _total(joint)
     if evidence <= 0:
         raise ZeroEvidenceError(
             "prior and likelihood have disjoint support; posterior undefined"
         )
-    return Categorical(prior.space, joint / evidence)
+    return Categorical(prior.space, [j / evidence for j in joint])
 
 
 def free_energy(q: Categorical, prior: Categorical, likelihood) -> float:

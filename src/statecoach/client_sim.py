@@ -59,6 +59,16 @@ _SENTENCE_FIELDS = ("personas", "beliefs", "motivations", "plans")
 # The profile fields a file must give; the rest have defaults.
 _REQUIRED_FIELDS = ("id", "topic", "behavior", "initial_stage")
 
+# The keys of one cell in a talk-type table file.
+_TABLE_CELL_KEYS = ("stage", "action", "p", "support")
+
+
+def _json_object(value, what: str) -> dict:
+    """``value`` if it is a JSON object, else a ValueError saying ``what`` must be one."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
 
 def _is_number(x) -> bool:
     """Whether a profile value is a number; a bool is not one here."""
@@ -120,8 +130,7 @@ class ClientProfile:
         A value that is not an object, a missing required field, or a key that
         names no field (a typo such as ``beleifs``) is a ValueError.
         """
-        if not isinstance(d, dict):
-            raise ValueError(f"a profile must be a JSON object, got {type(d).__name__}")
+        _json_object(d, "a profile")
         missing = [k for k in _REQUIRED_FIELDS if k not in d]
         if missing:
             raise ValueError(f"profile is missing required field(s): {', '.join(missing)}")
@@ -267,10 +276,17 @@ class TalkTypeTable:
         """The table in a JSON file; a ValueError in its content names the file."""
         with naming_file(path):
             data = json.loads(Path(path).read_text(encoding="utf-8"))
+            _json_object(data, "a table")
+            if not isinstance(data.get("rows"), list):
+                raise ValueError("a table must hold a list of rows")
             rows, support = {}, {}
-            for cell in data["rows"]:
+            for i, cell in enumerate(data["rows"]):
+                _json_object(cell, f"row {i}")
+                missing = [k for k in _TABLE_CELL_KEYS if k not in cell]
+                if missing:
+                    raise ValueError(f"row {i} has no {', '.join(missing)}")
                 key = (cell["stage"], cell["action"])
-                rows[key] = from_dict(TALK_TYPES, cell["p"])
+                rows[key] = from_dict(TALK_TYPES, _json_object(cell["p"], f"row {i}'s p"))
                 support[key] = int(cell["support"])
         return cls(rows, support, min_support=data.get("min_support", DEFAULT_MIN_SUPPORT))
 
@@ -512,9 +528,11 @@ def load_pop_prior(path: str | Path) -> dict[str, Categorical]:
     """Each stage's prior over client actions; a ValueError in the file names it."""
     with naming_file(path):
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(data, dict):
-            raise ValueError(f"a population prior must be a JSON object, got {type(data).__name__}")
-        return {stage: from_dict(CLIENT_ACTIONS, row) for stage, row in data.items()}
+        _json_object(data, "a population prior")
+        return {
+            stage: from_dict(CLIENT_ACTIONS, _json_object(row, f"the row of {stage!r}"))
+            for stage, row in data.items()
+        }
 
 
 def load_profiles(directory: str | Path) -> list[ClientProfile]:

@@ -16,8 +16,10 @@ step deep: the score enumerates one future turn, not a policy tree.  The
 predictive state distribution under the chosen action is also the prior the
 next turn's belief is fused with, so one rollout serves both: the counselor
 takes that prior from the report's ``q_next`` row for the chosen action.
-``planner_prior`` repeats the rollout for one action, for callers that chose
-the action without scoring (the no-EFE rotation, offline evaluation).
+``planner_prior`` forms that one row alone, for callers that chose the action
+without scoring (the no-EFE rotation, offline evaluation): it reads one slice
+of T, the chosen action's (``transition_slice``), and does the rollout's sum
+on Python floats in numpy's order.
 
 All candidate actions are scored in one pass over the model's arrays
 T[s, a, s'] and O[s', c] (see ``world_model``).  For k candidates, S states
@@ -220,7 +222,17 @@ def select_action(
 def planner_prior(belief: Categorical, model, chosen: str) -> Categorical:
     """Predictive state distribution under the chosen action.
 
-    This is what the next turn fuses with its observation estimate; it is bit
-    for bit the chosen action's ``q_next`` row in ``select_action``'s report.
+    This is what the next turn fuses with its observation estimate.  Each
+    q'(s') adds q(s) * T[s, a, s'] over s in order from 0.0, as ``_predict``'s
+    axis-0 reduction does, so it is bit for bit the chosen action's ``q_next``
+    row in ``select_action``'s report.  A slice with another number of states
+    than the belief gives a vector of its length, which ``Categorical`` rejects.
     """
-    return Categorical(belief.space, _predict(belief, model, (chosen,))[0])
+    q = belief.probs.tolist()
+    q_next = []
+    for column in zip(*model.transition_slice(chosen)):
+        total = 0.0
+        for q_s, t in zip(q, column):
+            total += q_s * t
+        q_next.append(total)
+    return Categorical(belief.space, q_next)

@@ -12,10 +12,13 @@ life of ``space``.
 The vectors are short (3 to 17 entries in the bundled vocabularies), and a
 numpy call costs more than the arithmetic on a vector that short.  So
 ``Categorical`` and ``normalize`` check their vector on the Python floats of
-one ``tolist()``: a plain loop tests each entry's sign, and a vector of fewer
-than 8 entries is added up in order, as numpy adds it; a longer one, which
-numpy adds pairwise, is summed by ``np.add.reduce``.  Every value, error type
-and message is the one the numpy reductions give.
+one ``tolist()``: a plain loop tests each entry's sign, and ``_total`` adds
+the entries up.  ``_total`` is the one summing rule for every total taken on
+Python floats in the package: a vector of fewer than 8 entries is added in
+order from 0.0, as numpy adds it; a longer one, which numpy adds pairwise, is
+summed by ``np.add.reduce``.  ``mix`` likewise combines its two vectors
+entry by entry on Python floats.  Every value, error type and message is the
+one the numpy expressions give.
 """
 
 from __future__ import annotations
@@ -40,24 +43,32 @@ PROB_TOL = 1e-9
 _PAIRWISE_FROM = 8
 
 
+def _total(values: list[float]) -> float:
+    """``np.add.reduce`` of the float vector ``values``, bit for bit.
+
+    Below _PAIRWISE_FROM entries it is added here in order from 0.0, as numpy adds
+    it, and not by ``sum``, which compensates its rounding from Python 3.12 on.
+    From _PAIRWISE_FROM entries on numpy adds pairwise, so numpy adds it here too.
+    """
+    if len(values) >= _PAIRWISE_FROM:
+        return float(np.add.reduce(values))
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _checked_total(p: np.ndarray, what: str, nan_passes: bool) -> float:
     """The total of the 1-d float vector ``p``, checked on its Python floats.
 
     An entry below zero raises ValueError("<what> must be non-negative"), and so
-    does a NaN unless ``nan_passes``.  The total is ``np.add.reduce(p)``'s bit for
-    bit; it is added here by hand, not by ``sum``, which compensates its rounding
-    from Python 3.12 on.
+    does a NaN unless ``nan_passes``.
     """
     values = p.tolist()
     for v in values:
         if (v < 0) if nan_passes else (not v >= 0):
             raise ValueError(f"{what} must be non-negative")
-    if len(values) >= _PAIRWISE_FROM:
-        return float(np.add.reduce(p))
-    total = 0.0
-    for v in values:
-        total += v
-    return total
+    return _total(values)
 
 
 @dataclass(frozen=True)
@@ -218,4 +229,7 @@ def mix(a: Categorical, b: Categorical, weight: float) -> Categorical:
         raise DimensionMismatchError(
             f"mixing different spaces: {a.space.name!r} vs {b.space.name!r}"
         )
-    return Categorical(a.space, (1.0 - weight) * a.probs + weight * b.probs)
+    keep = 1.0 - weight
+    return Categorical(
+        a.space, [keep * x + weight * y for x, y in zip(a.probs.tolist(), b.probs.tolist())]
+    )

@@ -13,10 +13,15 @@ The model is held as two arrays, and every consumer reads them as such:
 * ``observations()`` is O[s, c] = p(c | s), shape (states, cues), each
   O[s, :] a distribution.
 
-Every read is a slice of T or O: a row of T, a row of O, or a column of O.
-``WorldModel`` derives both arrays from its counts on every read, so writing
-the count arrays directly is always safe.  ``TableModel`` holds fixed,
-validated T and O arrays instead and borrows ``WorldModel``'s reads.
+Every other read is a slice of T or O: a row of T, one action's (states,
+states) slice of T (``transition_slice``), a row of O, or a column of O
+(``observation_likelihood``).  ``WorldModel`` derives what it returns from its
+counts on every read, so writing the count arrays directly is always safe.  The
+two slice reads of the belief step compute only their own cells, on the Python
+floats of the count rows they need, with ``_smoothed``'s arithmetic and
+numpy's summing order, so each is bit for bit the slice of the whole array.
+``TableModel`` holds fixed, validated T and O arrays instead and answers the
+same reads by slicing them.
 
 There is one update rule: each turn deposits counts weighted by the beliefs,
 the outer product of the previous and current belief for the transition and
@@ -32,7 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .probs import Categorical, LabelSpace
+from .errors import naming_file
+from .probs import Categorical, LabelSpace, _total
 from .vocab import COUNSELOR_ACTIONS, CUES, STAGES
 
 DEFAULT_KAPPA = 1.0
@@ -42,6 +48,12 @@ def _smoothed(counts: np.ndarray, kappa: float) -> np.ndarray:
     """Symmetric Dirichlet smoothing of count rows along the last axis."""
     n = counts.shape[-1]
     return (counts + kappa / n) / (np.add.reduce(counts, axis=-1, keepdims=True) + kappa)
+
+
+def _smoothed_row(row: list[float], kappa: float) -> list[float]:
+    """One row of ``_smoothed`` on its Python floats, bit for bit."""
+    k, total = kappa / len(row), _total(row) + kappa
+    return [(c + k) / total for c in row]
 
 
 class WorldModel:
@@ -84,9 +96,22 @@ class WorldModel:
         """p(cue | state): one row of O."""
         return Categorical(self.cues, self.observations()[self.states.index(state)])
 
+    def transition_slice(self, action: str) -> list[list[float]]:
+        """T[:, a, :] = p(s' | s, action) for every state s, one action's slice
+        of T, as one list of Python floats per s."""
+        rows = self.transition_counts[:, self.actions.index(action)].tolist()
+        return [_smoothed_row(row, self.kappa_t) for row in rows]
+
     def observation_likelihood(self, cue: str) -> np.ndarray:
-        """p(cue | s) for every state s, one column of O: the evidence vector."""
-        return self.observations()[:, self.cues.index(cue)]
+        """p(cue | s) for every state s, one column of O: the evidence vector.
+
+        Each cell is smoothed as ``_smoothed_row`` smooths it.  The method is
+        defined here, not borrowed, because ``bench/tracer.py`` wraps it in
+        this class's dict.
+        """
+        c, kappa = self.cues.index(cue), self.kappa_o
+        rows = self.observation_counts.tolist()
+        return np.array([(row[c] + kappa / len(row)) / (_total(row) + kappa) for row in rows])
 
     def add_observation(self, q: Categorical, cue: str) -> None:
         """Credit the emission table only (used when no prior action exists)."""
@@ -120,8 +145,15 @@ class WorldModel:
             kappa_t=data["kappa_t"],
             kappa_o=data["kappa_o"],
         )
-        model.transition_counts = np.asarray(data["transition_counts"], dtype=float)
-        model.observation_counts = np.asarray(data["observation_counts"], dtype=float)
+        n_s, n_a, n_c = len(model.states), len(model.actions), len(model.cues)
+        shapes = {"transition_counts": (n_s, n_a, n_s), "observation_counts": (n_s, n_c)}
+        for name, shape in shapes.items():
+            counts = np.asarray(data[name], dtype=float)
+            if counts.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {counts.shape}")
+            if not np.all(np.isfinite(counts) & (counts >= 0)):
+                raise ValueError(f"{name} must be finite and non-negative")
+            setattr(model, name, counts)
         return model
 
     def save(self, path: str | Path) -> None:
@@ -129,7 +161,9 @@ class WorldModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "WorldModel":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        """The model in a JSON file; a ValueError in its content names the file."""
+        with naming_file(path):
+            return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 class TableModel:
@@ -168,6 +202,11 @@ class TableModel:
     def observations(self) -> np.ndarray:
         return self.O
 
+    def transition_slice(self, action: str) -> list[list[float]]:
+        return self.T[:, self.actions.index(action)].tolist()
+
+    def observation_likelihood(self, cue: str) -> np.ndarray:
+        return self.O[:, self.cues.index(cue)]
+
     transition_prob = WorldModel.transition_prob
     observation_prob = WorldModel.observation_prob
-    observation_likelihood = WorldModel.observation_likelihood

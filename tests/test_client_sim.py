@@ -482,6 +482,29 @@ def test_table_errors_name_their_file(tmp_path):
     with pytest.raises(ValueError, match=re.escape(f"sum to 1, got {np.float64(0.9)!r} (in {path})")):
         TalkTypeTable.from_file(path)
 
+
+_CELL = {"stage": "contemplation", "action": "Facilitate", "support": 4,
+         "p": {"change": 0.5, "neutral": 0.5}}
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [([1], "a table must be a JSON object, got list"),
+     ({"min_support": 3}, "a table must hold a list of rows"),
+     ({"rows": [_CELL, [1]]}, "row 1 must be a JSON object, got list"),
+     ({"rows": [{k: v for k, v in _CELL.items() if k != "action"}]}, "row 0 has no action"),
+     ({"rows": [{**_CELL, "p": [0.5, 0.5]}]}, "row 0's p must be a JSON object, got list")],
+    ids=["array", "no-rows", "list-cell", "no-action", "list-p"],
+)
+def test_wrongly_shaped_table_names_its_file(tmp_path, content, message):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(content))
+    with pytest.raises(ValueError) as info:
+        TalkTypeTable.from_file(path)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"{message} (in {path})"
+
+
 def test_table_missing_cell_backs_off_to_stage_marginal():
     table = TalkTypeTable.from_file(DATA_DIR / "talk_type_table.json")
     raw = json.loads((DATA_DIR / "talk_type_table.json").read_text())
@@ -935,8 +958,9 @@ def test_pop_prior_loads_proper_rows():
 @pytest.mark.parametrize(
     "content, message",
     [("[1, 2]", "a population prior must be a JSON object, got list"),
-     ('{"contemplation": {"Inform": -1.0, "Engage": 2.0}}', "probabilities must be non-negative")],
-    ids=["array", "negative-row"],
+     ('{"contemplation": {"Inform": -1.0, "Engage": 2.0}}', "probabilities must be non-negative"),
+     ('{"contemplation": [0.5, 0.5]}', "the row of 'contemplation' must be a JSON object, got list")],
+    ids=["array", "negative-row", "list-row"],
 )
 def test_pop_prior_errors_name_their_file(tmp_path, content, message):
     path = tmp_path / "pop.json"

@@ -3,8 +3,9 @@
 Its transcript form must be the bytes the per-action construction gave (one
 ``Categorical`` and Python-float total per action), its rows are checked as
 distributions with ``Categorical``'s rule and messages, and it is read-only.
-Each ``q_next`` row is bit for bit ``planner_prior`` of its action, since the
-counselor takes the chosen row as its next prior.
+Each ``q_next`` row is bit for bit ``planner_prior`` of its action, for a
+``TableModel`` and a count-based ``WorldModel`` alike, since the counselor takes
+the chosen row as its next prior.
 """
 
 import json
@@ -23,7 +24,7 @@ from statecoach.planner import (
     select_action,
 )
 from statecoach.probs import Categorical, LabelSpace, uniform
-from statecoach.world_model import TableModel
+from statecoach.world_model import TableModel, WorldModel
 
 S2 = LabelSpace("s", ("s1", "s2"))
 O2 = LabelSpace("o", ("o1", "o2"))
@@ -59,6 +60,16 @@ def distribution(draw, n):
     return w / w.sum()
 
 
+COUNT = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=50.0))
+KAPPA = st.floats(min_value=0.05, max_value=5.0)
+
+
+@st.composite
+def count_table(draw, shape):
+    n = int(np.prod(shape))
+    return np.array(draw(st.lists(COUNT, min_size=n, max_size=n))).reshape(shape)
+
+
 @st.composite
 def planning_case(draw):
     n_s, n_a, n_c = draw(st.integers(2, 4)), draw(st.integers(1, 5)), draw(st.integers(2, 5))
@@ -71,11 +82,16 @@ def planning_case(draw):
     else:
         trans = {(s, a): draw(distribution(n_s)) for s in states.labels for a in actions.labels}
         obs = {s: draw(distribution(n_c)) for s in states.labels}
+    model = TableModel(states, actions, cues, trans, obs)
+    if draw(st.booleans()):  # a WorldModel instead, every row smoothed from drawn counts
+        model = WorldModel(states, actions, cues, kappa_t=draw(KAPPA), kappa_o=draw(KAPPA))
+        model.transition_counts = draw(count_table((n_s, n_a, n_s)))
+        model.observation_counts = draw(count_table((n_s, n_c)))
     prefs = draw(st.lists(st.floats(0.05, 1.0), min_size=n_c, max_size=n_c))
     lambda_e, lambda_p = draw(st.sampled_from([(0.4, 0.6), (1.0, 0.0), (0.0, 1.0), (0.7, 0.3)]))
     return (
         Categorical(states, draw(distribution(n_s))),
-        TableModel(states, actions, cues, trans, obs),
+        model,
         actions.labels,
         PreferenceModel.from_weights(cues, dict(zip(cues.labels, prefs))),
         lambda_e,

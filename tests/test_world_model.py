@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -200,3 +201,36 @@ def test_observation_likelihood_is_bit_equal_to_the_column(table, kappa, kind, w
     s, c, n = write
     m.observation_counts[s, c] += n  # a direct write between reads
     assert columns_match()
+
+
+def model_dict(**counts):
+    """``fresh()``'s file content, with any count table replaced."""
+    return {**fresh().to_dict(), **counts}
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ({"transition_counts": [[1, 2]]},
+         "transition_counts must have shape (3, 2, 3), got (1, 2)"),
+        ({"observation_counts": [[0.0] * 4] * 2},
+         "observation_counts must have shape (3, 4), got (2, 4)"),
+        ({"observation_counts": [[-5.0, 0, 0, 0]] + [[0.0] * 4] * 2},
+         "observation_counts must be finite and non-negative"),
+        ({"transition_counts": np.full((3, 2, 3), np.nan).tolist()},
+         "transition_counts must be finite and non-negative"),
+        ({"observation_counts": [[math.inf, 0, 0, 0]] + [[0.0] * 4] * 2},
+         "observation_counts must be finite and non-negative"),
+    ],
+    ids=["transition-shape", "observation-shape", "negative", "nan", "inf"],
+)
+def test_from_dict_rejects_counts_the_reads_cannot_use(tmp_path, counts, message):
+    with pytest.raises(ValueError) as info:
+        WorldModel.from_dict(model_dict(**counts))
+    assert str(info.value) == message
+    path = tmp_path / "wm.json"
+    path.write_text(json.dumps(model_dict(**counts)))
+    with pytest.raises(ValueError) as info:
+        WorldModel.load(path)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"{message} (in {path})"
