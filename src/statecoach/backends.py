@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 import requests
 
-from .errors import BackendUnavailableError, EmptyTextError, TemplateMissingError
+from .errors import BackendUnavailableError, EmptyTextError, TemplateMissingError, naming_file
 from .probs import Categorical
 from .vocab import CLIENT_ACTIONS, COUNSELOR_ACTIONS, CUES
 
@@ -107,7 +107,9 @@ def _template(config: BackendConfig, template_id: str) -> str:
 
 
 def _load_json(name: str) -> dict:
-    return json.loads((DATA_DIR / name).read_text(encoding="utf-8"))
+    path = DATA_DIR / name
+    with naming_file(path):
+        return json.loads(path.read_text(encoding="utf-8"))
 
 
 def tokenize(text: str) -> list[str]:

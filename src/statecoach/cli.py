@@ -29,7 +29,7 @@ from .client_sim import (
     load_profiles,
 )
 from .config import RunConfig
-from .errors import BackendUnavailableError, StateCoachError
+from .errors import BackendUnavailableError, StateCoachError, json_record, naming_file
 from .harness import (
     ActiveCounselor,
     BeliefTracker,
@@ -168,6 +168,14 @@ def cmd_eval_offline(args: argparse.Namespace) -> int:
     return 0
 
 
+# The keys of the calibration trajectory file and of each of its turns, with
+# their JSON types.
+_TRAJECTORY_KEYS = {"profile_id": "string", "turns": "array"}
+_TRAJECTORY_TURN_KEYS = {
+    "counselor_text": "string", "counselor_action": "string", "gold_stage": "string"
+}
+
+
 def cmd_validate_sim(args: argparse.Namespace) -> int:
     """Replay the shipped fixtures and report calibration, divergence, and
     determinism so a broken data file or nondeterministic change is caught
@@ -176,9 +184,12 @@ def cmd_validate_sim(args: argparse.Namespace) -> int:
     backend = _make_backend(cfg)
     table, pop, profiles = _sim_fixtures(args.profiles)
 
-    calib = json.loads(
-        (DATA_DIR / "calibration_trajectory.json").read_text(encoding="utf-8")
-    )
+    path = DATA_DIR / "calibration_trajectory.json"
+    with naming_file(path):
+        calib = json.loads(path.read_text(encoding="utf-8"))
+        json_record(calib, "a calibration trajectory", _TRAJECTORY_KEYS)
+        for i, turn in enumerate(calib["turns"]):
+            json_record(turn, f"turn {i}", _TRAJECTORY_TURN_KEYS)
     calib_profile = next((p for p in profiles if p.id == calib["profile_id"]), None)
     if calib_profile is None:
         raise FileNotFoundError(f"calibration profile {calib['profile_id']!r} not found")

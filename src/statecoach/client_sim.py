@@ -28,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .backends import ask_once, match_label
-from .errors import EmptyTriggerSetError, UnknownActionError, UnknownLabelError, naming_file
+from .errors import (EmptyTriggerSetError, UnknownActionError, UnknownLabelError, is_json,
+                     json_record, naming_file)
 from .probs import Categorical, from_dict, uniform
 from .vocab import (
     CLIENT_ACTIONS,
@@ -57,22 +58,10 @@ BASE_GATE = 0.1
 _SENTENCE_FIELDS = ("personas", "beliefs", "motivations", "plans")
 
 # The profile fields a file must give; the rest have defaults.
-_REQUIRED_FIELDS = ("id", "topic", "behavior", "initial_stage")
+_REQUIRED_FIELDS = dict.fromkeys(("id", "topic", "behavior", "initial_stage"))
 
-# The keys of one cell in a talk-type table file.
-_TABLE_CELL_KEYS = ("stage", "action", "p", "support")
-
-
-def _json_object(value, what: str) -> dict:
-    """``value`` if it is a JSON object, else a ValueError saying ``what`` must be one."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
-    return value
-
-
-def _is_number(x) -> bool:
-    """Whether a profile value is a number; a bool is not one here."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+# The keys of one cell in a talk-type table file, each with its JSON type.
+_TABLE_CELL = {"stage": "string", "action": "string", "p": None, "support": "integer"}
 
 
 @dataclass(frozen=True)
@@ -114,13 +103,13 @@ class ClientProfile:
             for action, n in row.items():
                 if action not in CLIENT_ACTIONS:
                     raise UnknownActionError(f"unknown client action {action!r}")
-                if not _is_number(n) or not 0 <= n < math.inf:  # NaN fails too
+                if not is_json(n, "number") or not 0 <= n < math.inf:  # NaN fails too
                     raise ValueError(
                         f"action_counts[{stage!r}][{action!r}] must be a finite "
                         f"non-negative number, got {n!r}"
                     )
         t = self.prep_threshold  # NaN is never crossed
-        if t is not None and (not _is_number(t) or not math.isfinite(t)):
+        if t is not None and (not is_json(t, "number") or not math.isfinite(t)):
             raise ValueError(f"prep_threshold must be a finite number, got {t!r}")
 
     @classmethod
@@ -130,13 +119,7 @@ class ClientProfile:
         A value that is not an object, a missing required field, or a key that
         names no field (a typo such as ``beleifs``) is a ValueError.
         """
-        _json_object(d, "a profile")
-        missing = [k for k in _REQUIRED_FIELDS if k not in d]
-        if missing:
-            raise ValueError(f"profile is missing required field(s): {', '.join(missing)}")
-        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise ValueError(f"unknown profile key(s): {', '.join(unknown)}")
+        json_record(d, "a profile", _REQUIRED_FIELDS, cls.__dataclass_fields__.keys())
         return cls(**{k: () for k in _SENTENCE_FIELDS} | d)
 
     @classmethod
@@ -273,22 +256,32 @@ class TalkTypeTable:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TalkTypeTable":
-        """The table in a JSON file; a ValueError in its content names the file."""
+        """The table in a JSON file; each fault in its content names the file.
+
+        Each cell is a closed record whose stage and counselor action are labels
+        and whose support, like the table's ``min_support``, is a non-negative
+        integer.
+        """
         with naming_file(path):
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-            _json_object(data, "a table")
+            data = json_record(json.loads(Path(path).read_text(encoding="utf-8")), "a table")
             if not isinstance(data.get("rows"), list):
                 raise ValueError("a table must hold a list of rows")
+            min_support = data.get("min_support", DEFAULT_MIN_SUPPORT)
+            if not is_json(min_support, "integer") or min_support < 0:
+                raise ValueError(f"min_support must be a non-negative integer, got {min_support!r}")
             rows, support = {}, {}
             for i, cell in enumerate(data["rows"]):
-                _json_object(cell, f"row {i}")
-                missing = [k for k in _TABLE_CELL_KEYS if k not in cell]
-                if missing:
-                    raise ValueError(f"row {i} has no {', '.join(missing)}")
-                key = (cell["stage"], cell["action"])
-                rows[key] = from_dict(TALK_TYPES, _json_object(cell["p"], f"row {i}'s p"))
-                support[key] = int(cell["support"])
-        return cls(rows, support, min_support=data.get("min_support", DEFAULT_MIN_SUPPORT))
+                json_record(cell, f"row {i}", _TABLE_CELL, _TABLE_CELL.keys())
+                stage, action, n = cell["stage"], cell["action"], cell["support"]
+                if stage not in STAGES:
+                    raise UnknownLabelError(f"row {i} has unknown stage {stage!r}")
+                if action not in COUNSELOR_ACTIONS:
+                    raise UnknownActionError(f"row {i} has unknown counselor action {action!r}")
+                if n < 0:
+                    raise ValueError(f"row {i}'s support must be non-negative, got {n}")
+                rows[stage, action] = from_dict(TALK_TYPES, json_record(cell["p"], f"row {i}'s p"))
+                support[stage, action] = n
+        return cls(rows, support, min_support)
 
     def _marginal(self, stage: str) -> Categorical:
         if stage not in self._marginals:
@@ -527,10 +520,9 @@ def calibrate_prep_threshold(
 def load_pop_prior(path: str | Path) -> dict[str, Categorical]:
     """Each stage's prior over client actions; a ValueError in the file names it."""
     with naming_file(path):
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        _json_object(data, "a population prior")
+        data = json_record(json.loads(Path(path).read_text(encoding="utf-8")), "a population prior")
         return {
-            stage: from_dict(CLIENT_ACTIONS, _json_object(row, f"the row of {stage!r}"))
+            stage: from_dict(CLIENT_ACTIONS, json_record(row, f"the row of {stage!r}"))
             for stage, row in data.items()
         }
 

@@ -16,7 +16,7 @@ from .client_sim import (
     DEFAULT_THETA_PREP,
     TRIGGER_RULES,
 )
-from .errors import naming_file
+from .errors import json_record, naming_file
 from .memory import DEFAULT_CONSOLIDATE_EVERY, DEFAULT_DIST_THRES, DEFAULT_K
 from .planner import DEFAULT_LAMBDA_E, DEFAULT_LAMBDA_P
 from .vocab import TALK_TYPE_WEIGHTS
@@ -95,13 +95,8 @@ class RunConfig:
         """
         with naming_file(path):
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(data, dict):
-            raise ValueError(f"config file {path} must hold a JSON object")
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
-        data.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**data)
+            json_record(data, "a config file", allowed=cls.__dataclass_fields__.keys())
+            return cls(**data | {k: v for k, v in overrides.items() if v is not None})
 
     def dump_constants(self) -> dict:
         """Every published constant this build wires in as a default.

@@ -77,6 +77,37 @@ class NoGoldLabelsError(StateCoachError):
     """Offline evaluation requires per-turn gold labels."""
 
 
+# The Python values json.loads gives for each JSON type a record key can require.
+_JSON_TYPES = {"string": str, "number": (int, float), "integer": int, "array": list, "object": dict}
+
+
+def is_json(value, kind) -> bool:
+    """Whether ``value`` has JSON type ``kind`` (None admits any); a bool is never a number."""
+    return kind is None or (type(value) is not bool and isinstance(value, _JSON_TYPES[kind]))
+
+
+def json_record(value, what, required={}, allowed=None) -> dict:
+    """``value`` if it is a JSON object whose ``required`` keys hold their JSON types
+    (None for any) and, given ``allowed``, no other key; else a ValueError about
+    ``what``, a string or a function called only on a fault."""
+    if isinstance(value, dict) and (allowed is None or value.keys() <= allowed):
+        for key, kind in required.items():  # one walk on the good path: it runs per turn
+            if key not in value or not is_json(value[key], kind):
+                break
+        else:
+            return value
+    what = what() if callable(what) else what
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    if missing := [k for k in required if k not in value]:
+        raise ValueError(f"{what} has no {', '.join(missing)}")
+    if allowed is not None and (unknown := sorted(value.keys() - allowed)):
+        unknown = [k if k.isprintable() else repr(k) for k in unknown]  # keep the error one line
+        raise ValueError(f"{what} has unknown key(s): {', '.join(unknown)}")
+    key = next(k for k, kind in required.items() if not is_json(value[k], kind))
+    raise ValueError(f"{what} has a non-{required[key]} {key}")
+
+
 @contextmanager
 def naming_file(path):
     """Append `` (in <path>)`` to a ValueError or StateCoachError raised inside.

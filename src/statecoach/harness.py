@@ -31,7 +31,7 @@ from .backends import DATA_DIR, ScriptedBackend, ask_once
 from .belief import BeliefState, bayes_update, free_energy, fuse, widen_observation
 from .client_sim import ClientSession
 from .config import RunConfig
-from .errors import EmptyInputError, NoGoldLabelsError, UnknownLabelError, naming_file
+from .errors import EmptyInputError, NoGoldLabelsError, UnknownLabelError, json_record, naming_file
 from .memory import STM, MemoryStore
 from .planner import (
     EfeReport,
@@ -361,8 +361,8 @@ def run_dialogue(
     return transcript
 
 
-# The keys every annotated turn carries.
-_TURN_KEYS = ("client_text", "gold_stage", "counselor_action")
+# The keys every annotated turn carries, each a string.
+_TURN_KEYS = {"client_text": "string", "gold_stage": "string", "counselor_action": "string"}
 
 
 def offline_eval(sessions: list[dict], cfg: RunConfig | None = None, backend=None) -> dict:
@@ -382,23 +382,14 @@ def offline_eval(sessions: list[dict], cfg: RunConfig | None = None, backend=Non
     cfg = cfg or RunConfig()
     backend = backend or ScriptedBackend()
     for i, session in enumerate(sessions):  # every label is checked before any backend call
-        if not isinstance(session, dict):
-            raise ValueError(f"session {i} is not an object")
-        sid = session.get("id", i)
+        sid = json_record(session, f"session {i}").get("id", i)
         turns = session.get("turns")
         if not isinstance(turns, list):
             raise ValueError(f"session {sid!r} has no list of turns")
         for t, turn in enumerate(turns):
-            if not isinstance(turn, dict):
-                raise ValueError(f"session {sid!r} turn {t} is not an object")
-            missing = [k for k in _TURN_KEYS if k not in turn]
-            if missing:
-                raise ValueError(f"session {sid!r} turn {t} has no {', '.join(missing)}")
+            json_record(turn, lambda: f"session {sid!r} turn {t}", _TURN_KEYS)
             if not turn["gold_stage"]:
                 raise NoGoldLabelsError(f"session {sid!r} is missing gold stage labels")
-            bad = [k for k in _TURN_KEYS if not isinstance(turn[k], str)]
-            if bad:
-                raise ValueError(f"session {sid!r} turn {t} has a non-string {', '.join(bad)}")
             if not turn["client_text"].strip():
                 raise ValueError(f"session {sid!r} turn {t} has a blank client_text")
         unknown = sorted({t["gold_stage"] for t in turns} - set(STAGES))

@@ -37,11 +37,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import naming_file
+from .errors import is_json, json_record, naming_file
 from .probs import Categorical, LabelSpace, _total
 from .vocab import COUNSELOR_ACTIONS, CUES, STAGES
 
 DEFAULT_KAPPA = 1.0
+
+# The keys of a world-model file, each with its JSON type.
+_FILE_KEYS = {"states": "array", "actions": "array", "cues": "array", "kappa_t": "number",
+              "kappa_o": "number", "transition_counts": "array", "observation_counts": "array"}
 
 
 def _smoothed(counts: np.ndarray, kappa: float) -> np.ndarray:
@@ -138,6 +142,7 @@ class WorldModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WorldModel":
+        json_record(data, "a world model", _FILE_KEYS, _FILE_KEYS.keys())
         model = cls(
             states=LabelSpace("states", tuple(data["states"])),
             actions=LabelSpace("actions", tuple(data["actions"])),
@@ -148,7 +153,10 @@ class WorldModel:
         n_s, n_a, n_c = len(model.states), len(model.actions), len(model.cues)
         shapes = {"transition_counts": (n_s, n_a, n_s), "observation_counts": (n_s, n_c)}
         for name, shape in shapes.items():
-            counts = np.asarray(data[name], dtype=float)
+            cells = np.array(data[name], dtype=object)  # a ragged nesting leaves lists as cells
+            if not all(is_json(c, "number") for c in cells.flat):
+                raise ValueError(f"{name} must be an array of numbers")
+            counts = cells.astype(float)
             if counts.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {counts.shape}")
             if not np.all(np.isfinite(counts) & (counts >= 0)):
@@ -161,9 +169,9 @@ class WorldModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "WorldModel":
-        """The model in a JSON file; a ValueError in its content names the file."""
+        """The model in a UTF-8 JSON file; each fault in its content names the file."""
         with naming_file(path):
-            return cls.from_dict(json.loads(Path(path).read_text()))
+            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 class TableModel:

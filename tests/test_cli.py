@@ -559,9 +559,9 @@ def _bad_turn_3(key, value):
     "content, message",
     [
         ([{"id": "x"}], "session 'x' has no list of turns"),
-        (["abc"], "session 0 is not an object"),
+        (["abc"], "session 0 must be a JSON object, got str"),
         ([{"id": "x", "turns": "abc"}], "session 'x' has no list of turns"),
-        ([{"id": "x", "turns": [1]}], "session 'x' turn 0 is not an object"),
+        ([{"id": "x", "turns": [1]}], "session 'x' turn 0 must be a JSON object, got int"),
         ({"foo": []}, _NOT_A_SESSION_LIST),
         ({"sessions": 5}, _NOT_A_SESSION_LIST),
         (_bad_turn_3("client_text", 5), "session 'x' turn 3 has a non-string client_text"),

@@ -191,8 +191,8 @@ _MINIMAL = {"id": "x", "topic": "t", "behavior": "b", "initial_stage": "contempl
     "data, message",
     [
         ([1, 2], "a profile must be a JSON object, got list"),
-        ({"id": "x", "behavior": "b"}, "missing required field(s): topic, initial_stage"),
-        ({**_MINIMAL, "beleifs": []}, "unknown profile key(s): beleifs"),
+        ({"id": "x", "behavior": "b"}, "a profile has no topic, initial_stage"),
+        ({**_MINIMAL, "beleifs": []}, "a profile has unknown key(s): beleifs"),
         ({**_MINIMAL, "topic": None}, "profile field 'topic' must be a string, got None"),
         ({**_MINIMAL, "behavior": 3}, "profile field 'behavior' must be a string, got 3"),
         ({**_MINIMAL, "initial_stage": []},
@@ -502,6 +502,40 @@ def test_wrongly_shaped_table_names_its_file(tmp_path, content, message):
     with pytest.raises(ValueError) as info:
         TalkTypeTable.from_file(path)
     assert type(info.value) is ValueError
+    assert str(info.value) == f"{message} (in {path})"
+
+
+@pytest.mark.parametrize(
+    "content, error, message",
+    [({"rows": [{**_CELL, "stage": "nonsense"}]}, UnknownLabelError,
+      "row 0 has unknown stage 'nonsense'"),
+     ({"rows": [_CELL, {**_CELL, "action": "Nope"}]}, UnknownActionError,
+      "row 1 has unknown counselor action 'Nope'"),
+     ({"rows": [{**_CELL, "stage": ["contemplation"]}]}, ValueError,
+      "row 0 has a non-string stage"),
+     ({"rows": [{**_CELL, "support": None}]}, ValueError, "row 0 has a non-integer support"),
+     ({"rows": [{**_CELL, "support": 2.7}]}, ValueError, "row 0 has a non-integer support"),
+     ({"rows": [{**_CELL, "support": True}]}, ValueError, "row 0 has a non-integer support"),
+     ({"rows": [{**_CELL, "support": -1}]}, ValueError,
+      "row 0's support must be non-negative, got -1"),
+     ({"rows": [{**_CELL, "weight": 1}]}, ValueError, "row 0 has unknown key(s): weight"),
+     ({"min_support": "x", "rows": [_CELL]}, ValueError,
+      "min_support must be a non-negative integer, got 'x'"),
+     ({"min_support": -1, "rows": [_CELL]}, ValueError,
+      "min_support must be a non-negative integer, got -1"),
+     ({"min_support": 2.5, "rows": [_CELL]}, ValueError,
+      "min_support must be a non-negative integer, got 2.5")],
+    ids=["unknown-stage", "unknown-action", "list-stage", "null-support", "float-support",
+         "bool-support", "negative-support", "unknown-cell-key", "string-min-support",
+         "negative-min-support", "float-min-support"],
+)
+def test_table_cell_labels_and_counts_are_checked_as_the_file_loads(tmp_path, content, error,
+                                                                    message):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(content))
+    with pytest.raises(error) as info:
+        TalkTypeTable.from_file(path)
+    assert type(info.value) is error
     assert str(info.value) == f"{message} (in {path})"
 
 

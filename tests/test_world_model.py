@@ -234,3 +234,46 @@ def test_from_dict_rejects_counts_the_reads_cannot_use(tmp_path, counts, message
         WorldModel.load(path)
     assert type(info.value) is ValueError
     assert str(info.value) == f"{message} (in {path})"
+
+
+_DROP = object()  # in place of a value: the key is left out
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("kappa_t", _DROP, "a world model has no kappa_t"),
+        ("kappa_t", "1", "a world model has a non-number kappa_t"),
+        ("kappa_o", True, "a world model has a non-number kappa_o"),
+        ("cues", "o1", "a world model has a non-array cues"),
+        ("mystery", 1, "a world model has unknown key(s): mystery"),
+        ("transition_counts", [[[{}] * 3] * 2] * 3,
+         "transition_counts must be an array of numbers"),
+        ("observation_counts", [["1.5", 0, 0, 0]] + [[0.0] * 4] * 2,
+         "observation_counts must be an array of numbers"),
+        ("observation_counts", [[True, 0, 0, 0]] + [[0.0] * 4] * 2,
+         "observation_counts must be an array of numbers"),
+        ("transition_counts", [[1, 2], [3]], "transition_counts must be an array of numbers"),
+    ],
+    ids=["no-kappa", "string-kappa", "bool-kappa", "string-cues", "unknown-key",
+         "object-count", "string-count", "bool-count", "ragged-counts"],
+)
+def test_world_model_file_is_a_closed_record_of_typed_values(tmp_path, key, value, message):
+    data = fresh().to_dict()
+    if value is _DROP:
+        del data[key]
+    else:
+        data[key] = value
+    path = tmp_path / "wm.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError) as info:
+        WorldModel.load(path)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"{message} (in {path})"
+
+
+def test_world_model_file_is_read_as_utf8(tmp_path):
+    m = WorldModel(states=STAGES, actions=LabelSpace("a", ("déjà", "vu")), cues=O4)
+    path = tmp_path / "wm.json"
+    path.write_bytes(json.dumps(m.to_dict(), ensure_ascii=False).encode("utf-8"))
+    assert WorldModel.load(path).actions.labels == ("déjà", "vu")
