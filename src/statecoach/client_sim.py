@@ -331,7 +331,11 @@ def select_client_action(
     text; a reply that names no action label (``backends.match_label``)
     falls back to the distribution's argmax.
     """
-    dist = client_action_dist(profile, stage, pop_row, alpha)
+    return _choose_action(client_action_dist(profile, stage, pop_row, alpha), backend, context)
+
+
+def _choose_action(dist: Categorical, backend, context: str) -> str:
+    """The backend's pick from ``dist``, or its argmax if the reply names no action."""
     reply = backend.choose_client_action(dist, context)
     return match_label(reply, CLIENT_ACTIONS.labels) or dist.argmax_label()
 
@@ -365,7 +369,10 @@ class ClientTurn:
 class ClientSession:
     """One client's side of a dialogue: state, dynamics, and response generation.
 
-    The client is deterministic: ``seed`` is accepted and never read.
+    The client is deterministic: ``seed`` is accepted and never read.  The
+    profile, the population prior and α are fixed for the session's life, so
+    its action distribution is fixed for each stage: it is built once, on the
+    first reply in that stage.
     """
 
     def __init__(
@@ -394,6 +401,7 @@ class ClientSession:
         self.readiness = 0.0
         self.turn = 0
         self.triggers = build_triggers(profile, backend)
+        self._action_dists: dict[str, Categorical] = {}  # stage -> client_action_dist
 
     @property
     def coverage(self) -> float:
@@ -465,14 +473,13 @@ class ClientSession:
         matches, g, delta = self._advance(counselor_text, counselor_action)
         self.turn += 1
         self._transition()
-        action = select_client_action(
-            self.profile,
-            self.stage,
-            self.pop_prior[self.stage],
-            self.backend,
-            context=f"stage:{self.stage}",
-            alpha=self.alpha,
-        )
+        dist = self._action_dists.get(self.stage)
+        if dist is None:
+            dist = client_action_dist(
+                self.profile, self.stage, self.pop_prior[self.stage], self.alpha
+            )
+            self._action_dists[self.stage] = dist
+        action = _choose_action(dist, self.backend, f"stage:{self.stage}")
         text = self.backend.generate_client_reply(
             action, counselor_text, self._response_context()
         )

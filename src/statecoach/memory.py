@@ -9,8 +9,13 @@ rejects the latter.
 
 The store is laid out as arrays.  Each distinct text it embeds owns one row
 of a matrix of embeddings, and each entry one row of an integer table
-(embedding row, tier, session, turn, seq), so a retrieval is one distance
-pass over the distinct rows and one sort.  Embeddings come through
+(embedding row, tier, session, turn, seq), so a query's first retrieval is
+one distance pass over the distinct rows and one sort.  Entries are only
+ever appended, so the store keeps each (query text, session, k)'s nearest k
+and the number of entries they were chosen from, and a repeat retrieval
+ranks only the entries appended since against them, remembering up to
+``_MEASURED_ROWS`` embedding rows' distances for that key, so a text that
+recurs is measured once.  Embeddings come through
 ``backends.ask_once``, so a backend is asked once per distinct text across
 every store, client and trigger set that shares it, for the backend's life.
 
@@ -42,6 +47,11 @@ DEFAULT_CONSOLIDATE_EVERY = 12
 # Tier codes in the entry table; a tier read from a file that is neither
 # stays -1, which is neither visible as long-term nor consolidated.
 _TIERS = {STM: 0, LTM: 1}
+
+# A cached retrieve keeps at most this many rows' distances to its query: room
+# for every text of a store whose texts recur (a scripted session's store has
+# about ten), and a bound on the cache when every text is new.
+_MEASURED_ROWS = 64
 
 
 @dataclass
@@ -92,6 +102,13 @@ def _distances(vectors: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
 
 
+def _ranked(dist: float, turn: int, seq: int, index: int) -> tuple:
+    """Entry ``index``'s sort key, ordered as ``np.lexsort((seq, turn, dist))``
+    orders entries: a NaN distance after every other, ties by index."""
+    nan = dist != dist
+    return (nan, 0.0 if nan else dist, turn, seq, index)
+
+
 class MemoryStore:
     """Array-backed memory store; entries stay in ``entries`` in insertion order.
 
@@ -114,6 +131,10 @@ class MemoryStore:
         self._sessions: dict[str, int] = {}
         # session -> its highest short-term turn; no key until it has one.
         self._stm_mark: dict[str, int] = {}
+        # (query text, session, k) -> (entries ranked, their nearest k as _ranked
+        # keys, {embedding row: distance} for rows ranked since the first pass,
+        # at most _MEASURED_ROWS of them between calls).
+        self._scans: dict[tuple, tuple[int, list[tuple], dict[int, float]]] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -175,23 +196,58 @@ class MemoryStore:
 
         When ``session`` is given, other sessions' short-term entries are
         invisible; long-term entries are always shared.  The list is sorted
-        by ascending distance with ties going to older entries.
+        by ascending distance with ties going to older entries (by turn, then
+        seq, then position).  The threshold is applied after the nearest
+        ``k`` are chosen, so the nearest ``k`` kept for a (query, session, k)
+        serve every threshold; see ``_nearest``.
         """
         if k < 0:
             raise ValueError("k must be non-negative")
-        rows, tiers, sessions, turns, seqs = self._columns()
-        own = sessions == self._sessions.get(session, -1)
-        visible = np.flatnonzero((tiers == _TIERS[LTM]) | own | (session is None))
-        relevant: list[MemoryEntry] = []
-        if k > 0 and visible.size and query_text.strip():
+        nearest = self._nearest(query_text, k, session) if k > 0 and query_text.strip() else []
+        return {
+            "relevant": [self.entries[i] for nan, d, _, _, i in nearest
+                         if not nan and d <= dist_thres]
+        }
+
+    def _nearest(self, query_text: str, k: int, session: str | None) -> list[tuple]:
+        """The ``k`` nearest visible entries as ``_ranked`` keys, nearest first:
+        one vectorised pass on a key's first call, then only the entries
+        appended since, each embedding row not in the key's memo measured."""
+        key = (query_text, session, k)
+        n = len(self.entries)
+        own = self._sessions.get(session, -1)
+        scan = self._scans.get(key)
+        if scan is None:
+            rows, tiers, sessions, turns, seqs = self._columns()
+            visible = np.arange(n) if session is None else np.flatnonzero(
+                (tiers == _TIERS[LTM]) | (sessions == own))
+            if not visible.size:
+                return []
             q_row = self._embed(query_text)
             vectors = self._vectors[: self._n_rows]
             dist = _distances(vectors, vectors[q_row])[rows[visible]]
-            nearest = np.lexsort((seqs[visible], turns[visible], dist))[:k]
-            relevant = [
-                self.entries[visible[i]] for i in nearest if dist[i] <= dist_thres
-            ]
-        return {"relevant": relevant}
+            top = np.lexsort((seqs[visible], turns[visible], dist))[:k]
+            index = visible[top]
+            best = list(map(_ranked, dist[top].tolist(), turns[index].tolist(),
+                            seqs[index].tolist(), index.tolist()))
+            self._scans[key] = (n, best, {})
+            return best
+        done, best, measured = scan
+        ltm = _TIERS[LTM]
+        seen = [(i, row, turn, seq) for i, (row, tier, s, turn, seq)
+                in enumerate(self._table[done:n].tolist(), done)
+                if tier == ltm or s == own or session is None]
+        if seen:
+            unmeasured = list({r for _, r, _, _ in seen if r not in measured})
+            if unmeasured:
+                q = self._vectors[self._rows[query_text]]
+                measured.update(zip(unmeasured, _distances(self._vectors[unmeasured], q).tolist()))
+            ranked = [_ranked(measured[r], turn, seq, i) for i, r, turn, seq in seen]
+            best = sorted(best + ranked)[:k]
+            if len(measured) > _MEASURED_ROWS:
+                measured.clear()
+        self._scans[key] = (n, best, measured)
+        return best
 
     def consolidate(
         self, session: str, every_n_turns: int = DEFAULT_CONSOLIDATE_EVERY

@@ -33,6 +33,7 @@ mass: its row adds exactly 1.0 to one cell and 0.0 to every other.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,10 @@ from .probs import Categorical, LabelSpace, _total
 from .vocab import COUNSELOR_ACTIONS, CUES, STAGES
 
 DEFAULT_KAPPA = 1.0
+
+# The largest finite float; an integer above it has no float, and NaN fails
+# every comparison with it.
+_FLOAT_MAX = sys.float_info.max
 
 # The keys of a world-model file, each with its JSON type.
 _FILE_KEYS = {"states": "array", "actions": "array", "cues": "array", "kappa_t": "number",
@@ -71,8 +76,9 @@ class WorldModel:
         kappa_t: float = DEFAULT_KAPPA,
         kappa_o: float = DEFAULT_KAPPA,
     ):
-        if kappa_t <= 0 or kappa_o <= 0:
-            raise ValueError("smoothing constants must be positive")
+        for name, kappa in (("kappa_t", kappa_t), ("kappa_o", kappa_o)):
+            if not 0 < kappa <= _FLOAT_MAX:
+                raise ValueError(f"smoothing constant {name} must be finite and positive")
         self.states = states
         self.actions = actions
         self.cues = cues
@@ -143,6 +149,9 @@ class WorldModel:
     @classmethod
     def from_dict(cls, data: dict) -> "WorldModel":
         json_record(data, "a world model", _FILE_KEYS, _FILE_KEYS.keys())
+        for name in ("states", "actions", "cues"):
+            if not all(isinstance(label, str) for label in data[name]):
+                raise ValueError(f"{name} must be an array of strings")
         model = cls(
             states=LabelSpace("states", tuple(data["states"])),
             actions=LabelSpace("actions", tuple(data["actions"])),
@@ -156,11 +165,11 @@ class WorldModel:
             cells = np.array(data[name], dtype=object)  # a ragged nesting leaves lists as cells
             if not all(is_json(c, "number") for c in cells.flat):
                 raise ValueError(f"{name} must be an array of numbers")
+            if not all(0 <= c <= _FLOAT_MAX for c in cells.flat):
+                raise ValueError(f"{name} must be finite and non-negative")
             counts = cells.astype(float)
             if counts.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {counts.shape}")
-            if not np.all(np.isfinite(counts) & (counts >= 0)):
-                raise ValueError(f"{name} must be finite and non-negative")
             setattr(model, name, counts)
         return model
 

@@ -2,10 +2,12 @@
 
 ``select_action`` keeps the planner's scores as arrays and checks all next-
 state rows in one pass, and ``uniform`` builds each space's distribution once
-(``harness.UNIFORM_STAGE_PRIOR`` builds the stages' one at import), so the
+(``harness.UNIFORM_STAGE_PRIOR`` builds the stages' one at import), and each
+simulated client builds its action distribution once per stage, so the
 bundled reference and the bundled annotated sessions build a fixed number of
 ``Categorical``s in any test order; a change that brings back one object per
-candidate action, or a uniform per turn, fails here deterministically.
+candidate action, a uniform per turn, or a client distribution per reply
+fails here deterministically.
 """
 
 from pathlib import Path
@@ -43,8 +45,9 @@ def test_bundled_reference_builds_no_categorical_per_action(monkeypatch):
     built, proxy = count_built(workloads.bundled_reference, fixtures)
     assert proxy.errors == []
     assert workloads.run_config("active_short").max_turns * 5 == 100
-    # 701 with a uniform built per turn; 2401 with a Categorical per scored action
-    assert built == 601
+    # 601 with the client's action distribution built per reply, not per stage;
+    # 615 with a uniform built per turn; 2315 with a Categorical per scored action
+    assert built == 515
 
 
 def test_offline_eval_builds_no_uniform_per_turn():

@@ -15,6 +15,7 @@ from statecoach.memory import (
     LTM,
     STM,
     MemoryStore,
+    _MEASURED_ROWS,
 )
 
 
@@ -197,6 +198,18 @@ def test_loaded_entries_keep_their_saved_vectors(tmp_path):
     out = fresh.retrieve("q", k=3, session="s")
     assert [e.text for e in out["relevant"]] == ["a", "b", "a"]
     assert [e.turn_created for e in out["relevant"]] == [1, 2, 3]
+    # Loaded after a retrieve of ("q", "s", 4), entries at a NaN and at an
+    # infinite distance rank after every finite one, the NaN last, so the
+    # nearest four end with the infinite one, within an infinite threshold.
+    fresh.retrieve("q", k=4, session="s")
+    odd = [("nan", [math.nan] * len(E1)), ("inf", [math.inf] + [0.0] * (len(E1) - 1))]
+    (tmp_path / "odd.jsonl").write_text("".join(
+        json.dumps({"id": text, "tier": STM, "text": text, "embedding": vector,
+                    "turn_created": 0, "session_id": "s", "seq": 0}) + "\n"
+        for text, vector in odd))
+    fresh.load(tmp_path / "odd.jsonl")
+    out = fresh.retrieve("q", k=4, dist_thres=math.inf, session="s")
+    assert [e.text for e in out["relevant"]] == ["a", "b", "a", "inf"]
 
 
 # -- retrieve against a per-entry reference ------------------------------------
@@ -218,19 +231,29 @@ def _bag_vectors(n, dim=256, seed=7):
 
 VECTORS = _bag_vectors(len(POOL) + 3)
 
+# Vectors a loaded file can hold that no backend gives: one at a NaN distance
+# from every query and one at an infinite distance.
+NAN_VECTOR = np.full(256, np.nan)
+INF_VECTOR = np.zeros(256)
+INF_VECTOR[0] = np.inf
+
+# Few turns, so entries at one distance often share a turn and their seq
+# (or, between equal seqs, their position) decides the order.
+TURNS = st.integers(0, 4)
+
 
 def reference_retrieve(entries, backend, query, k, dist_thres, session):
-    """The per-entry loop ``retrieve`` replaced: one norm per entry, then a sort."""
+    """The per-entry loop ``retrieve`` replaced: one norm per entry, then one
+    ``np.lexsort``, which puts a NaN distance after every other."""
     visible = [
         e for e in entries if e.tier == LTM or session is None or e.session_id == session
     ]
     relevant = []
     if k > 0 and visible and query.strip():
         q = backend.embed(query)
-        scored = [(float(np.linalg.norm(e.embedding - q)), e.turn_created, e.seq, e)
-                  for e in visible]
-        scored.sort(key=lambda t: t[:3])
-        relevant = [e for d, _, _, e in scored[:k] if d <= dist_thres]
+        dist = [float(np.linalg.norm(e.embedding - q)) for e in visible]
+        order = np.lexsort(([e.seq for e in visible], [e.turn_created for e in visible], dist))
+        relevant = [visible[i] for i in order[:k] if dist[i] <= dist_thres]
     return relevant
 
 
@@ -243,48 +266,90 @@ def vector_tables(draw):
     return table
 
 
-def fill(draw, store, turn0):
-    adds = draw(st.lists(
-        st.tuples(st.sampled_from([STM, LTM]), st.sampled_from(POOL),
-                  st.integers(0, 4), st.sampled_from(SESSIONS)),
-        max_size=14,
-    ))
-    for tier, text, dt, session in adds:
-        store.add(tier, text, turn0 + dt, session)
+class PoolVectors(CountingVectors):
+    """Embeds through its table; a summary is a pool text, so it has a vector."""
+
+    def summarize(self, texts):
+        return POOL[len(texts) % len(POOL)]
+
+
+def _loaded(draw, seq):
+    """One line of a memory file: any tier, turns in any order, repeated seqs,
+    and a vector the store's backend would not give the text."""
+    vector = draw(st.one_of(st.sampled_from([NAN_VECTOR, INF_VECTOR]), st.sampled_from(VECTORS)))
+    entry = {"id": f"loaded-{seq}", "tier": draw(st.sampled_from([STM, LTM, "MTM"])),
+             "text": draw(st.sampled_from(POOL)), "turn_created": draw(TURNS),
+             "session_id": draw(st.sampled_from(SESSIONS)), "seq": draw(st.integers(0, 3)),
+             "embedding": vector.tolist()}
+    return json.dumps(entry) + "\n"
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_retrieve_matches_per_entry_reference(tmp_path_factory, data):
+    """Every retrieve equals the reference: a key's first, and each later one
+    after any adds, loads and consolidations.  The backend embeds the texts
+    the reference has it embed, each once."""
     draw = data.draw
-    backend = VectorBackend(vector_tables(draw))
+    table = vector_tables(draw)
+    backend, twin = PoolVectors(table), PoolVectors(table)  # twin serves the reference
     store = MemoryStore(backend)
-    fill(draw, store, 0)
-    if draw(st.booleans()):
-        # Rebuild through save/load under a backend that embeds the same
-        # texts differently; loaded entries keep the saved vectors.
-        path = tmp_path_factory.getbasetemp() / "mem.jsonl"
-        store.save(path)
-        backend = VectorBackend(vector_tables(draw))
-        store = MemoryStore(backend)
-        store.load(path)
-        fill(draw, store, 2)
-    for _ in range(4):
-        query = draw(st.sampled_from([UNSTORED, *POOL, "  "]))
-        k = draw(st.integers(0, 3))
-        session = draw(st.sampled_from(SESSIONS + [None, "nobody"]))
-        # Beside a fixed threshold, one at and one just below each nearest
-        # entry's distance: a last-bit error in a distance moves that entry
-        # across one of them.
-        thresholds = [draw(st.sampled_from([0.0, 1.2, 1.5, 2.0]))]
-        nearest = reference_retrieve(store.entries, backend, query, k, 2.0, session)
-        for e in nearest:
-            d = float(np.linalg.norm(e.embedding - backend.embed(query)))
-            thresholds += [d, float(np.nextafter(d, 0.0))]
-        for dist_thres in thresholds:
-            out = store.retrieve(query, k, dist_thres, session)
-            relevant = reference_retrieve(store.entries, backend, query, k, dist_thres, session)
+    path = tmp_path_factory.getbasetemp() / "mem.jsonl"
+    asked, keys = [], []  # texts the backend must embed, in order; keys retrieved so far
+    for _ in range(draw(st.integers(1, 30))):
+        op = draw(st.sampled_from(["add", "load", "consolidate", "retrieve", "retrieve"]))
+        if op == "add":
+            text = draw(st.sampled_from(POOL))
+            store.add(draw(st.sampled_from([STM, LTM])), text, draw(TURNS),
+                      draw(st.sampled_from(SESSIONS)))
+            asked.append(text)
+        elif op == "load":
+            lines = [_loaded(draw, seq) for seq in range(draw(st.integers(0, 4)))]
+            path.write_text("".join(lines), encoding="utf-8")
+            store.load(path)
+        elif op == "consolidate":
+            entry = store.consolidate(draw(st.sampled_from(SESSIONS)), draw(st.integers(1, 4)))
+            if entry is not None:
+                asked.append(entry.text)
+        else:
+            if keys and draw(st.booleans()):
+                query, k, session = draw(st.sampled_from(keys))
+            else:
+                query = draw(st.sampled_from([UNSTORED, *POOL, "  "]))
+                k = draw(st.integers(0, 3))
+                session = draw(st.sampled_from(SESSIONS + [None, "nobody"]))
+                keys.append((query, k, session))
+            n_embedded = len(twin.embedded)
+            nearest = reference_retrieve(store.entries, twin, query, k, math.inf, session)
+            if len(twin.embedded) > n_embedded:
+                asked.append(query)
+            # Beside a fixed threshold, one at and one just below each nearest
+            # entry's distance: a last-bit error in a distance moves that entry
+            # across one of them.  Each retrieve after the first one here
+            # finds nothing appended since the one before.
+            thresholds = [draw(st.sampled_from([0.0, 1.2, 1.5, 2.0, math.inf]))]
+            for e in nearest:
+                d = float(np.linalg.norm(e.embedding - table[query]))
+                thresholds += [d, float(np.nextafter(d, 0.0))]
+            for dist_thres in thresholds:
+                out = store.retrieve(query, k, dist_thres, session)
+                relevant = reference_retrieve(store.entries, twin, query, k, dist_thres, session)
+                assert [id(e) for e in out["relevant"]] == [id(e) for e in relevant]
+    assert backend.embedded == list(dict.fromkeys(asked))
+
+
+def test_retrieve_cache_stays_bounded_when_every_text_is_new():
+    """A repeated retrieve's distance memo is cleared once it outgrows its
+    bound, so the cache does not grow with queries times rows, and the
+    retrieves after each clearing still equal the reference."""
+    store, twin = MemoryStore(ScriptedBackend()), ScriptedBackend()
+    for i in range(2 * _MEASURED_ROWS + 5):
+        store.add(STM, f"entry {i} about week {i % 7} plans", i % 3, "s")
+        for query, k in (("entry 7 about week 0 plans", 3), ("weekend plans", 1)):
+            out = store.retrieve(query, k, math.inf, "s")
+            relevant = reference_retrieve(store.entries, twin, query, k, math.inf, "s")
             assert [id(e) for e in out["relevant"]] == [id(e) for e in relevant]
+        assert all(len(memo) <= _MEASURED_ROWS for _, _, memo in store._scans.values())
 
 
 # -- consolidate against a full-scan reference ---------------------------------

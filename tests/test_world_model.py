@@ -254,9 +254,18 @@ _DROP = object()  # in place of a value: the key is left out
         ("observation_counts", [[True, 0, 0, 0]] + [[0.0] * 4] * 2,
          "observation_counts must be an array of numbers"),
         ("transition_counts", [[1, 2], [3]], "transition_counts must be an array of numbers"),
+        ("kappa_t", math.nan, "smoothing constant kappa_t must be finite and positive"),
+        ("kappa_o", math.inf, "smoothing constant kappa_o must be finite and positive"),
+        ("kappa_t", 10**400, "smoothing constant kappa_t must be finite and positive"),
+        ("kappa_o", 0, "smoothing constant kappa_o must be finite and positive"),
+        ("states", [["a"], "b", "c"], "states must be an array of strings"),
+        ("observation_counts", [[10**400, 0, 0, 0]] + [[0.0] * 4] * 2,
+         "observation_counts must be finite and non-negative"),
     ],
     ids=["no-kappa", "string-kappa", "bool-kappa", "string-cues", "unknown-key",
-         "object-count", "string-count", "bool-count", "ragged-counts"],
+         "object-count", "string-count", "bool-count", "ragged-counts",
+         "nan-kappa", "inf-kappa", "overflow-kappa", "zero-kappa", "list-label",
+         "overflow-count"],
 )
 def test_world_model_file_is_a_closed_record_of_typed_values(tmp_path, key, value, message):
     data = fresh().to_dict()
