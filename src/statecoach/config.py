@@ -16,14 +16,14 @@ from .client_sim import (
     DEFAULT_THETA_PREP,
     TRIGGER_RULES,
 )
-from .errors import json_record, naming_file
+from .errors import is_json, json_record, naming_file
 from .memory import DEFAULT_CONSOLIDATE_EVERY, DEFAULT_DIST_THRES, DEFAULT_K
 from .planner import DEFAULT_LAMBDA_E, DEFAULT_LAMBDA_P
 from .vocab import TALK_TYPE_WEIGHTS
 from .world_model import DEFAULT_KAPPA
 
-# The value types each field annotation admits; a bool is not a number here.
-_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
+# The JSON type each field annotation admits (before any "| None"); see is_json.
+_KINDS = {"int": "integer", "float": "number", "bool": "boolean", "str": "string"}
 
 # The published memory recency-window size.  Retrieval keeps no recency
 # window, so nothing reads it; the constants dump still reports it.
@@ -66,8 +66,7 @@ class RunConfig:
             kind, _, rest = f.type.partition(" | ")
             if value is None and rest == "None":
                 continue
-            # bool subclasses int, so a bool is taken by a bool field only.
-            if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _TYPES[kind]):
+            if not is_json(value, _KINDS[kind]):
                 raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         # Written so that NaN fails every range check.
         for name in ("max_turns", "k_relevant", "lambda_e", "lambda_p", "repeat_penalty",

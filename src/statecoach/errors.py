@@ -78,12 +78,14 @@ class NoGoldLabelsError(StateCoachError):
 
 
 # The Python values json.loads gives for each JSON type a record key can require.
-_JSON_TYPES = {"string": str, "number": (int, float), "integer": int, "array": list, "object": dict}
+_JSON_TYPES = {"string": str, "number": (int, float), "integer": int, "boolean": bool,
+               "array": list, "object": dict}
 
 
 def is_json(value, kind) -> bool:
-    """Whether ``value`` has JSON type ``kind`` (None admits any); a bool is never a number."""
-    return kind is None or (type(value) is not bool and isinstance(value, _JSON_TYPES[kind]))
+    """Whether ``value`` has JSON type ``kind`` (None admits any); a bool is a boolean only."""
+    return kind is None or (
+        isinstance(value, _JSON_TYPES[kind]) and (type(value) is not bool or kind == "boolean"))
 
 
 def json_record(value, what, required={}, allowed=None) -> dict:

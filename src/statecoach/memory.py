@@ -7,15 +7,14 @@ Euclidean between unit-normalized embeddings, so orthogonal texts sit at
 sqrt(2) and opposites at 2; the default threshold 1.5 admits the former and
 rejects the latter.
 
-The store is laid out as arrays.  Each distinct text it embeds owns one row
-of a matrix of embeddings, and each entry one row of an integer table
-(embedding row, tier, session, turn, seq), so a query's first retrieval is
-one distance pass over the distinct rows and one sort.  Entries are only
-ever appended, so the store keeps each (query text, session, k)'s nearest k
-and the number of entries they were chosen from, and a repeat retrieval
-ranks only the entries appended since against them, remembering up to
-``_MEASURED_ROWS`` embedding rows' distances for that key, so a text that
-recurs is measured once.  Embeddings come through
+Each distinct text the store embeds owns one row of a matrix of embeddings,
+and each entry one tuple of its table: (embedding row, turn, seq), the turn
+and seq as ``int()`` gives them.  Entries are only ever appended, so the
+store keeps each (query text, session, k)'s nearest k and the number of
+entries they were chosen from, and a retrieval ranks only the entries
+appended since against them; a key's first retrieval is the same catch-up
+from entry 0.  Each key remembers up to ``_MEASURED_ROWS`` embedding rows'
+distances, so a text that recurs is measured once.  Embeddings come through
 ``backends.ask_once``, so a backend is asked once per distinct text across
 every store, client and trigger set that shares it, for the backend's life.
 
@@ -28,14 +27,16 @@ entry table.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .backends import ask_once
-from .errors import EmptyTextError
+from .errors import EmptyTextError, is_json, json_record, naming_file
 
 STM = "STM"
 LTM = "LTM"
@@ -44,14 +45,15 @@ DEFAULT_K = 1
 DEFAULT_DIST_THRES = 1.5
 DEFAULT_CONSOLIDATE_EVERY = 12
 
-# Tier codes in the entry table; a tier read from a file that is neither
-# stays -1, which is neither visible as long-term nor consolidated.
-_TIERS = {STM: 0, LTM: 1}
-
 # A cached retrieve keeps at most this many rows' distances to its query: room
 # for every text of a store whose texts recur (a scripted session's store has
 # about ten), and a bound on the cache when every text is new.
 _MEASURED_ROWS = 64
+
+# The JSON type of each key a line of a memory file must hold; ``seq`` may be
+# left out, and no other key may appear.
+_RECORD = {"id": "string", "tier": "string", "text": "string", "embedding": "array",
+           "turn_created": "integer", "session_id": "string"}
 
 
 @dataclass
@@ -70,10 +72,15 @@ class MemoryEntry:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "MemoryEntry":
-        kwargs = {k: d[k] for k in cls.__dataclass_fields__ if k in d}
-        kwargs["embedding"] = np.asarray(d["embedding"], dtype=float)
-        return cls(**kwargs)
+    def from_dict(cls, d: dict, what: str = "a memory entry") -> "MemoryEntry":
+        """The entry ``d`` holds as a closed record; a ValueError about ``what`` if not."""
+        json_record(d, what, _RECORD, cls.__dataclass_fields__.keys())
+        if not is_json(d.get("seq", 0), "integer"):
+            raise ValueError(f"{what} has a non-integer seq")
+        if not all(type(x) is float or is_json(x, "integer") and abs(x) <= sys.float_info.max
+                   for x in d["embedding"]):
+            raise ValueError(f"{what} has an embedding that is not an array of floats")
+        return cls(**d | {"embedding": np.asarray(d["embedding"], dtype=float)})
 
 
 def _entry_id(tier: str, text: str, turn: int, session: str) -> str:
@@ -91,14 +98,17 @@ def _reserve(a: np.ndarray, n: int, width: int) -> np.ndarray:
     return grown
 
 
-def _distances(vectors: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(v - q)`` for every row ``v``, bit for bit.
+def _distances(vectors: np.ndarray, rows: list[int], q: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(vectors[r] - q)`` for every ``r`` in ``rows``, bit for bit.
 
     The per-row dot product goes through the same routine as ``norm``'s; the
     ``norm(..., axis=1)`` and ``einsum`` forms round differently, and a last-
-    bit difference can reorder entries at equal true distance.
+    bit difference can reorder entries at equal true distance.  The gathered
+    rows are differenced in place: a second temporary of a few hundred rows
+    made the call about five times slower.
     """
-    d = vectors - q
+    d = vectors[rows]
+    d -= q
     return np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
 
 
@@ -110,12 +120,13 @@ def _ranked(dist: float, turn: int, seq: int, index: int) -> tuple:
 
 
 class MemoryStore:
-    """Array-backed memory store; entries stay in ``entries`` in insertion order.
+    """Memory store; entries stay in ``entries`` in insertion order.
 
-    ``entries`` is read-only to callers: ``add`` and ``load`` keep it and the
-    arrays in step.  Entries that ``load`` appends keep the vectors they were
-    saved with, even where this store's backend would embed their text
-    differently.
+    ``entries`` is read-only to callers: ``add`` and ``load`` keep it, the
+    entry table and the embedding matrix in step.  Entries that ``load``
+    appends keep the vectors they were saved with, even where this store's
+    backend would embed their text differently.  A tier read from a file that
+    is neither STM nor LTM is neither visible as long-term nor consolidated.
     """
 
     def __init__(self, backend):
@@ -126,14 +137,13 @@ class MemoryStore:
         self._rows: dict[str, int] = {}
         self._vectors = np.empty((0, 0))  # distinct embeddings; _n_rows in use
         self._n_rows = 0
-        # One row per entry: embedding row, tier code, session code, turn, seq.
-        self._table = np.empty((0, 5), dtype=np.int64)
-        self._sessions: dict[str, int] = {}
+        # One (embedding row, turn, seq) per entry, as int() gives them.
+        self._table: list[tuple[int, int, int]] = []
         # session -> its highest short-term turn; no key until it has one.
         self._stm_mark: dict[str, int] = {}
         # (query text, session, k) -> (entries ranked, their nearest k as _ranked
-        # keys, {embedding row: distance} for rows ranked since the first pass,
-        # at most _MEASURED_ROWS of them between calls).
+        # keys, {embedding row: distance} for rows it has ranked, at most
+        # _MEASURED_ROWS of them between calls).
         self._scans: dict[tuple, tuple[int, list[tuple], dict[int, float]]] = {}
 
     def __len__(self) -> int:
@@ -152,20 +162,12 @@ class MemoryStore:
         return self._rows[text]
 
     def _append(self, entry: MemoryEntry, row: int) -> None:
-        n = len(self.entries)
-        self._table = _reserve(self._table, n, 5)
-        session = self._sessions.setdefault(entry.session_id, len(self._sessions))
-        tier = _TIERS.get(entry.tier, -1)
-        self._table[n] = (row, tier, session, entry.turn_created, entry.seq)
+        turn = int(entry.turn_created)
+        self._table.append((row, turn, int(entry.seq)))
         self.entries.append(entry)
-        if tier == _TIERS[STM]:
-            turn = int(self._table[n, 3])  # the turn as the table holds it
+        if entry.tier == STM:
             marks = self._stm_mark
             marks[entry.session_id] = max(turn, marks.get(entry.session_id, turn))
-
-    def _columns(self) -> np.ndarray:
-        """The entry table as five columns: row, tier, session, turn, seq."""
-        return self._table[: len(self.entries)].T
 
     def add(self, tier: str, text: str, turn: int, session: str) -> str:
         """Store a text with its embedding; the id is a stable hash of the inputs."""
@@ -210,40 +212,26 @@ class MemoryStore:
         }
 
     def _nearest(self, query_text: str, k: int, session: str | None) -> list[tuple]:
-        """The ``k`` nearest visible entries as ``_ranked`` keys, nearest first:
-        one vectorised pass on a key's first call, then only the entries
-        appended since, each embedding row not in the key's memo measured."""
+        """The ``k`` nearest visible entries as ``_ranked`` keys, nearest first.
+
+        Each call ranks only the entries appended since the key's last call (a
+        first call: from entry 0) against its nearest ``k`` so far, measuring
+        each embedding row not in the key's memo; the query is embedded only
+        when a row is measured."""
         key = (query_text, session, k)
         n = len(self.entries)
-        own = self._sessions.get(session, -1)
-        scan = self._scans.get(key)
-        if scan is None:
-            rows, tiers, sessions, turns, seqs = self._columns()
-            visible = np.arange(n) if session is None else np.flatnonzero(
-                (tiers == _TIERS[LTM]) | (sessions == own))
-            if not visible.size:
-                return []
-            q_row = self._embed(query_text)
-            vectors = self._vectors[: self._n_rows]
-            dist = _distances(vectors, vectors[q_row])[rows[visible]]
-            top = np.lexsort((seqs[visible], turns[visible], dist))[:k]
-            index = visible[top]
-            best = list(map(_ranked, dist[top].tolist(), turns[index].tolist(),
-                            seqs[index].tolist(), index.tolist()))
-            self._scans[key] = (n, best, {})
-            return best
-        done, best, measured = scan
-        ltm = _TIERS[LTM]
-        seen = [(i, row, turn, seq) for i, (row, tier, s, turn, seq)
-                in enumerate(self._table[done:n].tolist(), done)
-                if tier == ltm or s == own or session is None]
+        done, best, measured = self._scans.get(key, (0, [], {}))
+        seen = [(i, row, turn, seq) for i, (entry, (row, turn, seq))
+                in enumerate(zip(self.entries[done:n], self._table[done:n]), done)
+                if session is None or entry.tier == LTM or entry.session_id == session]
         if seen:
             unmeasured = list({r for _, r, _, _ in seen if r not in measured})
             if unmeasured:
-                q = self._vectors[self._rows[query_text]]
-                measured.update(zip(unmeasured, _distances(self._vectors[unmeasured], q).tolist()))
+                q_row = self._embed(query_text)  # before reading _vectors: it may grow
+                q = self._vectors[q_row]
+                measured.update(zip(unmeasured, _distances(self._vectors, unmeasured, q).tolist()))
             ranked = [_ranked(measured[r], turn, seq, i) for i, r, turn, seq in seen]
-            best = sorted(best + ranked)[:k]
+            best = heapq.nsmallest(k, best + ranked)
             if len(measured) > _MEASURED_ROWS:
                 measured.clear()
         self._scans[key] = (n, best, measured)
@@ -264,10 +252,9 @@ class MemoryStore:
         last = self._last_consolidated.get(session, 0)
         if turn_count is None or turn_count < last + every_n_turns:
             return None
-        _, tiers, sessions, turns, _ = self._columns()
-        stm = (tiers == _TIERS[STM]) & (sessions == self._sessions[session])
-        block = np.flatnonzero(stm & (turns > last))
-        summary = self.backend.summarize([self.entries[i].text for i in block])
+        block = [entry.text for entry, (_, turn, _) in zip(self.entries, self._table)
+                 if entry.tier == STM and entry.session_id == session and turn > last]
+        summary = self.backend.summarize(block)
         self._last_consolidated[session] = turn_count
         self.add(LTM, summary, turn_count, session)
         return self.entries[-1]
@@ -278,8 +265,13 @@ class MemoryStore:
                 fh.write(json.dumps(e.to_dict(), sort_keys=True) + "\n")
 
     def load(self, path: str | Path) -> None:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
+        """Append the entries of a file ``save`` wrote; each fault names its line and the file."""
+        with naming_file(path), open(path, encoding="utf-8") as fh:
+            for number, line in enumerate(fh, 1):
                 if line.strip():
-                    entry = MemoryEntry.from_dict(json.loads(line))
+                    try:
+                        d = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise ValueError(f"line {number} is not JSON: {exc.msg}") from exc
+                    entry = MemoryEntry.from_dict(d, f"line {number}")
                     self._append(entry, self._new_row(entry.embedding))

@@ -46,24 +46,26 @@ def json_kinds(value) -> set[str]:
     return {kind, "number"} if kind == "integer" else {kind}
 
 
-_SPEC = {"name": "string", "n": "integer", "x": "number", "tags": "array", "meta": None}
-_GOOD = {"name": "a", "n": 1, "x": 0.5, "tags": [], "meta": None}
+_SPEC = {"name": "string", "n": "integer", "x": "number", "tags": "array", "meta": None,
+         "on": "boolean"}
+_GOOD = {"name": "a", "n": 1, "x": 0.5, "tags": [], "meta": None, "on": False}
 
 
 @pytest.mark.parametrize(
     "value, allowed, message",
     [
         ([1], None, "thing must be a JSON object, got list"),
-        ({"x": 0.5}, None, "thing has no name, n, tags, meta"),
+        ({"x": 0.5}, None, "thing has no name, n, tags, meta, on"),
         ({**_GOOD, "zz": 1, "aa": 2}, _SPEC.keys(), "thing has unknown key(s): aa, zz"),
         ({**_GOOD, "n": 1.0}, None, "thing has a non-integer n"),
         ({**_GOOD, "n": True}, None, "thing has a non-integer n"),
         ({**_GOOD, "x": False}, None, "thing has a non-number x"),
+        ({**_GOOD, "on": 0}, None, "thing has a non-boolean on"),
         ({**_GOOD, "name": 1, "tags": {}}, None, "thing has a non-string name"),
         ({**_GOOD, "name": 1, "tags": {}, "zz": 0}, _SPEC.keys(),
          "thing has unknown key(s): zz"),
     ],
-    ids=["not-object", "missing", "unknown", "float-int", "bool-int", "bool-number",
+    ids=["not-object", "missing", "unknown", "float-int", "bool-int", "bool-number", "int-boolean",
          "first-kind", "unknown-before-type"],
 )
 def test_json_record_states_each_fault_in_one_wording(value, allowed, message):

@@ -212,6 +212,52 @@ def test_loaded_entries_keep_their_saved_vectors(tmp_path):
     assert [e.text for e in out["relevant"]] == ["a", "b", "a", "inf"]
 
 
+_LINE = {"id": "a", "tier": STM, "text": "a", "embedding": E1, "turn_created": 1,
+         "session_id": "s", "seq": 0}
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("[1]", "line 3 must be a JSON object, got list"),
+        ("{oops", "line 3 is not JSON: Expecting property name enclosed in double quotes"),
+        (json.dumps({k: v for k, v in _LINE.items() if k != "turn_created"}),
+         "line 3 has no turn_created"),
+        (json.dumps({**_LINE, "tier": [STM]}), "line 3 has a non-string tier"),
+        (json.dumps({**_LINE, "turn_created": 1.0}), "line 3 has a non-integer turn_created"),
+        (json.dumps({**_LINE, "seq": "0"}), "line 3 has a non-integer seq"),
+        (json.dumps({**_LINE, "zz": 1}), "line 3 has unknown key(s): zz"),
+        (json.dumps({**_LINE, "embedding": [None, 0.0, 0.0]}),
+         "line 3 has an embedding that is not an array of floats"),
+        (json.dumps({**_LINE, "embedding": [10**400, 0, 0]}),
+         "line 3 has an embedding that is not an array of floats"),
+    ],
+    ids=["not-object", "not-json", "no-turn", "list-tier", "float-turn", "string-seq",
+         "unknown-key", "null-in-embedding", "huge-in-embedding"],
+)
+def test_load_names_the_line_and_file_of_each_fault(tmp_path, line, message):
+    path = tmp_path / "mem.jsonl"
+    path.write_text(json.dumps(_LINE) + "\n\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        MemoryStore(VectorBackend({})).load(path)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"{message} (in {path})"
+
+
+def test_load_keeps_any_integer_turn_and_a_missing_seq(tmp_path):
+    """The entry table holds Python ints, so a turn beyond 64 bits loads,
+    ranks and consolidates; a line without ``seq`` takes seq 0."""
+    path = tmp_path / "mem.jsonl"
+    lines = [{**_LINE, "turn_created": 10**30}, {**_LINE, "id": "b", "text": "b", "turn_created": 2}]
+    del lines[1]["seq"]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    store = MemoryStore(VectorBackend({"q": E1}))
+    store.load(path)
+    assert [e.seq for e in store.entries] == [0, 0]
+    assert [e.text for e in store.retrieve("q", k=2, session="s")["relevant"]] == ["b", "a"]
+    assert store.consolidate("s").turn_created == 10**30
+
+
 # -- retrieve against a per-entry reference ------------------------------------
 
 POOL = ["alpha", "beta", "gamma", "delta", "eps", "zeta"]
@@ -316,7 +362,7 @@ def test_retrieve_matches_per_entry_reference(tmp_path_factory, data):
                 query, k, session = draw(st.sampled_from(keys))
             else:
                 query = draw(st.sampled_from([UNSTORED, *POOL, "  "]))
-                k = draw(st.integers(0, 3))
+                k = draw(st.sampled_from([0, 1, 2, 3, 40]))  # 40: more than any store here
                 session = draw(st.sampled_from(SESSIONS + [None, "nobody"]))
                 keys.append((query, k, session))
             n_embedded = len(twin.embedded)
