@@ -15,6 +15,11 @@ summarize, embed.
 
 ``ask_once`` keeps a backend's answer to each text-only query (embed, both
 classifiers) for the backend object's life, an HttpBackend fallback label too.
+Callers may ask a query once and keep the answer, because every backend
+answers the same question the same way.  ``choose_client_action`` is asked
+once per client session and stage: the stage's action distribution and its
+context do not change within one.  A backend that sampled its client action
+would lose per-turn variety that way; greedy decoding rules one out already.
 
 ``hashed_embedding`` hashes each distinct token once: its md5 bucket is kept
 in one module-level memo of at most ``TOKEN_MEMO_SIZE`` tokens, least recently

@@ -331,11 +331,7 @@ def select_client_action(
     text; a reply that names no action label (``backends.match_label``)
     falls back to the distribution's argmax.
     """
-    return _choose_action(client_action_dist(profile, stage, pop_row, alpha), backend, context)
-
-
-def _choose_action(dist: Categorical, backend, context: str) -> str:
-    """The backend's pick from ``dist``, or its argmax if the reply names no action."""
+    dist = client_action_dist(profile, stage, pop_row, alpha)
     reply = backend.choose_client_action(dist, context)
     return match_label(reply, CLIENT_ACTIONS.labels) or dist.argmax_label()
 
@@ -371,8 +367,11 @@ class ClientSession:
 
     The client is deterministic: ``seed`` is accepted and never read.  The
     profile, the population prior and α are fixed for the session's life, so
-    its action distribution is fixed for each stage: it is built once, on the
-    first reply in that stage.
+    each stage's question to ``choose_client_action`` (its action distribution
+    and ``stage:<name>``) is too: it is asked once per session and stage, on the
+    stage's first reply, and a call that raises keeps nothing.  A backend that
+    sampled its answer would lose per-turn variety; greedy decoding (see
+    ``backends``) already rules such a backend out.
     """
 
     def __init__(
@@ -401,7 +400,7 @@ class ClientSession:
         self.readiness = 0.0
         self.turn = 0
         self.triggers = build_triggers(profile, backend)
-        self._action_dists: dict[str, Categorical] = {}  # stage -> client_action_dist
+        self._actions: dict[str, str] = {}  # stage -> select_client_action's answer
 
     @property
     def coverage(self) -> float:
@@ -473,13 +472,12 @@ class ClientSession:
         matches, g, delta = self._advance(counselor_text, counselor_action)
         self.turn += 1
         self._transition()
-        dist = self._action_dists.get(self.stage)
-        if dist is None:
-            dist = client_action_dist(
-                self.profile, self.stage, self.pop_prior[self.stage], self.alpha
+        action = self._actions.get(self.stage)
+        if action is None:
+            action = self._actions[self.stage] = select_client_action(
+                self.profile, self.stage, self.pop_prior[self.stage], self.backend,
+                f"stage:{self.stage}", self.alpha,
             )
-            self._action_dists[self.stage] = dist
-        action = _choose_action(dist, self.backend, f"stage:{self.stage}")
         text = self.backend.generate_client_reply(
             action, counselor_text, self._response_context()
         )

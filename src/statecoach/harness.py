@@ -365,23 +365,10 @@ def run_dialogue(
 _TURN_KEYS = {"client_text": "string", "gold_stage": "string", "counselor_action": "string"}
 
 
-def offline_eval(sessions: list[dict], cfg: RunConfig | None = None, backend=None) -> dict:
-    """Score state inference against annotated sessions.
-
-    Each session is {"id", "turns": [{"client_text", "gold_stage",
-    "counselor_action"}, ...]}.  The first warmup share of turns only feeds
-    the belief and world model; the rest are scored: current-state accuracy
-    compares the fused belief's argmax to gold, next-state accuracy compares
-    the predictive prior under the session's actual action to the next gold.
-    Sessions left with fewer than ``min_eval_turns`` scored turns are skipped.
-    Every session's shape and every turn's keys, value types and labels are
-    checked before any backend call; a ``client_text`` must hold a non-space
-    character.  Session and turn indices in the errors count
-    from 0, and a session without an id is named by its index.
-    """
-    cfg = cfg or RunConfig()
-    backend = backend or ScriptedBackend()
-    for i, session in enumerate(sessions):  # every label is checked before any backend call
+def _check_sessions(sessions: list[dict]) -> None:
+    """Check each session's shape and each turn's keys, types and labels (a blank
+    client_text fails); errors count from 0 and name an id-less session by index."""
+    for i, session in enumerate(sessions):
         sid = json_record(session, f"session {i}").get("id", i)
         turns = session.get("turns")
         if not isinstance(turns, list):
@@ -398,6 +385,22 @@ def offline_eval(sessions: list[dict], cfg: RunConfig | None = None, backend=Non
         unknown = sorted({t["counselor_action"] for t in turns} - set(COUNSELOR_ACTIONS))
         if unknown:
             raise UnknownLabelError(f"session {sid!r} has unknown counselor actions {unknown}")
+
+
+def offline_eval(sessions: list[dict], cfg: RunConfig | None = None, backend=None) -> dict:
+    """Score state inference against annotated sessions.
+
+    Each session is {"id", "turns": [{"client_text", "gold_stage",
+    "counselor_action"}, ...]}.  The first warmup share of turns only feeds
+    the belief and world model; the rest are scored: current-state accuracy
+    compares the fused belief's argmax to gold, next-state accuracy compares
+    the predictive prior under the session's actual action to the next gold.
+    Sessions left with fewer than ``min_eval_turns`` scored turns are skipped.
+    Every session is checked (``_check_sessions``) before any backend call.
+    """
+    cfg = cfg or RunConfig()
+    backend = backend or ScriptedBackend()
+    _check_sessions(sessions)
     curr_hit = curr_tot = next_hit = next_tot = 0
     sessions_scored = 0
     for session in sessions:
@@ -429,12 +432,12 @@ def offline_eval(sessions: list[dict], cfg: RunConfig | None = None, backend=Non
 
 
 def load_annotated_sessions(path: str | Path | None = None) -> list[dict]:
+    """The checked sessions in ``path`` (the bundled file if None); each fault names it."""
     path = Path(path) if path else DATA_DIR / "annotated_sessions.json"
     with naming_file(path):
         data = json.loads(path.read_text(encoding="utf-8"))
-    sessions = data.get("sessions") if isinstance(data, dict) else data
-    if not isinstance(sessions, list):
-        raise ValueError(
-            f"{path}: expected a list of sessions or an object whose 'sessions' is a list"
-        )
+        sessions = data.get("sessions") if isinstance(data, dict) else data
+        if not isinstance(sessions, list):
+            raise ValueError("expected a list of sessions or an object whose 'sessions' is a list")
+        _check_sessions(sessions)
     return sessions

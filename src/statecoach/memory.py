@@ -13,8 +13,11 @@ and seq as ``int()`` gives them.  Entries are only ever appended, so the
 store keeps each (query text, session, k)'s nearest k and the number of
 entries they were chosen from, and a retrieval ranks only the entries
 appended since against them; a key's first retrieval is the same catch-up
-from entry 0.  Each key remembers up to ``_MEASURED_ROWS`` embedding rows'
-distances, so a text that recurs is measured once.  Embeddings come through
+from entry 0.  The store keeps the ``_SCAN_KEYS`` keys used last, and an
+evicted key's next retrieval is a first one again.  Each key remembers up to
+``_MEASURED_ROWS`` embedding rows' distances, so a text that recurs is measured
+once.  Every row has the first row's width: a loaded line or a backend vector
+of another width is a ValueError naming both.  Embeddings come through
 ``backends.ask_once``, so a backend is asked once per distinct text across
 every store, client and trigger set that shares it, for the backend's life.
 
@@ -50,6 +53,10 @@ DEFAULT_CONSOLIDATE_EVERY = 12
 # about ten), and a bound on the cache when every text is new.
 _MEASURED_ROWS = 64
 
+# Most (query text, session, k) keys whose scan a store keeps, least recently
+# used out first: room for every query of a 200-turn session.
+_SCAN_KEYS = 256
+
 # The JSON type of each key a line of a memory file must hold; ``seq`` may be
 # left out, and no other key may appear.
 _RECORD = {"id": "string", "tier": "string", "text": "string", "embedding": "array",
@@ -80,6 +87,8 @@ class MemoryEntry:
         if not all(type(x) is float or is_json(x, "integer") and abs(x) <= sys.float_info.max
                    for x in d["embedding"]):
             raise ValueError(f"{what} has an embedding that is not an array of floats")
+        if not d["embedding"]:
+            raise ValueError(f"{what} has an empty embedding")
         return cls(**d | {"embedding": np.asarray(d["embedding"], dtype=float)})
 
 
@@ -143,13 +152,17 @@ class MemoryStore:
         self._stm_mark: dict[str, int] = {}
         # (query text, session, k) -> (entries ranked, their nearest k as _ranked
         # keys, {embedding row: distance} for rows it has ranked, at most
-        # _MEASURED_ROWS of them between calls).
+        # _MEASURED_ROWS of them between calls), least recently used first.
         self._scans: dict[tuple, tuple[int, list[tuple], dict[int, float]]] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def _new_row(self, vector: np.ndarray) -> int:
+    def _new_row(self, vector: np.ndarray, what: str = "the backend's embedding") -> int:
+        width = self._vectors.shape[1] if self._n_rows else len(vector)
+        if len(vector) != width:
+            raise ValueError(f"{what} has width {len(vector)}, but this store's rows "
+                             f"have width {width}")
         self._vectors = _reserve(self._vectors, self._n_rows, len(vector))
         self._vectors[self._n_rows] = vector
         self._n_rows += 1
@@ -220,7 +233,7 @@ class MemoryStore:
         when a row is measured."""
         key = (query_text, session, k)
         n = len(self.entries)
-        done, best, measured = self._scans.get(key, (0, [], {}))
+        done, best, measured = self._scans.pop(key, (0, [], {}))
         seen = [(i, row, turn, seq) for i, (entry, (row, turn, seq))
                 in enumerate(zip(self.entries[done:n], self._table[done:n]), done)
                 if session is None or entry.tier == LTM or entry.session_id == session]
@@ -235,6 +248,8 @@ class MemoryStore:
             if len(measured) > _MEASURED_ROWS:
                 measured.clear()
         self._scans[key] = (n, best, measured)
+        if len(self._scans) > _SCAN_KEYS:
+            del self._scans[next(iter(self._scans))]
         return best
 
     def consolidate(
@@ -274,4 +289,5 @@ class MemoryStore:
                     except json.JSONDecodeError as exc:
                         raise ValueError(f"line {number} is not JSON: {exc.msg}") from exc
                     entry = MemoryEntry.from_dict(d, f"line {number}")
-                    self._append(entry, self._new_row(entry.embedding))
+                    row = self._new_row(entry.embedding, f"line {number}'s embedding")
+                    self._append(entry, row)

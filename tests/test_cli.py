@@ -541,7 +541,7 @@ def test_annotated_turn_missing_a_key_exits_2(tmp_path, capsys, key):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == f"error: session {sessions[1]['id']!r} turn 3 has no {key}\n"
+    assert captured.err == f"error: session {sessions[1]['id']!r} turn 3 has no {key} (in {path})\n"
 
 
 _NOT_A_SESSION_LIST = "expected a list of sessions or an object whose 'sessions' is a list"
@@ -583,9 +583,7 @@ def test_malformed_sessions_file_exits_2_naming_the_fault(tmp_path, capsys, cont
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert message in captured.err
-    if message == _NOT_A_SESSION_LIST:
-        assert str(path) in captured.err
+    assert f"{message} (in {path})" in captured.err
 
 
 def test_http_backend_without_endpoint_exits_2(tmp_path, capsys):

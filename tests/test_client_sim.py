@@ -32,6 +32,7 @@ from statecoach.client_sim import (
 )
 from statecoach.config import RunConfig
 from statecoach.errors import (
+    BackendUnavailableError,
     EmptyTextError,
     EmptyTriggerSetError,
     UnknownActionError,
@@ -657,6 +658,40 @@ def test_select_action_falls_back_to_argmax_on_garbage():
     dist = client_action_dist(make_profile(), "precontemplation", pop_row)
     assert action == "Downplay"
     assert action == dist.argmax_label()
+
+
+def test_client_action_is_asked_once_per_stage():
+    """``choose_client_action`` is asked on a stage's first reply only; a reply
+    that names no action falls back to the argmax on every turn of the stage,
+    and a call that raises keeps nothing, so the next reply asks again."""
+
+    class FailsFirst(StubBackend):
+        def choose_client_action(self, dist, context):
+            answer = super().choose_client_action(dist, context)
+            if len(self.choose_calls) == 1:
+                raise BackendUnavailableError("choose_client_action is down")
+            return answer
+
+    backend = FailsFirst(profile_embeds(), choice="garbage")
+    sess = make_session(backend=backend)
+    with pytest.raises(BackendUnavailableError):
+        sess.respond("something entirely generic", "Facilitate")
+    moves = [("more generic talk", "Facilitate"), (BELIEF_A, "Simple Reflection"),
+             (BELIEF_B, "Simple Reflection"), ("something entirely generic", "Facilitate"),
+             (BELIEF_A, "Simple Reflection"), (MOTIVATION_A, "Simple Reflection"),
+             (PLAN_A, "Simple Reflection")]
+    turns = [sess.respond(text, action) for text, action in moves]
+    stages = ["precontemplation", "contemplation", "preparation"]
+    assert [t.stage for t in turns] == [stages[0]] * 2 + [stages[1]] * 3 + [stages[2]] * 2
+    # The call that raised, then one per stage entered.
+    assert [c for _, c in backend.choose_calls] == [f"stage:{s}" for s in stages[:1] + stages]
+    pop = make_pop()
+    for (dist, _), stage in zip(backend.choose_calls[1:], stages):
+        assert dist.as_dict() == client_action_dist(sess.profile, stage, pop[stage]).as_dict()
+    assert [t.action for t in turns] == ["Downplay"] * 2 + ["Inform"] * 3 + ["Plan"] * 2
+    for turn in turns:
+        dist = client_action_dist(sess.profile, turn.stage, pop[turn.stage])
+        assert turn.action == dist.argmax_label()
 
 
 # --- action-distribution divergence ---

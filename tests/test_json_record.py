@@ -221,7 +221,7 @@ def test_null_gold_stage_is_a_type_fault_and_an_empty_one_a_missing_label(
     path = tmp_path / "sessions.json"
     path.write_text(json.dumps(sessions))
     assert main(["eval-offline", "--sessions", str(path)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message} (in {path})\n"
 
 
 # The keys of a talk-type table cell and of a world-model file, with the JSON

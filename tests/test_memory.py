@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from statecoach import memory
 from statecoach.backends import ScriptedBackend
 from statecoach.errors import EmptyTextError
 from statecoach.memory import (
@@ -16,6 +17,7 @@ from statecoach.memory import (
     STM,
     MemoryStore,
     _MEASURED_ROWS,
+    _SCAN_KEYS,
 )
 
 
@@ -231,9 +233,13 @@ _LINE = {"id": "a", "tier": STM, "text": "a", "embedding": E1, "turn_created": 1
          "line 3 has an embedding that is not an array of floats"),
         (json.dumps({**_LINE, "embedding": [10**400, 0, 0]}),
          "line 3 has an embedding that is not an array of floats"),
+        (json.dumps({**_LINE, "embedding": []}), "line 3 has an empty embedding"),
+        (json.dumps({**_LINE, "embedding": [0.0, 1.0]}),
+         "line 3's embedding has width 2, but this store's rows have width 3"),
     ],
     ids=["not-object", "not-json", "no-turn", "list-tier", "float-turn", "string-seq",
-         "unknown-key", "null-in-embedding", "huge-in-embedding"],
+         "unknown-key", "null-in-embedding", "huge-in-embedding", "empty-embedding",
+         "narrower-embedding"],
 )
 def test_load_names_the_line_and_file_of_each_fault(tmp_path, line, message):
     path = tmp_path / "mem.jsonl"
@@ -242,6 +248,31 @@ def test_load_names_the_line_and_file_of_each_fault(tmp_path, line, message):
         MemoryStore(VectorBackend({})).load(path)
     assert type(info.value) is ValueError
     assert str(info.value) == f"{message} (in {path})"
+
+
+def test_load_checks_each_width_against_the_rows_already_stored(tmp_path):
+    """A loaded line must fit the rows that earlier adds and loads gave the
+    store, and a backend vector must fit the rows a load gave it."""
+    path = tmp_path / "mem.jsonl"
+    path.write_text(json.dumps(_LINE) + "\n", encoding="utf-8")
+    wide = VectorBackend({"wide": [1.0, 0.0, 0.0, 0.0]})
+    store = MemoryStore(wide)
+    store.add(STM, "wide", 1, "s")
+    with pytest.raises(ValueError) as info:
+        store.load(path)
+    assert str(info.value) == (
+        f"line 1's embedding has width 3, but this store's rows have width 4 (in {path})")
+    store = MemoryStore(wide)
+    store.load(path)
+    store.load(path)
+    for call in (lambda: store.add(STM, "wide", 2, "s"),
+                 lambda: store.retrieve("wide", session="s")):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert type(info.value) is ValueError
+        assert str(info.value) == (
+            "the backend's embedding has width 4, but this store's rows have width 3")
+    assert [e.text for e in store.retrieve("other", k=3, session="s")["relevant"]] == ["a", "a"]
 
 
 def test_load_keeps_any_integer_turn_and_a_missing_seq(tmp_path):
@@ -334,9 +365,16 @@ def _loaded(draw, seq):
 @given(st.data())
 def test_retrieve_matches_per_entry_reference(tmp_path_factory, data):
     """Every retrieve equals the reference: a key's first, and each later one
-    after any adds, loads and consolidations.  The backend embeds the texts
-    the reference has it embed, each once."""
+    after any adds, loads and consolidations, also when the store keeps only
+    the last key's scan.  The backend embeds the texts the reference has it
+    embed, each once."""
     draw = data.draw
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(memory, "_SCAN_KEYS", draw(st.sampled_from([_SCAN_KEYS, 1])))
+        _check_against_reference(tmp_path_factory, draw)
+
+
+def _check_against_reference(tmp_path_factory, draw):
     table = vector_tables(draw)
     backend, twin = PoolVectors(table), PoolVectors(table)  # twin serves the reference
     store = MemoryStore(backend)
@@ -396,6 +434,21 @@ def test_retrieve_cache_stays_bounded_when_every_text_is_new():
             relevant = reference_retrieve(store.entries, twin, query, k, math.inf, "s")
             assert [id(e) for e in out["relevant"]] == [id(e) for e in relevant]
         assert all(len(memo) <= _MEASURED_ROWS for _, _, memo in store._scans.values())
+
+
+def test_retrieve_keeps_the_scans_of_the_keys_used_last():
+    """5000 distinct queries leave at most ``_SCAN_KEYS`` scans, and a key in
+    use all along is never the one evicted."""
+    store = MemoryStore(VectorBackend({"a": E1, "b": E2}))
+    store.add(STM, "a", 1, "s")
+    store.add(LTM, "b", 2, "s")
+    store.retrieve("a", session="s")
+    for i in range(5000):
+        store.retrieve(f"query {i}", session="s")
+        if i % 100 == 99:
+            assert ("a", "s", DEFAULT_K) in store._scans
+            assert [e.text for e in store.retrieve("a", session="s")["relevant"]] == ["a"]
+    assert len(store._scans) == _SCAN_KEYS
 
 
 # -- consolidate against a full-scan reference ---------------------------------
