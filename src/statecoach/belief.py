@@ -67,17 +67,19 @@ class BeliefState:
         }
 
 
-def _evidence(likelihood, p: Categorical) -> tuple[np.ndarray, bool]:
-    """``likelihood`` checked against ``p``'s space, and whether it is all positive."""
+def _evidence(likelihood, p: Categorical) -> tuple[list[float], bool]:
+    """The Python floats of ``likelihood`` checked against ``p``'s space, and
+    whether they are all positive."""
     lik = np.asarray(likelihood, dtype=float)
-    if lik.shape != p.probs.shape:
+    if lik.shape != (len(p.space),):
         raise DimensionMismatchError(
             f"likelihood shape {lik.shape} does not match space {p.space.name!r}"
         )
-    positive = np.logical_and.reduce(lik > 0)
-    if not positive and not np.logical_and.reduce(lik >= 0):  # NaN fails too
+    values = lik.tolist()
+    positive = all(e > 0 for e in values)
+    if not positive and not all(e >= 0 for e in values):  # NaN fails too
         raise ValueError("likelihood values must be non-negative")
-    return lik, positive
+    return values, positive
 
 
 def bayes_update(prior: Categorical, likelihood) -> Categorical:
@@ -91,7 +93,7 @@ def bayes_update(prior: Categorical, likelihood) -> Categorical:
     the numpy expression's.
     """
     lik = _evidence(likelihood, prior)[0]
-    joint = [p * e for p, e in zip(prior.probs.tolist(), lik.tolist())]
+    joint = [p * e for p, e in zip(prior.values, lik)]
     evidence = _total(joint)
     if evidence <= 0:
         raise ZeroEvidenceError(
@@ -107,13 +109,15 @@ def free_energy(q: Categorical, prior: Categorical, likelihood) -> float:
     the negative log evidence, with equality exactly at the Bayes posterior,
     so minimizing F recovers bayes_update.  Returns +inf when q places mass
     on states the evidence rules out.  The likelihood is checked as in bayes_update.
+    The arithmetic runs on Python floats, with the logs from one ``np.log`` call.
     """
     lik, positive = _evidence(likelihood, q)
-    qp = q.probs
-    nz = qp > 0
-    if not positive and np.logical_or.reduce(nz & (lik <= 0)):
+    qv = q.values
+    nz = [i for i, x in enumerate(qv) if x > 0]
+    if not positive and any(lik[i] <= 0 for i in nz):
         return float("inf")
-    expected_log_lik = float(np.add.reduce(qp[nz] * np.log(lik[nz])))
+    logs = np.log([lik[i] for i in nz]).tolist()
+    expected_log_lik = _total([qv[i] * log for i, log in zip(nz, logs)])
     return kl_divergence(q, prior) - expected_log_lik
 
 

@@ -7,7 +7,7 @@ Euclidean between unit-normalized embeddings, so orthogonal texts sit at
 sqrt(2) and opposites at 2; the default threshold 1.5 admits the former and
 rejects the latter.
 
-Each distinct text the store embeds owns one row of a matrix of embeddings,
+Each distinct text the store holds owns one row of a matrix of embeddings,
 and each entry one tuple of its table: (embedding row, turn, seq), the turn
 and seq as ``int()`` gives them.  Entries are only ever appended, so the
 store keeps each (query text, session, k)'s nearest k and the number of
@@ -16,10 +16,13 @@ appended since against them; a key's first retrieval is the same catch-up
 from entry 0.  The store keeps the ``_SCAN_KEYS`` keys used last, and an
 evicted key's next retrieval is a first one again.  Each key remembers up to
 ``_MEASURED_ROWS`` embedding rows' distances, so a text that recurs is measured
-once.  Every row has the first row's width: a loaded line or a backend vector
-of another width is a ValueError naming both.  Embeddings come through
-``backends.ask_once``, so a backend is asked once per distinct text across
-every store, client and trigger set that shares it, for the backend's life.
+once.  A query's vector is measured against the rows without becoming one, so
+distinct queries do not grow the matrix.  Every row, and every query vector
+measured against the rows, has the first row's width: a loaded line or a
+backend vector of another width is a ValueError naming both.  Embeddings come
+through ``backends.ask_once``, so a backend is asked once per distinct text
+across every store, client and trigger set that shares it, for the backend's
+life.
 
 Each session also keeps a mark: its highest short-term turn, raised as
 entries are appended (by ``add`` or ``load``).  ``consolidate`` reads only
@@ -142,7 +145,7 @@ class MemoryStore:
         self.backend = backend
         self.entries: list[MemoryEntry] = []
         self._last_consolidated: dict[str, int] = {}
-        # text -> row of its embedding, for every text embedded through the backend.
+        # text -> row of its embedding, for every text stored by ``add``.
         self._rows: dict[str, int] = {}
         self._vectors = np.empty((0, 0))  # distinct embeddings; _n_rows in use
         self._n_rows = 0
@@ -158,18 +161,23 @@ class MemoryStore:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def _new_row(self, vector: np.ndarray, what: str = "the backend's embedding") -> int:
+    def _checked_width(self, vector: np.ndarray, what: str = "the backend's embedding"):
+        """``vector`` if it has the width of this store's rows (any width before the first)."""
         width = self._vectors.shape[1] if self._n_rows else len(vector)
         if len(vector) != width:
             raise ValueError(f"{what} has width {len(vector)}, but this store's rows "
                              f"have width {width}")
+        return vector
+
+    def _new_row(self, vector: np.ndarray, what: str = "the backend's embedding") -> int:
+        self._checked_width(vector, what)
         self._vectors = _reserve(self._vectors, self._n_rows, len(vector))
         self._vectors[self._n_rows] = vector
         self._n_rows += 1
         return self._n_rows - 1
 
     def _embed(self, text: str) -> int:
-        """Row of ``text``'s embedding, added on the text's first use here."""
+        """Row of ``text``'s embedding, added when the text is first stored."""
         if text not in self._rows:
             self._rows[text] = self._new_row(ask_once(self.backend, "embed", text))
         return self._rows[text]
@@ -229,8 +237,9 @@ class MemoryStore:
 
         Each call ranks only the entries appended since the key's last call (a
         first call: from entry 0) against its nearest ``k`` so far, measuring
-        each embedding row not in the key's memo; the query is embedded only
-        when a row is measured."""
+        each embedding row not in the key's memo.  The query is embedded only
+        when a row is measured, and its vector is measured against the rows
+        without becoming one: only ``add`` and ``load`` give a text a row."""
         key = (query_text, session, k)
         n = len(self.entries)
         done, best, measured = self._scans.pop(key, (0, [], {}))
@@ -240,8 +249,7 @@ class MemoryStore:
         if seen:
             unmeasured = list({r for _, r, _, _ in seen if r not in measured})
             if unmeasured:
-                q_row = self._embed(query_text)  # before reading _vectors: it may grow
-                q = self._vectors[q_row]
+                q = self._checked_width(ask_once(self.backend, "embed", query_text))
                 measured.update(zip(unmeasured, _distances(self._vectors, unmeasured, q).tolist()))
             ranked = [_ranked(measured[r], turn, seq, i) for i, r, turn, seq in seen]
             best = heapq.nsmallest(k, best + ranked)

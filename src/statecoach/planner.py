@@ -228,7 +228,7 @@ def planner_prior(belief: Categorical, model, chosen: str) -> Categorical:
     row in ``select_action``'s report.  A slice with another number of states
     than the belief gives a vector of its length, which ``Categorical`` rejects.
     """
-    q = belief.probs.tolist()
+    q = belief.values
     q_next = []
     for column in zip(*model.transition_slice(chosen)):
         total = 0.0

@@ -1,29 +1,35 @@
 """Labelled categorical distributions and the information-theoretic helpers
 built on them.
 
-All distributions are finite, labelled, and stored as numpy vectors in the
-order fixed by their LabelSpace.  Logs are natural throughout, and the
-0 * log 0 = 0 convention applies to entropy terms.
+All distributions are finite and labelled, their entries in the order fixed
+by their LabelSpace.  Logs are natural throughout, and the 0 * log 0 = 0
+convention applies to entropy terms.
 
 A distribution that depends only on its space is built and checked once and
 then shared: ``uniform(space)`` returns the same read-only instance for the
 life of ``space``.
 
 The vectors are short (3 to 17 entries in the bundled vocabularies), and a
-numpy call costs more than the arithmetic on a vector that short.  So
-``Categorical`` and ``normalize`` check their vector on the Python floats of
-one ``tolist()``: a plain loop tests each entry's sign, and ``_total`` adds
-the entries up.  ``_total`` is the one summing rule for every total taken on
-Python floats in the package: a vector of fewer than 8 entries is added in
-order from 0.0, as numpy adds it; a longer one, which numpy adds pairwise, is
-summed by ``np.add.reduce``.  ``mix`` likewise combines its two vectors
-entry by entry on Python floats.  Every value, error type and message is the
-one the numpy expressions give.
+numpy call costs more than the arithmetic on a vector that short.  So a
+``Categorical`` keeps its checked entries as a tuple of Python floats,
+``values``, and builds its read-only ndarray ``probs`` only when a numpy
+consumer first asks for it.  A list of exact Python floats, which is what
+every float path makes, is checked in one loop over its entries; any other
+input is converted by numpy first and checked on the Python floats of one
+``tolist()``, so every error type and message is the one numpy's conversion
+and the checks below give.  ``_total`` is the one summing rule for every
+total taken on Python floats in the package: a vector of fewer than 8
+entries is added in order from 0.0, as numpy adds it; a longer one, which
+numpy adds pairwise, is summed by ``np.add.reduce``.  ``mix``,
+``normalize``'s division and ``kl_divergence``'s arithmetic likewise run
+entry by entry on Python floats, with the logs taken by one ``np.log`` call.
+Every value, error type and message is the one the numpy expressions give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,17 +64,32 @@ def _total(values: list[float]) -> float:
     return total
 
 
-def _checked_total(p: np.ndarray, what: str, nan_passes: bool) -> float:
-    """The total of the 1-d float vector ``p``, checked on its Python floats.
+def _checked_total(values: list[float] | np.ndarray, what: str, nan_passes: bool) -> float:
+    """The total of a 1-d float vector, checked entry by entry: ``values`` is the
+    list of its Python floats, or a float64 ndarray read through one ``tolist()``.
 
     An entry below zero raises ValueError("<what> must be non-negative"), and so
     does a NaN unless ``nan_passes``.
     """
-    values = p.tolist()
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
     for v in values:
         if (v < 0) if nan_passes else (not v >= 0):
             raise ValueError(f"{what} must be non-negative")
     return _total(values)
+
+
+def _plain_total(values, n: int) -> float | None:
+    """``_total`` of ``values`` if it is a list of ``n`` exact Python floats with
+    none below zero (a NaN passes), in one loop over them; else None."""
+    if type(values) is not list or len(values) != n:
+        return None
+    total = 0.0
+    for v in values:
+        if type(v) is not float or v < 0:
+            return None
+        total += v
+    return total if n < _PAIRWISE_FROM else _total(values)
 
 
 @dataclass(frozen=True)
@@ -106,35 +127,46 @@ class LabelSpace:
 class Categorical:
     """A probability distribution over a LabelSpace.
 
-    The probability vector is copied, made read-only, and checked to be
-    non-negative and unit-sum within PROB_TOL at construction time.
+    ``values`` is given as the probability vector, checked at construction
+    time to be non-negative and unit-sum within PROB_TOL, and kept as a tuple
+    of its Python floats.  ``probs`` is the same vector as a read-only float64
+    ndarray, built on first access and then kept.
     """
 
     space: LabelSpace
-    probs: np.ndarray
+    values: tuple[float, ...]
 
     def __post_init__(self):
-        p = np.array(self.probs, dtype=float)
-        if p.ndim != 1 or p.shape[0] != len(self.space):
-            raise DimensionMismatchError(
-                f"expected {len(self.space)} probabilities for space "
-                f"{self.space.name!r}, got shape {p.shape}"
-            )
-        total = _checked_total(p, "probabilities", nan_passes=True)
+        values, n = self.values, len(self.space)
+        total = _plain_total(values, n)
+        if total is None:  # numpy's conversion, for its errors and its shape
+            p = np.array(values, dtype=float)
+            if p.ndim != 1 or p.shape[0] != n:
+                raise DimensionMismatchError(
+                    f"expected {n} probabilities for space "
+                    f"{self.space.name!r}, got shape {p.shape}"
+                )
+            values = p.tolist()
+            total = _checked_total(values, "probabilities", nan_passes=True)
         if not abs(total - 1.0) <= PROB_TOL:  # NaN fails too
             raise ValueError(f"probabilities must sum to 1, got {np.float64(total)!r}")
+        object.__setattr__(self, "values", tuple(values))
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        p = np.array(self.values)
         p.flags.writeable = False
-        object.__setattr__(self, "probs", p)
+        return p
 
     def prob(self, label: str) -> float:
-        return float(self.probs[self.space.index(label)])
+        return self.values[self.space.index(label)]
 
     def argmax_label(self) -> str:
         """Most probable label; ties break toward the smaller index."""
-        return self.space.labels[int(self.probs.argmax())]
+        return self.space.labels[self.values.index(max(self.values))]
 
     def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.space.labels, self.probs.tolist()))
+        return dict(zip(self.space.labels, self.values))
 
 
 def check_rows(space: LabelSpace, rows: np.ndarray) -> None:
@@ -158,13 +190,13 @@ def uniform(space: LabelSpace) -> Categorical:
     u = getattr(space, "_uniform", None)
     if u is None:
         n = len(space)
-        u = Categorical(space, np.full(n, 1.0 / n))
+        u = Categorical(space, [1.0 / n] * n)
         object.__setattr__(space, "_uniform", u)  # not a field: equality and repr ignore it
     return u
 
 
 def point_mass(space: LabelSpace, label: str) -> Categorical:
-    p = np.zeros(len(space))
+    p = [0.0] * len(space)
     p[space.index(label)] = 1.0
     return Categorical(space, p)
 
@@ -185,10 +217,12 @@ def normalize(space: LabelSpace, weights) -> Categorical:
     that does not match the space, so a wrong-length all-zero one is AllZeroError.
     """
     w = np.asarray(weights, dtype=float)
-    total = _checked_total(w.ravel(), "weights", nan_passes=False)
+    values = w.ravel().tolist()
+    total = _checked_total(values, "weights", nan_passes=False)
     if total <= 0:
         raise AllZeroError(f"cannot normalize all-zero weights over {space.name!r}")
-    return Categorical(space, w / total)
+    # Another shape goes to Categorical as an array, for its shape in the error.
+    return Categorical(space, [v / total for v in values] if w.ndim == 1 else w / total)
 
 
 def entropy(dist: Categorical) -> float:
@@ -208,14 +242,14 @@ def kl_divergence(q: Categorical, p: Categorical) -> float:
         raise DimensionMismatchError(
             f"KL between different spaces: {q.space.name!r} vs {p.space.name!r}"
         )
-    qp = q.probs
-    pp = p.probs
-    nz = qp > 0
-    bad = nz & (pp <= 0)
-    if np.logical_or.reduce(bad):
-        labels = [q.space.labels[i] for i in bad.nonzero()[0]]
+    qv, pv = q.values, p.values
+    nz = [i for i, x in enumerate(qv) if x > 0]
+    labels = [q.space.labels[i] for i in nz if pv[i] <= 0]
+    if labels:
         raise SupportViolationError(f"q has mass outside p's support at {labels}")
-    return float(np.add.reduce(qp[nz] * (np.log(qp[nz]) - np.log(pp[nz]))))
+    qs = [qv[i] for i in nz]
+    logs = np.log(qs + [pv[i] for i in nz]).tolist()  # log q, then log p
+    return _total([x * (lq - lp) for x, lq, lp in zip(qs, logs, logs[len(qs):])])
 
 
 def mix(a: Categorical, b: Categorical, weight: float) -> Categorical:
@@ -230,6 +264,4 @@ def mix(a: Categorical, b: Categorical, weight: float) -> Categorical:
             f"mixing different spaces: {a.space.name!r} vs {b.space.name!r}"
         )
     keep = 1.0 - weight
-    return Categorical(
-        a.space, [keep * x + weight * y for x, y in zip(a.probs.tolist(), b.probs.tolist())]
-    )
+    return Categorical(a.space, [keep * x + weight * y for x, y in zip(a.values, b.values)])

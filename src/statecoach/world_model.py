@@ -27,7 +27,11 @@ There is one update rule: each turn deposits counts weighted by the beliefs,
 the outer product of the previous and current belief for the transition and
 the current belief for the emission, which keeps the model honest about its
 own uncertainty.  Hard counts are the same rule fed the argmax stage's point
-mass: its row adds exactly 1.0 to one cell and 0.0 to every other.
+mass: its row adds exactly 1.0 to one cell and 0.0 to every other.  The
+writes read the beliefs' Python floats, add ``n + x * y`` (transition) and
+``n + x`` (emission) to the Python floats of the one slice they change, and
+write the slice back, so each cell is bit for bit numpy's ``+=`` and no
+belief is turned into an array.
 """
 
 from __future__ import annotations
@@ -125,14 +129,20 @@ class WorldModel:
 
     def add_observation(self, q: Categorical, cue: str) -> None:
         """Credit the emission table only (used when no prior action exists)."""
-        self.observation_counts[:, self.cues.index(cue)] += q.probs
+        c = self.cues.index(cue)
+        column = self.observation_counts[:, c].tolist()
+        self.observation_counts[:, c] = [n + x for n, x in zip(column, q.values, strict=True)]
 
     def update(self, q_prev: Categorical, action: str, q_curr: Categorical, cue: str) -> None:
         """Deposit one turn of counts into both tables: ``q_prev`` is the belief
         before the counselor took ``action``, ``q_curr`` the belief after the
         reply, and ``cue`` the reply's classified observation."""
-        a = self.actions.index(action)
-        self.transition_counts[:, a, :] += q_prev.probs[:, None] * q_curr.probs[None, :]
+        a, curr = self.actions.index(action), q_curr.values
+        block = self.transition_counts[:, a, :].tolist()
+        self.transition_counts[:, a, :] = [
+            [n + x * y for n, y in zip(row, curr, strict=True)]
+            for row, x in zip(block, q_prev.values, strict=True)
+        ]
         self.add_observation(q_curr, cue)
 
     def to_dict(self) -> dict:
@@ -205,11 +215,11 @@ class TableModel:
         self.cues = cues
         self.T = np.array(
             [
-                [Categorical(states, transitions[(s, a)]).probs for a in actions.labels]
+                [Categorical(states, transitions[(s, a)]).values for a in actions.labels]
                 for s in states.labels
             ]
         )
-        self.O = np.array([Categorical(cues, observations[s]).probs for s in states.labels])
+        self.O = np.array([Categorical(cues, observations[s]).values for s in states.labels])
         self.T.flags.writeable = False
         self.O.flags.writeable = False
 

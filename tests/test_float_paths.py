@@ -13,10 +13,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from statecoach.belief import _evidence, bayes_update
-from statecoach.errors import WeightOutOfRangeError, ZeroEvidenceError
+from statecoach.belief import _evidence, bayes_update, free_energy
+from statecoach.errors import (
+    AllZeroError,
+    DimensionMismatchError,
+    SupportViolationError,
+    WeightOutOfRangeError,
+    ZeroEvidenceError,
+)
 from statecoach.planner import _predict, planner_prior
-from statecoach.probs import Categorical, LabelSpace, mix
+from statecoach.probs import Categorical, LabelSpace, kl_divergence, mix, normalize
 from statecoach.world_model import TableModel, WorldModel, _smoothed
 
 
@@ -157,3 +163,181 @@ def test_bayes_update_edge_cases_match(likelihood, error):
         assert got == (ValueError, "probabilities must sum to 1, got np.float64(nan)")
     else:
         assert got[0] is error
+
+
+# -- free_energy, kl_divergence, normalize and the count writes ------------------
+#
+# These also run on Python floats, with each function's logs taken by one
+# ``np.log`` call on a list; the references are the numpy expressions they
+# replace.
+
+
+def evidence_reference(likelihood, p):
+    """``_evidence`` as numpy computed it: the likelihood array and whether it is all positive."""
+    lik = np.asarray(likelihood, dtype=float)
+    if lik.shape != p.probs.shape:
+        raise DimensionMismatchError(
+            f"likelihood shape {lik.shape} does not match space {p.space.name!r}"
+        )
+    positive = np.logical_and.reduce(lik > 0)
+    if not positive and not np.logical_and.reduce(lik >= 0):
+        raise ValueError("likelihood values must be non-negative")
+    return lik, positive
+
+
+def kl_reference(q, p):
+    """``kl_divergence`` as numpy computed it."""
+    if q.space is not p.space and q.space.labels != p.space.labels:
+        raise DimensionMismatchError(
+            f"KL between different spaces: {q.space.name!r} vs {p.space.name!r}"
+        )
+    qp, pp = q.probs, p.probs
+    nz = qp > 0
+    bad = nz & (pp <= 0)
+    if np.logical_or.reduce(bad):
+        labels = [q.space.labels[i] for i in bad.nonzero()[0]]
+        raise SupportViolationError(f"q has mass outside p's support at {labels}")
+    return float(np.add.reduce(qp[nz] * (np.log(qp[nz]) - np.log(pp[nz]))))
+
+
+def free_energy_reference(q, prior, likelihood):
+    """``free_energy`` as numpy computed it."""
+    lik, positive = evidence_reference(likelihood, q)
+    qp = q.probs
+    nz = qp > 0
+    if not positive and np.logical_or.reduce(nz & (lik <= 0)):
+        return float("inf")
+    expected_log_lik = float(np.add.reduce(qp[nz] * np.log(lik[nz])))
+    return kl_reference(q, prior) - expected_log_lik
+
+
+@st.composite
+def belief_pair(draw):
+    """Two distributions over one space of 1 to 20 entries (both summing
+    orders), with zeros, so supports often differ; the second sometimes on an
+    equal twin space, or on another space of the same length."""
+    n = draw(st.integers(1, 20))
+    s = space("s", n)
+    other = draw(st.sampled_from([s, space("s", n), space("t", n)]))
+    vectors = [draw(distribution(n)) for _ in range(2)]
+    as_list = draw(st.booleans())  # a list of floats or an array: Categorical's two routes
+    q, p = (v.tolist() if as_list else v for v in vectors)
+    return Categorical(s, q), Categorical(other, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(belief_pair())
+def test_kl_divergence_is_the_numpy_sum(pair):
+    q, p = pair
+    assert outcome(kl_divergence, q, p) == outcome(kl_reference, q, p)
+
+
+def test_kl_divergence_names_every_label_outside_the_support():
+    s = space("s", 4)
+    q, p = Categorical(s, [0.25, 0.25, 0.25, 0.25]), Categorical(s, [1.0, 0.0, -0.0, 0.0])
+    want = (SupportViolationError, "q has mass outside p's support at ['s1', 's2', 's3']")
+    assert outcome(kl_divergence, q, p) == outcome(kl_reference, q, p) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(belief_pair(), st.data())
+def test_free_energy_is_the_numpy_value(pair, data):
+    q, prior = pair
+    n = len(q.space)
+    length = data.draw(st.sampled_from([n, n, n, n + 1]))
+    likelihood = data.draw(st.lists(LIKELIHOOD, min_size=length, max_size=length))
+    got = outcome(free_energy, q, prior, likelihood)
+    assert got == outcome(free_energy_reference, q, prior, likelihood)
+
+
+def test_free_energy_is_inf_where_the_evidence_rules_q_out():
+    s = space("s", 3)
+    q, prior = Categorical(s, [0.5, 0.5, 0.0]), Categorical(s, [0.2, 0.3, 0.5])
+    for likelihood in ([0.0, 1.0, 1.0], [1.0, -0.0, 0.0]):
+        got = outcome(free_energy, q, prior, likelihood)
+        assert got == outcome(free_energy_reference, q, prior, likelihood)
+        assert got == np.float64(np.inf).tobytes()
+    # mass only where the evidence is zero is not ruled out
+    assert outcome(free_energy, q, prior, [1.0, 1.0, 0.0]) == outcome(
+        free_energy_reference, q, prior, [1.0, 1.0, 0.0]
+    )
+
+
+def test_kl_divergence_and_free_energy_take_numpys_logs():
+    """Seeded vectors of many distinct entries, which the drawn ones rarely
+    have: ``math.log`` differs from ``np.log`` on about 0.35% of inputs, so a
+    change of log routine fails here."""
+    rng = np.random.default_rng(22)
+    for n in range(1, 21):
+        s = space("s", n)
+        for _ in range(100):
+            q, p, lik = rng.random((3, n))
+            q[rng.random(n) < 0.2] = 0.0
+            if not q.any():
+                q[0] = 1.0
+            q, p = Categorical(s, (q / q.sum()).tolist()), Categorical(s, p / p.sum())
+            assert outcome(kl_divergence, q, p) == outcome(kl_reference, q, p)
+            assert outcome(free_energy, q, p, lik) == outcome(free_energy_reference, q, p, lik)
+
+
+def normalize_reference(space, weights):
+    """``normalize`` of a 1-d vector as numpy computed it."""
+    w = np.asarray(weights, dtype=float)
+    if not np.logical_and.reduce(w >= 0):
+        raise ValueError("weights must be non-negative")
+    total = np.add.reduce(w)
+    if total <= 0:
+        raise AllZeroError(f"cannot normalize all-zero weights over {space.name!r}")
+    return Categorical(space, w / total)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 20).flatmap(lambda n: st.lists(COUNT | LIKELIHOOD, min_size=n, max_size=n)),
+       st.booleans())
+def test_normalize_divides_a_1d_vector_as_numpy_does(weights, as_array):
+    s = space("s", len(weights))
+    value = np.array(weights) if as_array else weights
+    assert outcome(normalize, s, value) == outcome(normalize_reference, s, value)
+
+
+def write_reference(model, q_prev, action, q_curr, cue):
+    """One turn of ``WorldModel.update`` as numpy computed it; with no
+    ``q_prev``, ``add_observation`` alone."""
+    if q_prev is not None:
+        a = model.actions.index(action)
+        model.transition_counts[:, a, :] += q_prev.probs[:, None] * q_curr.probs[None, :]
+    model.observation_counts[:, model.cues.index(cue)] += q_curr.probs
+
+
+@st.composite
+def count_writes(draw):
+    n_s, n_a, n_c = draw(st.integers(1, 9)), draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    states, actions, cues = space("s", n_s), space("a", n_a), space("o", n_c)
+    transition_counts = draw(counts((n_s, n_a, n_s)))
+    observation_counts = draw(counts((n_s, n_c)))
+    beliefs = [Categorical(states, draw(distribution(n_s)).tolist())
+               for _ in range(draw(st.integers(1, 3)))]
+    turns = [(None if i == 0 else beliefs[i - 1], draw(st.sampled_from(actions.labels)), q,
+              draw(st.sampled_from(cues.labels))) for i, q in enumerate(beliefs)]
+    models = []
+    for _ in range(2):
+        model = WorldModel(states, actions, cues)
+        model.transition_counts = transition_counts.copy()
+        model.observation_counts = observation_counts.copy()
+        models.append(model)
+    return models, turns
+
+
+@settings(max_examples=100, deadline=None)
+@given(count_writes())
+def test_count_writes_are_the_numpy_sums(case):
+    (model, twin), turns = case
+    with np.errstate(all="ignore"):
+        for q_prev, action, q_curr, cue in turns:
+            if q_prev is None:
+                model.add_observation(q_curr, cue)
+            else:
+                model.update(q_prev, action, q_curr, cue)
+            write_reference(twin, q_prev, action, q_curr, cue)
+            assert model.transition_counts.tobytes() == twin.transition_counts.tobytes()
+            assert model.observation_counts.tobytes() == twin.observation_counts.tobytes()

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statecoach import memory
-from statecoach.backends import ScriptedBackend
+from statecoach.backends import ScriptedBackend, ask_once
 from statecoach.errors import EmptyTextError
 from statecoach.memory import (
     DEFAULT_CONSOLIDATE_EVERY,
@@ -449,6 +450,35 @@ def test_retrieve_keeps_the_scans_of_the_keys_used_last():
             assert ("a", "s", DEFAULT_K) in store._scans
             assert [e.text for e in store.retrieve("a", session="s")["relevant"]] == ["a"]
     assert len(store._scans) == _SCAN_KEYS
+
+
+def test_distinct_queries_do_not_grow_the_store():
+    """A query's vector is measured against the rows without becoming one, so
+    5000 distinct queries on a 40-entry store leave the matrix at its 40 rows
+    and, once ``_SCAN_KEYS`` keys are cached, grow the store no further.  The
+    queries are embedded before tracing starts: the backend's own answers are
+    kept by ``ask_once``, not by the store."""
+    backend = ScriptedBackend()
+    store = MemoryStore(backend)
+    for i in range(40):
+        store.add(STM, f"entry {i} about week {i % 7} plans", i, "s")
+    queries = [f"distinct query {i} on day {i % 13}" for i in range(5000)]
+    for query in queries:
+        ask_once(backend, "embed", query)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for i, query in enumerate(queries):
+            store.retrieve(query, session="s")
+            if i == 999:
+                after_1000 = tracemalloc.get_traced_memory()[0]
+        end = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert store._n_rows == len(store._rows) == 40
+    # With a row per query the store grew by 17.7 MB, 12.8 MB of it after query 1000.
+    assert end - start < 1_500_000
+    assert end - after_1000 < 100_000
 
 
 # -- consolidate against a full-scan reference ---------------------------------
