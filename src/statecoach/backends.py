@@ -13,13 +13,15 @@ The interface methods are: generate_response, generate_client_reply,
 classify_counselor_action, classify_talk_type, choose_client_action,
 summarize, embed.
 
-``ask_once`` keeps a backend's answer to each text-only query (embed, both
-classifiers) for the backend object's life, an HttpBackend fallback label too.
-Callers may ask a query once and keep the answer, because every backend
-answers the same question the same way.  ``choose_client_action`` is asked
-once per client session and stage: the stage's action distribution and its
-context do not change within one.  A backend that sampled its client action
-would lose per-turn variety that way; greedy decoding rules one out already.
+``ask_once`` keeps a backend's answers to text-only queries (embed, both
+classifiers), an HttpBackend fallback label too: at most ``ANSWER_MEMO_SIZE``
+per backend object, least recently used out first, and none after the object
+is gone.  Callers may ask a query once and keep the answer, because every
+backend answers the same question the same way; a query whose answer was
+dropped is asked again.  ``choose_client_action`` is asked once per client
+session and stage: the stage's action distribution and its context do not
+change within one.  A backend that sampled its client action would lose
+per-turn variety that way; greedy decoding rules one out already.
 
 ``hashed_embedding`` hashes each distinct token once: its md5 bucket is kept
 in one module-level memo of at most ``TOKEN_MEMO_SIZE`` tokens, least recently
@@ -53,20 +55,34 @@ API_KEY_ENV = "STATECOACH_API_KEY"
 RETRY_BACKOFF_S = 0.5
 # Most distinct tokens whose md5 bucket hashed_embedding keeps.
 TOKEN_MEMO_SIZE = 1 << 14
+# Most answers ask_once keeps per backend: room for the 119 distinct questions
+# of the five bundled profiles' sessions, and at most about 0.6 MB of embeddings.
+ANSWER_MEMO_SIZE = 256
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
-# backend -> {(method, text): answer}; an entry goes when its backend does.
-_ANSWERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# id(backend) -> {(method, text): answer}, least recently used first; a
+# finalizer removes the entry when its backend goes, before the id can be reused.
+_ANSWERS: dict[int, dict] = {}
+_MISSING = object()
 
 
 def ask_once(backend, method: str, text: str):
-    """``backend.<method>(text)``, asked once per (hashable, weak-referenceable)
-    backend object; callers share the answer, and a call that raises is not kept."""
-    answers = _ANSWERS.setdefault(backend, {})
-    if (method, text) not in answers:
-        answers[method, text] = getattr(backend, method)(text)
-    return answers[method, text]
+    """``backend.<method>(text)``, asked once per weak-referenceable backend
+    object while the answer is among its ``ANSWER_MEMO_SIZE`` used last;
+    callers share the answer, and a call that raises is not kept."""
+    answers = _ANSWERS.get(id(backend))
+    if answers is None:
+        weakref.finalize(backend, _ANSWERS.pop, id(backend), None)
+        answers = _ANSWERS[id(backend)] = {}
+    key = method, text
+    answer = answers.pop(key, _MISSING)
+    if answer is _MISSING:
+        answer = getattr(backend, method)(text)
+        if len(answers) >= ANSWER_MEMO_SIZE:
+            del answers[next(iter(answers))]
+    answers[key] = answer
+    return answer
 
 
 def match_label(reply, labels) -> str | None:

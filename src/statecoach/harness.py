@@ -210,7 +210,8 @@ class BeliefTracker:
         if report is None:
             self.prior = planner_prior(self.q, self.wm, action)
         else:
-            self.prior = Categorical(report.space, report.q_next[report.actions.index(action)])
+            row = report.q_next[report.actions.index(action)]
+            self.prior = Categorical(report.space, row.tolist())
         return self.prior
 
 

@@ -21,8 +21,8 @@ distinct queries do not grow the matrix.  Every row, and every query vector
 measured against the rows, has the first row's width: a loaded line or a
 backend vector of another width is a ValueError naming both.  Embeddings come
 through ``backends.ask_once``, so a backend is asked once per distinct text
-across every store, client and trigger set that shares it, for the backend's
-life.
+across every store, client and trigger set that shares it, while the text is
+among the last ``ANSWER_MEMO_SIZE`` asked of that backend.
 
 Each session also keeps a mark: its highest short-term turn, raised as
 entries are appended (by ``add`` or ``load``).  ``consolidate`` reads only

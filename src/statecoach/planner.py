@@ -26,7 +26,10 @@ T[s, a, s'] and O[s', c] (see ``world_model``).  For k candidates, S states
 and C cues the rollout holds q'[a, s'] (k, S), the joint q'[a, s'] * O[s', c]
 (k, S, C) and p(c | a) (k, C); posteriors over s' are the joint divided by
 p(c | a).  Every reduction runs over states or cues, never over actions, so
-each action's values are bit-identical to scoring it alone.
+each action's values are bit-identical to scoring it alone.  T is gathered
+only for candidates other than the model's own actions in order, and the
+entropy keeps 0 * log 0 = 0 without masks (``_epistemic``).  A belief over
+another number of states than T's is a DimensionMismatchError.
 
 ``EfeReport`` keeps those arrays, read-only, rather than one object per
 action; the q'[a, s'] rows are checked as distributions once, in one pass.
@@ -39,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyActionSetError, InvalidWeightsError
+from .errors import DimensionMismatchError, EmptyActionSetError, InvalidWeightsError
 from .probs import Categorical, LabelSpace, check_rows, normalize
 from .vocab import CUES
 
@@ -133,9 +136,15 @@ class EfeReport:
 
 def _predict(belief: Categorical, model, actions: Sequence[str]) -> np.ndarray:
     """q'[a, s'] = sum_s q(s) * T[s, a, s'] for each action: the one rollout step."""
-    idx = [model.actions.index(a) for a in actions]
-    weighted = belief.probs[:, None, None] * model.transitions().take(idx, axis=1)
-    return np.add.reduce(weighted, axis=0)
+    T = model.transitions()
+    if T.shape[0] != len(belief.space):
+        raise DimensionMismatchError(
+            f"belief over {len(belief.space)} states of {belief.space.name!r}, "
+            f"but the model has {T.shape[0]} states"
+        )
+    if tuple(actions) != model.actions.labels:
+        T = T.take([model.actions.index(a) for a in actions], axis=1)
+    return np.add.reduce(belief.probs[:, None, None] * T, axis=0)
 
 
 def _rollout(
@@ -148,13 +157,17 @@ def _rollout(
 
 
 def _epistemic(joint: np.ndarray, p_obs: np.ndarray) -> np.ndarray:
-    """Expected posterior entropy per action; cues with p(c | a) = 0 add nothing."""
-    seen = (p_obs > 0)[:, None, :]
-    post = np.divide(joint, p_obs[:, None, :], out=np.zeros_like(joint), where=seen)
-    log_post = np.log(post, out=np.zeros_like(post), where=post > 0)
-    h = -np.add.reduce(post * log_post, axis=1)
-    # +0.0 so that a fully revealing action (every posterior certain) reports 0.0, not -0.0.
-    return 0.0 + np.add.reduce(p_obs * h, axis=1)
+    """Expected posterior entropy per action; cues with p(c | a) = 0 add nothing.
+
+    A zero p(c | a) is divided as 1.0 (its joint entries are zero) and a zero
+    posterior is logged as 1.0, so 0 * log 0 = 0 holds with no 0/0 or log 0,
+    and adding 0.0 leaves every positive value as it is.  The one ``0.0 -`` is
+    exact and makes a zero total +0.0: a fully revealing action reports 0.0.
+    """
+    post = joint / (p_obs + (p_obs == 0))[:, None, :]
+    plogp = np.log(post + (post == 0))
+    plogp *= post
+    return 0.0 - np.add.reduce(p_obs * np.add.reduce(plogp, axis=1), axis=1)
 
 
 def _pragmatic(p_obs: np.ndarray, pref: PreferenceModel) -> np.ndarray:
@@ -215,7 +228,7 @@ def select_action(
             total[i] += repeat_penalty
     for arr in (epistemic, pragmatic, total, q_next):
         arr.flags.writeable = False
-    best = int(np.argmin(total))  # the first minimum: ties go to the earliest action
+    best = int(total.argmin())  # the first minimum: ties go to the earliest action
     return EfeReport(belief.space, labels, epistemic, pragmatic, total, q_next, labels[best])
 
 

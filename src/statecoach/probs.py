@@ -170,13 +170,20 @@ class Categorical:
 
 
 def check_rows(space: LabelSpace, rows: np.ndarray) -> None:
-    """Categorical's check on every row of a (k, len(space)) array, in one pass."""
+    """Categorical's check on every row of a (k, len(space)) array.
+
+    One accept test runs first (a NaN fails it); only an array that fails it
+    is checked row by row, for the first bad row's own Categorical error.
+    """
     if rows.shape[1:] != (len(space),):
         raise DimensionMismatchError(
             f"expected rows of {len(space)} probabilities for {space.name!r}, got {rows.shape}"
         )
-    negative = np.logical_or.reduce(rows < 0, axis=1)
     totals = np.add.reduce(rows, axis=1)
+    # initial=0.0 changes neither test and lets an array of no rows pass.
+    if rows.min(initial=0.0) >= 0 and np.abs(totals - 1.0).max(initial=0.0) <= PROB_TOL:
+        return
+    negative = np.logical_or.reduce(rows < 0, axis=1)
     bad = negative | ~(np.abs(totals - 1.0) <= PROB_TOL)  # NaN fails too
     if np.logical_or.reduce(bad):
         i = int(bad.argmax())  # the first bad row fails as its own Categorical would

@@ -445,6 +445,15 @@ def test_a_call_that_raised_is_asked_again():
         ask_once(b, "embed", "...")
 
 
+def test_ask_once_keeps_the_answers_used_last(monkeypatch):
+    monkeypatch.setattr(backends, "ANSWER_MEMO_SIZE", 2)
+    b = Recorder()
+    for text in (TEXTS[0], TEXTS[1], TEXTS[0], TEXTS[2], TEXTS[0], TEXTS[1]):
+        ask_once(b, "classify_talk_type", text)
+    # TEXTS[1] was the least recently used when TEXTS[2] came, so it is asked again.
+    assert [t for _, t in b.asked] == [TEXTS[0], TEXTS[1], TEXTS[2], TEXTS[1]]
+
+
 def test_dropping_a_backend_frees_its_answers():
     gc.collect()
     before = len(backends._ANSWERS)

@@ -7,6 +7,10 @@ must give the reference's value bit for bit (signed zeros included), or raise
 the same error type with the same message.  The references run with numpy's
 floating-point warnings off, since the float paths have no such warnings to
 give: an overflow or ``0 * inf`` yields the same inf or NaN either way.
+
+The planner's scoring pass is held to its masked form the same way: the
+``where=`` forms of ``_epistemic`` and ``check_rows`` are kept below, and
+``select_action``'s report must equal them byte for byte.
 """
 
 import numpy as np
@@ -21,8 +25,23 @@ from statecoach.errors import (
     WeightOutOfRangeError,
     ZeroEvidenceError,
 )
-from statecoach.planner import _predict, planner_prior
-from statecoach.probs import Categorical, LabelSpace, kl_divergence, mix, normalize
+from statecoach.planner import (
+    PreferenceModel,
+    _predict,
+    epistemic_value,
+    planner_prior,
+    pragmatic_value,
+    select_action,
+)
+from statecoach.probs import (
+    PROB_TOL,
+    Categorical,
+    LabelSpace,
+    check_rows,
+    kl_divergence,
+    mix,
+    normalize,
+)
 from statecoach.world_model import TableModel, WorldModel, _smoothed
 
 
@@ -341,3 +360,114 @@ def test_count_writes_are_the_numpy_sums(case):
             write_reference(twin, q_prev, action, q_curr, cue)
             assert model.transition_counts.tobytes() == twin.transition_counts.tobytes()
             assert model.observation_counts.tobytes() == twin.observation_counts.tobytes()
+
+
+def check_rows_reference(space, rows):
+    """``check_rows`` as it checked every row in one masked pass."""
+    if rows.shape[1:] != (len(space),):
+        raise DimensionMismatchError(
+            f"expected rows of {len(space)} probabilities for {space.name!r}, got {rows.shape}"
+        )
+    negative = np.logical_or.reduce(rows < 0, axis=1)
+    totals = np.add.reduce(rows, axis=1)
+    bad = negative | ~(np.abs(totals - 1.0) <= PROB_TOL)
+    if np.logical_or.reduce(bad):
+        i = int(bad.argmax())
+        if negative[i]:
+            raise ValueError("probabilities must be non-negative")
+        raise ValueError(f"probabilities must sum to 1, got {totals[i]!r}")
+
+
+def epistemic_reference(joint, p_obs):
+    """``_epistemic`` with ``where=`` masks over zero-filled outputs."""
+    seen = (p_obs > 0)[:, None, :]
+    post = np.divide(joint, p_obs[:, None, :], out=np.zeros_like(joint), where=seen)
+    log_post = np.log(post, out=np.zeros_like(post), where=post > 0)
+    h = -np.add.reduce(post * log_post, axis=1)
+    return 0.0 + np.add.reduce(p_obs * h, axis=1)
+
+
+def select_reference(belief, model, labels, pref, lambda_e, lambda_p, penalty, last):
+    """``select_action``'s arrays and choice, every candidate's T column gathered."""
+    idx = [model.actions.index(a) for a in labels]
+    q_next = np.add.reduce(belief.probs[:, None, None] * model.transitions().take(idx, axis=1),
+                           axis=0)
+    joint = q_next[:, :, None] * model.observations()
+    p_obs = np.add.reduce(joint, axis=1)
+    check_rows_reference(belief.space, q_next)
+    epistemic = epistemic_reference(joint, p_obs)
+    pragmatic = -np.add.reduce(p_obs * pref.log_pref, axis=1)
+    total = lambda_e * epistemic + lambda_p * pragmatic
+    for i, a in enumerate(labels):
+        if a == last:
+            total[i] += penalty
+    return epistemic, pragmatic, total, q_next, labels[int(np.argmin(total))]
+
+
+@st.composite
+def scoring_case(draw):
+    """One planning step over one of three kinds of model: a ``WorldModel``
+    smoothed from drawn counts, a ``TableModel`` with zero O cells (some of them
+    revealing: each state's cue its own, so every posterior is certain), and a
+    ``TableModel`` with zero T cells."""
+    n_s, n_a, n_c = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    states, actions, cues = space("s", n_s), space("a", n_a), space("o", n_c)
+    kind = draw(st.sampled_from(["counts", "zero-O", "zero-T"]))
+    if kind == "counts":
+        model = WorldModel(states, actions, cues, kappa_t=draw(st.floats(0.1, 5.0)),
+                           kappa_o=draw(st.floats(0.1, 5.0)))
+        model.transition_counts = draw(counts((n_s, n_a, n_s)))
+        model.observation_counts = draw(counts((n_s, n_c)))
+    else:
+        T = st.just(np.full(n_s, 1 / n_s)) if kind == "zero-O" else distribution(n_s)
+        trans = {(s, a): draw(T) for s in states.labels for a in actions.labels}
+        if kind == "zero-O" and n_c >= n_s and draw(st.booleans()):
+            obs = {s: np.eye(n_c)[i] for i, s in enumerate(states.labels)}
+        elif kind == "zero-O":
+            obs = {s: draw(distribution(n_c)) for s in states.labels}
+        else:
+            obs = {s: np.full(n_c, 1 / n_c) for s in states.labels}
+        model = TableModel(states, actions, cues, trans, obs)
+    if draw(st.booleans()):
+        labels = actions.labels  # the counselor's case: T read whole
+    else:
+        labels = tuple(draw(st.permutations(actions.labels))[:draw(st.integers(1, n_a))])
+    prefs = draw(st.lists(st.floats(0.05, 1.0), min_size=n_c, max_size=n_c))
+    return (
+        Categorical(states, draw(distribution(n_s)).tolist()),
+        model,
+        labels,
+        PreferenceModel.from_weights(cues, dict(zip(cues.labels, prefs))),
+        *draw(st.sampled_from([(0.4, 0.6), (1.0, 0.0), (0.0, 1.0), (0.7, 0.3)])),
+        draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0))),
+        draw(st.one_of(st.none(), st.sampled_from(actions.labels))),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(scoring_case())
+def test_select_action_equals_the_masked_scoring_pass(case):
+    belief, model, labels, pref, lambda_e, lambda_p, penalty, last = case
+    report = select_action(belief, model, labels, pref, lambda_e, lambda_p,
+                           repeat_penalty=penalty, last_action=last)
+    *arrays, chosen = select_reference(*case)
+    got = (report.epistemic, report.pragmatic, report.total, report.q_next)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in arrays]
+    assert report.chosen == chosen
+    action = labels[0]
+    assert outcome(epistemic_value, belief, model, action) == arrays[0][:1].tobytes()
+    assert outcome(pragmatic_value, belief, model, action, pref) == arrays[1][:1].tobytes()
+
+
+ROW_ENTRY = st.one_of(WEIGHT, st.sampled_from([np.nan, np.inf, -np.inf, -1e-12, 1.0 + 1e-9]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 5), st.data())
+def test_check_rows_raises_as_the_masked_pass_does(n, k, data):
+    s = space("s", n)
+    rows = np.array([
+        data.draw(st.one_of(distribution(n), st.lists(ROW_ENTRY, min_size=n, max_size=n)))
+        for _ in range(k)
+    ]).reshape(k, n)
+    assert outcome(check_rows, s, rows) == outcome(check_rows_reference, s, rows)

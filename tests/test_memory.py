@@ -481,6 +481,26 @@ def test_distinct_queries_do_not_grow_the_store():
     assert end - after_1000 < 100_000
 
 
+def test_distinct_queries_keep_a_bounded_share_of_the_backends_answers():
+    """``ask_once`` keeps at most ``ANSWER_MEMO_SIZE`` answers per backend, so
+    5000 distinct queries, embedded as they come, grow memory by a bounded
+    amount: their scans, the store's own 40 rows and the answers used last."""
+    backend = ScriptedBackend()
+    store = MemoryStore(backend)
+    for i in range(40):
+        store.add(STM, f"entry {i} about week {i % 7} plans", i, "s")
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for i in range(5000):
+            store.retrieve(f"distinct query {i} on day {i % 13}", session="s")
+        end = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # Keeping every query's vector for the backend's life grew memory by 12.5 MB.
+    assert end - start < 3_000_000
+
+
 # -- consolidate against a full-scan reference ---------------------------------
 
 C_SESSIONS = ["s0", "s1", "ltm-only"]  # "ltm-only" never gets a short-term entry

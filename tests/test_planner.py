@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from statecoach.belief import bayes_update
-from statecoach.errors import EmptyActionSetError, InvalidWeightsError
+from statecoach.errors import DimensionMismatchError, EmptyActionSetError, InvalidWeightsError
 from statecoach.planner import (
     _rollout,
     DEFAULT_LAMBDA_E,
@@ -259,6 +259,22 @@ def test_mutual_information_identity_on_random_models():
                 expected_kl += p_o * kl_divergence(bayes_update(q_next, col), q_next)
         lhs = entropy(q_next) - expected_post_entropy
         assert lhs == pytest.approx(expected_kl, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_belief_over_another_number_of_states_is_a_dimension_mismatch(n):
+    belief = uniform(LabelSpace("b", tuple(f"b{i}" for i in range(n))))
+    wm, pref = WorldModel(), PreferenceModel.default()
+    sizes = f"belief over {n} states of 'b', but the model has {len(STAGES)} states"
+    for call in (
+        lambda: select_action(belief, wm, COUNSELOR_ACTIONS, pref),
+        lambda: epistemic_value(belief, wm, "Open Question"),
+        lambda: pragmatic_value(belief, wm, "Open Question", pref),
+    ):
+        with pytest.raises(DimensionMismatchError, match=sizes):
+            call()
+    with pytest.raises(DimensionMismatchError):
+        planner_prior(belief, wm, "Open Question")
 
 
 def test_planner_prior_matches_predictive_distribution():
