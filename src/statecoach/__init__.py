@@ -6,7 +6,7 @@ actions by expected free energy, and evaluates policies against a fully
 specified simulated client with trigger-gated readiness dynamics.
 """
 
-from .backends import BackendConfig, HttpBackend, ScriptedBackend, make_backend
+from .backends import HttpBackend, ScriptedBackend, make_backend
 from .belief import BeliefState, bayes_update, free_energy, fuse, widen_observation
 from .client_sim import (
     ClientProfile,
@@ -37,7 +37,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActiveCounselor",
-    "BackendConfig",
     "BeliefState",
     "CLIENT_ACTIONS",
     "COUNSELOR_ACTIONS",

@@ -9,6 +9,11 @@ Two implementations share one duck-typed interface:
   with greedy decoding, bounded retries with exponential backoff, and typed
   transport errors.
 
+``make_backend`` builds either from the run's ``RunConfig``, the one place
+backend settings are checked.  Both use the bundled prompt templates; the HTTP
+timeout and attempt count are the constants ``HTTP_TIMEOUT_S`` and
+``HTTP_RETRIES``.
+
 The interface methods are: generate_response, generate_client_reply,
 classify_counselor_action, classify_talk_type, choose_client_action,
 summarize, embed.
@@ -38,7 +43,6 @@ import os
 import string
 import time
 import weakref
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +55,9 @@ from .vocab import CLIENT_ACTIONS, COUNSELOR_ACTIONS, CUES
 DATA_DIR = Path(__file__).parent / "data"
 EMBED_DIM = 256
 API_KEY_ENV = "STATECOACH_API_KEY"
+# Seconds one HTTP request may take, and how many times it is sent at most.
+HTTP_TIMEOUT_S = 10.0
+HTTP_RETRIES = 3
 # Wait before the n-th resend of an HTTP request: RETRY_BACKOFF_S * 2**(n-1).
 RETRY_BACKOFF_S = 0.5
 # Most distinct tokens whose md5 bucket hashed_embedding keeps.
@@ -91,38 +98,16 @@ def match_label(reply, labels) -> str | None:
     return next((label for label in labels if label.lower() == wanted), None)
 
 
-@dataclass
-class BackendConfig:
-    kind: str = "scripted"
-    endpoint: str | None = None
-    model_name: str | None = None
-    max_output_tokens: int = 1024
-    prompt_templates: dict[str, str] = field(default_factory=dict)
-    seed: int = 42
-    timeout: float = 10.0
-    retries: int = 3
-
-    def __post_init__(self):
-        if self.kind not in ("scripted", "http"):
-            raise ValueError(f"unknown backend kind {self.kind!r}")
-        if self.kind == "http" and not self.endpoint:
-            raise ValueError("http backend requires an endpoint")
-        if self.max_output_tokens <= 0:
-            raise ValueError("max_output_tokens must be positive")
-        if not self.prompt_templates:
-            self.prompt_templates = load_templates()
-
-
 def load_templates() -> dict[str, str]:
     """Load the bundled {placeholder}-style prompt templates, one per .txt file."""
     paths = sorted((DATA_DIR / "templates").glob("*.txt"))
     return {p.stem: p.read_text(encoding="utf-8") for p in paths}
 
 
-def _template(config: BackendConfig, template_id: str) -> str:
+def _template(templates: dict[str, str], template_id: str) -> str:
     """The prompt template registered under ``template_id``."""
     try:
-        return config.prompt_templates[template_id]
+        return templates[template_id]
     except KeyError:
         raise TemplateMissingError(f"no template registered under {template_id!r}") from None
 
@@ -193,8 +178,8 @@ def _apply_rules(rules: list[dict], utterance: str) -> str:
 class ScriptedBackend:
     """Deterministic backend driven by fixture rule tables."""
 
-    def __init__(self, config: BackendConfig | None = None):
-        self.config = config or BackendConfig()
+    def __init__(self):
+        self.templates = load_templates()
         self._counselor_rules = _load_json("counselor_rules.json")["rules"]
         self._cue_rules = _load_json("talk_type_rules.json")["cue_rules"]
         self._response_rules = _load_json("counselor_responses.json")["rules"]
@@ -221,7 +206,7 @@ class ScriptedBackend:
         user_utterance: str,
         template_id: str = "counselor_reply",
     ) -> str:
-        _template(self.config, template_id)
+        _template(self.templates, template_id)
         relevant = (memories or {}).get("relevant", [])
         context = {
             "action": action,
@@ -238,7 +223,7 @@ class ScriptedBackend:
         context: dict[str, str],
         template_id: str = "client_reply",
     ) -> str:
-        _template(self.config, template_id)
+        _template(self.templates, template_id)
         fmt = {"action": action, "utterance": counselor_utterance, **context}
         haystack = (
             f"client_action:{action.lower()} || "
@@ -279,10 +264,13 @@ class HttpBackend:
     never as fabricated text.
     """
 
-    def __init__(self, config: BackendConfig, session: requests.Session | None = None):
-        if config.kind != "http":
-            raise ValueError("HttpBackend requires kind='http'")
-        self.config = config
+    def __init__(self, cfg, session: requests.Session | None = None):
+        """``cfg`` is the run's ``RunConfig``, duck-typed: ``config`` imports
+        this module through ``client_sim`` and ``memory``."""
+        if cfg.backend_kind != "http":
+            raise ValueError("HttpBackend requires backend_kind='http'")
+        self.cfg = cfg
+        self.templates = load_templates()
         self.session = session or requests.Session()
 
     def _headers(self) -> dict[str, str]:
@@ -293,12 +281,12 @@ class HttpBackend:
         return headers
 
     def _post(self, path: str, payload: dict) -> dict:
-        url = self.config.endpoint.rstrip("/") + path
+        url = self.cfg.endpoint.rstrip("/") + path
         last_error = "unknown error"
-        for attempt in range(1, self.config.retries + 1):
+        for attempt in range(1, HTTP_RETRIES + 1):
             try:
                 resp = self.session.post(
-                    url, json=payload, headers=self._headers(), timeout=self.config.timeout
+                    url, json=payload, headers=self._headers(), timeout=HTTP_TIMEOUT_S
                 )
                 if resp.status_code == 200:
                     return resp.json()
@@ -309,22 +297,22 @@ class HttpBackend:
                     break
             except requests.RequestException as exc:
                 last_error = str(exc)
-            if attempt < self.config.retries:
+            if attempt < HTTP_RETRIES:
                 time.sleep(RETRY_BACKOFF_S * 2 ** (attempt - 1))
         raise BackendUnavailableError(
             f"backend unreachable at {url}: {last_error}", attempts=attempt
         )
 
     def _render(self, template_id: str, **fields) -> str:
-        return _template(self.config, template_id).format(**fields)
+        return _template(self.templates, template_id).format(**fields)
 
     def _chat(self, prompt: str) -> str:
         body = {
-            "model": self.config.model_name or "default",
+            "model": self.cfg.model_name or "default",
             "messages": [{"role": "user", "content": prompt}],
             "temperature": 0,
-            "max_tokens": self.config.max_output_tokens,
-            "seed": self.config.seed,
+            "max_tokens": self.cfg.max_output_tokens,
+            "seed": self.cfg.seed,
         }
         data = self._post("/chat/completions", body)
         try:
@@ -399,7 +387,7 @@ class HttpBackend:
         _require_text(text)
         data = self._post(
             "/embeddings",
-            {"model": self.config.model_name or "default", "input": text},
+            {"model": self.cfg.model_name or "default", "input": text},
         )
         try:
             vec = np.asarray(data["data"][0]["embedding"])
@@ -415,7 +403,6 @@ class HttpBackend:
         return vec / norm
 
 
-def make_backend(config: BackendConfig):
-    if config.kind == "http":
-        return HttpBackend(config)
-    return ScriptedBackend(config)
+def make_backend(cfg):
+    """The backend ``cfg.backend_kind`` names, built from the run's ``RunConfig``."""
+    return HttpBackend(cfg) if cfg.backend_kind == "http" else ScriptedBackend()

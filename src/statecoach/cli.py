@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backends import DATA_DIR, BackendConfig, ask_once, make_backend, tokenize
+from .backends import DATA_DIR, ScriptedBackend, ask_once, make_backend, tokenize
 from .belief import bayes_update, free_energy
 from .client_sim import (
     ClientProfile,
@@ -91,18 +91,6 @@ def _cfg_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**{k: v for k, v in overrides.items() if v is not None})
 
 
-def _make_backend(cfg: RunConfig):
-    return make_backend(
-        BackendConfig(
-            kind=cfg.backend_kind,
-            endpoint=cfg.endpoint,
-            model_name=cfg.model_name,
-            max_output_tokens=cfg.max_output_tokens,
-            seed=cfg.seed,
-        )
-    )
-
-
 def _sim_fixtures(profiles_dir=None):
     table = TalkTypeTable.from_file(DATA_DIR / "talk_type_table.json")
     pop = load_pop_prior(DATA_DIR / "pop_prior.json")
@@ -134,7 +122,7 @@ def _build_counselor(kind: str, backend, cfg: RunConfig, session_id: str):
 
 def cmd_run_dynamic(args: argparse.Namespace) -> int:
     cfg = _cfg_from_args(args)
-    backend = _make_backend(cfg)
+    backend = make_backend(cfg)
     table, pop, profiles = _sim_fixtures(args.profiles)
     if not profiles:
         raise FileNotFoundError(f"no profile files found under {args.profiles}")
@@ -161,7 +149,7 @@ def cmd_run_dynamic(args: argparse.Namespace) -> int:
 
 def cmd_eval_offline(args: argparse.Namespace) -> int:
     cfg = _cfg_from_args(args)
-    backend = _make_backend(cfg)
+    backend = make_backend(cfg)
     sessions = load_annotated_sessions(args.sessions)
     result = offline_eval(sessions, cfg, backend)
     print(json.dumps(result, indent=2))
@@ -181,7 +169,7 @@ def cmd_validate_sim(args: argparse.Namespace) -> int:
     determinism so a broken data file or nondeterministic change is caught
     without running the full test suite."""
     cfg = _cfg_from_args(args)
-    backend = _make_backend(cfg)
+    backend = make_backend(cfg)
     table, pop, profiles = _sim_fixtures(args.profiles)
 
     path = DATA_DIR / "calibration_trajectory.json"
@@ -198,8 +186,8 @@ def cmd_validate_sim(args: argparse.Namespace) -> int:
     )
 
     def one_run() -> str:
-        counselor = ActiveCounselor(_make_backend(cfg), cfg, session_id=profiles[0].id)
-        client = _client_session(profiles[0], table, pop, _make_backend(cfg), cfg)
+        counselor = ActiveCounselor(make_backend(cfg), cfg, session_id=profiles[0].id)
+        client = _client_session(profiles[0], table, pop, make_backend(cfg), cfg)
         return run_dialogue(counselor, client, cfg).to_jsonl()
 
     deterministic = one_run() == one_run()
@@ -248,7 +236,7 @@ def cmd_repl(args: argparse.Namespace) -> int:
     typed line's action, never on its own suggestion.
     """
     cfg = _cfg_from_args(args)
-    backend = _make_backend(cfg)
+    backend = make_backend(cfg)
     table, pop, profiles = _sim_fixtures()
     profile = (
         ClientProfile.from_file(args.profile) if args.profile else profiles[0]
@@ -337,7 +325,7 @@ def _selftest_mi_identity(rng: np.random.Generator, n_models: int) -> str | None
 
 def _selftest_determinism() -> str | None:
     # Asks the backend itself: a memoized answer would repeat by construction.
-    backend = make_backend(BackendConfig())
+    backend = ScriptedBackend()
     a = backend.embed("the same sentence twice")
     b = backend.embed("the same sentence twice")
     if not np.array_equal(a, b):

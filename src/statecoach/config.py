@@ -69,8 +69,8 @@ class RunConfig:
             if not is_json(value, _KINDS[kind]):
                 raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         # Written so that NaN fails every range check.
-        for name in ("max_turns", "k_relevant", "lambda_e", "lambda_p", "repeat_penalty",
-                     "dist_thres", "obs_seed_count"):
+        for name in ("max_turns", "seed", "k_relevant", "lambda_e", "lambda_p",
+                     "repeat_penalty", "dist_thres", "obs_seed_count"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.lambda_e == 0 and self.lambda_p == 0:
@@ -78,12 +78,19 @@ class RunConfig:
         for name, lo in (("beta", 0.0), ("warmup_ratio", 0.0), ("theta_cov", 0.0), ("tau", -1.0)):
             if not lo <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [{lo:g}, 1], got {getattr(self, name)}")
-        for name in ("consolidate_every", "min_eval_turns", "alpha_dirichlet", "kappa_t",
-                     "kappa_o"):
+        for name in ("consolidate_every", "min_eval_turns", "max_output_tokens",
+                     "alpha_dirichlet", "kappa_t", "kappa_o"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not math.isfinite(self.theta_prep):
-            raise ValueError(f"theta_prep must be finite, got {self.theta_prep}")
+        # dist_thres alone may be +inf, which means no threshold.
+        for name in ("lambda_e", "lambda_p", "repeat_penalty", "obs_seed_count",
+                     "alpha_dirichlet", "kappa_t", "kappa_o", "theta_prep"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.backend_kind not in ("scripted", "http"):
+            raise ValueError(f"backend_kind must be 'scripted' or 'http', got {self.backend_kind!r}")
+        if self.backend_kind == "http" and not self.endpoint:
+            raise ValueError("backend_kind 'http' requires an endpoint")
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "RunConfig":

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from statecoach.backends import DATA_DIR, BackendConfig, ScriptedBackend
+from statecoach.backends import DATA_DIR, ScriptedBackend
 from statecoach.belief import bayes_update, free_energy, fuse, widen
 from statecoach.client_sim import (
     ClientProfile,
@@ -65,7 +65,7 @@ O3 = LabelSpace("o", ("o1", "o2", "o3"))
 
 
 def scripted():
-    return ScriptedBackend(BackendConfig(kind="scripted"))
+    return ScriptedBackend()
 
 
 def sim_fixtures():

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from statecoach import backends
 from statecoach.backends import (
     EMBED_DIM,
+    HTTP_RETRIES,
+    HTTP_TIMEOUT_S,
     RETRY_BACKOFF_S,
     TOKEN_MEMO_SIZE,
-    BackendConfig,
     HttpBackend,
     ScriptedBackend,
     ask_once,
@@ -24,6 +25,7 @@ from statecoach.backends import (
     match_label,
     tokenize,
 )
+from statecoach.config import RunConfig
 from statecoach.errors import (
     BackendUnavailableError,
     EmptyTextError,
@@ -86,26 +88,26 @@ def test_disjoint_token_sets_are_orthogonal():
 
 
 def test_backend_config_validation():
-    with pytest.raises(ValueError):
-        BackendConfig(kind="http")  # endpoint required
-    with pytest.raises(ValueError):
-        BackendConfig(max_output_tokens=0)
-    cfg = BackendConfig()
+    # RunConfig checks the backend settings (tests/test_harness.py's table);
+    # HttpBackend refuses a config of another kind.
+    with pytest.raises(ValueError, match="backend_kind='http'"):
+        HttpBackend(RunConfig())
+    cfg = RunConfig()
     assert cfg.seed == 42 and cfg.max_output_tokens == 1024
 
 
 def test_templates_auto_loaded():
-    cfg = BackendConfig()
-    for tid in (
-        "counselor_reply",
-        "client_reply",
-        "client_opening",
-        "classify_counselor",
-        "classify_talk_type",
-        "summarize",
-        "choose_action",
-    ):
-        assert tid in cfg.prompt_templates
+    for backend in (ScriptedBackend(), HttpBackend(http_config(), session=FakeSession([]))):
+        for tid in (
+            "counselor_reply",
+            "client_reply",
+            "client_opening",
+            "classify_counselor",
+            "classify_talk_type",
+            "summarize",
+            "choose_action",
+        ):
+            assert tid in backend.templates
     assert load_templates()["summarize"].count("{texts}") == 1
 
 
@@ -196,7 +198,7 @@ class FakeSession:
         self.calls = []
 
     def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers})
+        self.calls.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
         item = self.responses.pop(0)
         if isinstance(item, Exception):
             raise item
@@ -212,7 +214,7 @@ def sleeps(monkeypatch):
 
 
 def http_config(**kw):
-    return BackendConfig(kind="http", endpoint="http://fake", retries=3, **kw)
+    return RunConfig(backend_kind="http", endpoint="http://fake", **kw)
 
 
 def chat_payload(text):
@@ -345,8 +347,25 @@ def test_http_integer_embedding_is_a_vector():
 
 
 def test_make_backend_factory():
-    assert isinstance(make_backend(BackendConfig()), ScriptedBackend)
+    assert isinstance(make_backend(RunConfig()), ScriptedBackend)
     assert isinstance(make_backend(http_config()), HttpBackend)
+
+
+def test_http_request_carries_the_run_config_it_was_built_from(monkeypatch):
+    session = FakeSession(
+        [FakeResponse(payload=chat_payload("Ok."))]
+        + [requests.ConnectionError("down")] * HTTP_RETRIES
+    )
+    monkeypatch.setattr(backends.requests, "Session", lambda: session)
+    b = make_backend(http_config(model_name="m1", seed=7, max_output_tokens=77))
+    assert b.generate_response("Affirm", None, None, "hi") == "Ok."
+    body = session.calls[0]["json"]
+    assert (body["model"], body["seed"], body["max_tokens"]) == ("m1", 7, 77)
+    with pytest.raises(BackendUnavailableError) as err:
+        b.embed("hello")  # a dead endpoint
+    assert err.value.attempts == HTTP_RETRIES
+    assert len(session.calls) == 1 + HTTP_RETRIES
+    assert {call["timeout"] for call in session.calls} == {HTTP_TIMEOUT_S}
 
 
 @pytest.mark.parametrize("reply", ["complex reflection.", " Complex Reflection ", "COMPLEX REFLECTION"])

@@ -158,6 +158,10 @@ def test_negative_max_turns_exits_2(tmp_path, capsys):
         ([], {"obs_seed_count": -1.0}, "obs_seed_count must be non-negative"),
         ([], {"min_eval_turns": 0}, "min_eval_turns must be positive"),
         ([], {"min_eval_turns": -1}, "min_eval_turns must be positive"),
+        ([], {"obs_seed_count": math.inf}, "obs_seed_count must be finite"),
+        ([], {"alpha_dirichlet": math.inf}, "alpha_dirichlet must be finite"),
+        (["--lambda-e", "inf"], None, "lambda_e must be finite"),
+        (["--counselor", "random", "--seed", "-1"], None, "seed must be non-negative"),
     ],
 )
 def test_out_of_range_config_exits_2_before_writing(tmp_path, capsys, flags, config, message):
@@ -591,6 +595,20 @@ def test_http_backend_without_endpoint_exits_2(tmp_path, capsys):
         capsys, ["run-dynamic", "--out", str(tmp_path), "--backend", "http"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "settings, flags",
+    [({"backend_kind": "grpc"}, []), ({"max_output_tokens": 0}, []), ({}, ["--backend", "http"])],
+)
+def test_selftest_refuses_a_backend_setting(tmp_path, capsys, settings, flags):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(settings))
+    code = main(["selftest", "--config", str(path), *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_unreachable_http_backend_exits_3(tmp_path, capsys):

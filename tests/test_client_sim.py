@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statecoach.backends import DATA_DIR, BackendConfig, ScriptedBackend, ask_once
+from statecoach.backends import DATA_DIR, ScriptedBackend, ask_once
 from statecoach.client_sim import (
     BASE_GATE,
     ClientProfile,
@@ -322,7 +322,7 @@ def test_personas_never_become_triggers():
 
 
 def test_shipped_profiles_each_yield_six_triggers():
-    backend = ScriptedBackend(BackendConfig(kind="scripted"))
+    backend = ScriptedBackend()
     profiles = load_profiles(DATA_DIR / "profiles")
     assert [p.id for p in profiles] == [
         "p01-alcohol",
@@ -819,7 +819,7 @@ def test_prep_boundary_is_inclusive():
 
 
 def test_generic_counselor_never_unfreezes_precontemplation():
-    backend = ScriptedBackend(BackendConfig(kind="scripted"))
+    backend = ScriptedBackend()
     profile = ClientProfile.from_file(DATA_DIR / "profiles" / "p01_alcohol.json")
     table = TalkTypeTable.from_file(DATA_DIR / "talk_type_table.json")
     pop = load_pop_prior(DATA_DIR / "pop_prior.json")
@@ -836,7 +836,7 @@ def test_generic_counselor_never_unfreezes_precontemplation():
 
 
 def test_opening_statement_mentions_topic():
-    backend = ScriptedBackend(BackendConfig(kind="scripted"))
+    backend = ScriptedBackend()
     profile = ClientProfile.from_file(DATA_DIR / "profiles" / "p01_alcohol.json")
     table = TalkTypeTable.from_file(DATA_DIR / "talk_type_table.json")
     pop = load_pop_prior(DATA_DIR / "pop_prior.json")
@@ -850,7 +850,7 @@ def test_opening_statement_mentions_topic():
 
 
 def test_calibration_replay_on_shipped_trajectory():
-    backend = ScriptedBackend(BackendConfig(kind="scripted"))
+    backend = ScriptedBackend()
     profile = ClientProfile.from_file(DATA_DIR / "profiles" / "p01_alcohol.json")
     table = TalkTypeTable.from_file(DATA_DIR / "talk_type_table.json")
     traj = json.loads(
@@ -927,7 +927,7 @@ def test_calibration_replays_a_live_run_to_its_prep_readiness(run):
     off exactly the readiness at which the live client entered preparation."""
     active, over = _LIVE_RUNS[run]
     cfg = RunConfig(**over)
-    backend = ScriptedBackend(BackendConfig(kind="scripted"))
+    backend = ScriptedBackend()
     pop = load_pop_prior(DATA_DIR / "pop_prior.json")
     for profile in _BUNDLED_PROFILES:
         counselor = (
@@ -1009,7 +1009,7 @@ def test_calibration_equals_the_reference_loop(profile, turns, tau):
         except EmptyTextError as exc:
             return type(exc)
 
-    backend = ScriptedBackend(BackendConfig(kind="scripted"))
+    backend = ScriptedBackend()
     assert outcome(calibrate_prep_threshold) == outcome(reference_calibration)
 
 

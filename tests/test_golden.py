@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from statecoach.backends import DATA_DIR, BackendConfig, ScriptedBackend
+from statecoach.backends import DATA_DIR, ScriptedBackend
 from statecoach.client_sim import ClientSession, TalkTypeTable, load_pop_prior, load_profiles
 from statecoach.config import RunConfig
 from statecoach.harness import (
@@ -48,7 +48,7 @@ def _render_offline(result: dict) -> str:
 
 def build_config_transcripts(name: str) -> dict[str, str]:
     """``{relative path: to_jsonl()}`` for one configuration, all profiles."""
-    backend = ScriptedBackend(BackendConfig(kind="scripted"))
+    backend = ScriptedBackend()
     table = TalkTypeTable.from_file(DATA_DIR / "talk_type_table.json")
     pop = load_pop_prior(DATA_DIR / "pop_prior.json")
     cfg = RunConfig(**CONFIGS[name])
@@ -65,7 +65,7 @@ def build_config_transcripts(name: str) -> dict[str, str]:
 
 
 def build_offline() -> dict[str, str]:
-    backend = ScriptedBackend(BackendConfig(kind="scripted"))
+    backend = ScriptedBackend()
     result = offline_eval(load_annotated_sessions(), RunConfig(), backend)
     return {"offline_eval.json": _render_offline(result)}
 

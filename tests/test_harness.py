@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from statecoach.backends import DATA_DIR, BackendConfig, ScriptedBackend
+from statecoach.backends import DATA_DIR, ScriptedBackend
 from statecoach.client_sim import (
     TRIGGER_RULES,
     ClientProfile,
@@ -41,7 +41,7 @@ from statecoach.vocab import COUNSELOR_ACTIONS, STAGES
 
 
 def scripted():
-    return ScriptedBackend(BackendConfig(kind="scripted"))
+    return ScriptedBackend()
 
 
 def p01_session(backend, cfg=None):
@@ -649,6 +649,17 @@ def test_config_file_merge_and_extras(tmp_path):
         ("dist_thres", float("nan")),
         ("obs_seed_count", -1.0),
         ("obs_seed_count", float("nan")),
+        ("obs_seed_count", float("inf")),
+        ("lambda_e", float("inf")),
+        ("lambda_p", float("inf")),
+        ("repeat_penalty", float("inf")),
+        ("alpha_dirichlet", float("inf")),
+        ("kappa_t", float("inf")),
+        ("kappa_o", float("inf")),
+        ("seed", -1),
+        ("backend_kind", "grpc"),
+        ("backend_kind", "http"),  # with no endpoint
+        ("max_output_tokens", 0),
     ],
 )
 def test_run_config_rejects_out_of_range_values(field, value):
@@ -659,6 +670,7 @@ def test_run_config_rejects_out_of_range_values(field, value):
 def test_run_config_accepts_range_edges():
     RunConfig(beta=0.0, k_relevant=0, consolidate_every=1, lambda_e=0.0, warmup_ratio=0.0)
     RunConfig(beta=1.0, lambda_p=0.0, repeat_penalty=0.0, warmup_ratio=1.0)
+    RunConfig(seed=0, max_output_tokens=1, dist_thres=float("inf"))  # inf: no threshold
 
 
 def test_dump_constants_reports_wired_defaults():

@@ -5,16 +5,28 @@ and set.  A change that adds or drops a name or a setting moves these numbers
 on purpose, and updates them here with the reason.
 """
 
+import inspect
 from dataclasses import fields
 
 import statecoach
+from statecoach.backends import HttpBackend, ScriptedBackend
 from statecoach.config import RunConfig
 
 
 def test_public_names():
-    assert len(statecoach.__all__) == 37  # 38 with TurnEvidence
+    # 36 since the backend config class went into RunConfig (37 before; 38 with TurnEvidence).
+    assert len(statecoach.__all__) == 36
     assert len(set(statecoach.__all__)) == len(statecoach.__all__)
 
 
 def test_run_config_fields():
     assert len(fields(RunConfig)) == 26
+
+
+def test_backend_constructor_parameters():
+    """A backend reads its settings from the run's RunConfig; the rest are
+    module constants.  A new constructor knob moves this pin on purpose."""
+    assert list(inspect.signature(ScriptedBackend).parameters) == []
+    params = inspect.signature(HttpBackend).parameters
+    assert list(params) == ["cfg", "session"]
+    assert params["session"].default is None
