@@ -41,7 +41,7 @@ from .harness import (
     run_dialogue,
 )
 from .metrics import dynamic_metrics
-from .planner import PreferenceModel, epistemic_value, planner_prior
+from .planner import epistemic_value, planner_prior
 from .probs import Categorical, LabelSpace, entropy, kl_divergence, point_mass, uniform
 from .vocab import CLIENT_ACTIONS, STAGES
 
@@ -195,9 +195,10 @@ def cmd_validate_sim(args: argparse.Namespace) -> int:
     u = uniform(CLIENT_ACTIONS)
     kl_ident = act_kl(u, u)
     kl_point = act_kl(point_mass(CLIENT_ACTIONS, CLIENT_ACTIONS.labels[0]), u)
+    alpha = cfg.alpha_dirichlet
     profile_kl = {
         p.id: {
-            stage: round(act_kl(client_action_dist(p, stage, pop[stage]), pop[stage]), 6)
+            stage: round(act_kl(client_action_dist(p, stage, pop[stage], alpha), pop[stage]), 6)
             for stage in STAGES.labels
         }
         for p in profiles
@@ -219,12 +220,12 @@ def cmd_validate_sim(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _advise(tracker: BeliefTracker, backend, pref: PreferenceModel, client_text: str) -> None:
+def _advise(tracker: BeliefTracker, backend, client_text: str) -> None:
     tracker.observe(client_text, ask_once(backend, "classify_talk_type", client_text))
     probs = {s: round(p, 3) for s, p in tracker.q.as_dict().items()}
     line = f"  advisory belief: {json.dumps(probs)}"
     if tracker.cfg.efe_action:
-        line += f" | suggested action: {tracker.plan(pref).chosen}"
+        line += f" | suggested action: {tracker.plan().chosen}"
     print(line)
 
 
@@ -243,12 +244,11 @@ def cmd_repl(args: argparse.Namespace) -> int:
     )
     client = _client_session(profile, table, pop, backend, cfg)
     tracker = BeliefTracker(cfg) if args.show_belief else None
-    pref = PreferenceModel.default()
 
     opening = client.opening_statement()
     print(f"client [{client.stage}, r={client.readiness:.2f}]: {opening}")
     if tracker is not None:
-        _advise(tracker, backend, pref, opening)
+        _advise(tracker, backend, opening)
     turns = 0
     while turns < cfg.max_turns:
         try:
@@ -277,7 +277,7 @@ def cmd_repl(args: argparse.Namespace) -> int:
         print(f"  matched triggers: {matched}{suffix}")
         if tracker is not None:
             tracker.act(action)
-            _advise(tracker, backend, pref, outcome.text)
+            _advise(tracker, backend, outcome.text)
         if outcome.stage == "preparation" and cfg.early_stop:
             print("client reached preparation; session complete.")
             break

@@ -212,8 +212,9 @@ def content_gate(matches: list[TriggerMatch]) -> float:
     """
     if not matches:
         return BASE_GATE
-    # Guard against unit-vector dot products straying past 1 by round-off.
-    rho_max = min(max(m.similarity for m in matches), 1.0)
+    # A match under a negative tau can have a negative cosine, and a unit-vector
+    # dot product can stray past 1 by round-off; either would push g out of range.
+    rho_max = min(max(max(m.similarity for m in matches), 0.0), 1.0)
     h = min(m.trigger.hit_count for m in matches)
     delta = 0.5 ** (h - 1)
     return BASE_GATE + 0.9 * rho_max * delta

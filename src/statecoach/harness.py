@@ -43,6 +43,9 @@ from .probs import Categorical, normalize, point_mass, uniform
 from .vocab import COUNSELOR_ACTIONS, STAGES
 from .world_model import WorldModel
 
+# The one preference every plan is scored against; frozen and read-only, so shared.
+PREFERENCE = PreferenceModel.default()
+
 # Rotation used when expected-free-energy selection is switched off.
 FALLBACK_ROTATION = ("Open Question", "Complex Reflection", "Give Information")
 
@@ -160,9 +163,9 @@ class BeliefTracker:
     prior under it; all are ``None`` until the first turn sets them.
     """
 
-    def __init__(self, cfg: RunConfig, world_model: WorldModel | None = None):
+    def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self.wm = world_model if world_model is not None else init_world_model(cfg)
+        self.wm = init_world_model(cfg)
         self.q: Categorical | None = None
         self.action: str | None = None
         self.prior: Categorical | None = None
@@ -189,10 +192,10 @@ class BeliefTracker:
         self.q = q
         return (q, widened, p_prior, alpha, beta), likelihood
 
-    def plan(self, pref: PreferenceModel) -> EfeReport:
+    def plan(self) -> EfeReport:
         """The planner's report on every counselor action from the current belief."""
         cfg = self.cfg
-        return select_action(self.q, self.wm, COUNSELOR_ACTIONS, pref, cfg.lambda_e,
+        return select_action(self.q, self.wm, COUNSELOR_ACTIONS, PREFERENCE, cfg.lambda_e,
                              cfg.lambda_p, cfg.repeat_penalty, self.action)
 
     def _credited(self, q: Categorical) -> Categorical:
@@ -218,21 +221,12 @@ class BeliefTracker:
 class ActiveCounselor:
     """The full belief-tracking, free-energy-minimizing counselor agent."""
 
-    def __init__(
-        self,
-        backend,
-        cfg: RunConfig | None = None,
-        session_id: str = "session",
-        world_model: WorldModel | None = None,
-        memory: MemoryStore | None = None,
-        preference: PreferenceModel | None = None,
-    ):
+    def __init__(self, backend, cfg: RunConfig | None = None, session_id: str = "session"):
         self.backend = backend
         self.cfg = cfg or RunConfig()
         self.session_id = session_id
-        self.tracker = BeliefTracker(self.cfg, world_model)
-        self.memory = memory if memory is not None else MemoryStore(backend)
-        self.pref = preference or PreferenceModel.default()
+        self.tracker = BeliefTracker(self.cfg)
+        self.memory = MemoryStore(backend)
         self.turn = 0
 
     def counselor_turn(self, client_utterance: str) -> CounselorMove:
@@ -252,7 +246,7 @@ class ActiveCounselor:
             *parts, bayes_update(p_prior, likelihood), free_energy(q, p_prior, likelihood)
         )
         if self.cfg.efe_action:
-            report = self.tracker.plan(self.pref)
+            report = self.tracker.plan()
             action = report.chosen
         else:
             report = None

@@ -85,9 +85,9 @@ class PreferenceModel:
         return cls(log_pref)
 
     @classmethod
-    def default(cls, cues: LabelSpace = CUES) -> "PreferenceModel":
-        weights = {c: TALK_TYPE_PREFERENCE[CUE_TALK_TYPE[c]] for c in cues.labels}
-        return cls.from_weights(cues, weights)
+    def default(cls) -> "PreferenceModel":
+        weights = {c: TALK_TYPE_PREFERENCE[CUE_TALK_TYPE[c]] for c in CUES.labels}
+        return cls.from_weights(CUES, weights)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 import gc
 import hashlib
+import json
 import math
+import re
 import weakref
 
 import numpy as np
@@ -32,6 +34,7 @@ from statecoach.errors import (
     TemplateMissingError,
 )
 from statecoach.probs import LabelSpace, from_dict
+from statecoach.vocab import CLIENT_ACTIONS
 
 
 def test_tokenize_strips_punctuation_and_case():
@@ -366,6 +369,60 @@ def test_http_request_carries_the_run_config_it_was_built_from(monkeypatch):
     assert err.value.attempts == HTTP_RETRIES
     assert len(session.calls) == 1 + HTTP_RETRIES
     assert {call["timeout"] for call in session.calls} == {HTTP_TIMEOUT_S}
+
+
+CLIENT_CONTEXT = {
+    "stage": "contemplation", "topic": "late-night snacking", "behavior": "snacking",
+    "belief": "Snacks keep me awake.", "motivation": "More energy.", "plan": "Fruit instead.",
+    "persona": "Works night shifts.",
+}
+DIST = from_dict(CLIENT_ACTIONS, {"Inform": 0.5, "Hesitate": 0.3, "Engage": 0.2})
+
+# Each chat method the turn loop calls, how it is called, its template, and
+# the lines its prompt must hold.
+HTTP_CHAT_METHODS = {
+    "generate_client_reply": (
+        lambda b: b.generate_client_reply("Hesitate", "What would help?", CLIENT_CONTEXT),
+        "client_reply",
+        ["You are role-playing a client in a counseling session about late-night snacking.",
+         "Background: Works night shifts.",
+         "Your current stance: contemplation", "Behavior to express this turn: Hesitate",
+         "The counselor just said: What would help?"],
+    ),
+    "choose_client_action": (
+        lambda b: b.choose_client_action(DIST, "stage:contemplation"),
+        "choose_action",
+        [f"Probabilities over behaviors: {json.dumps(DIST.as_dict())}",
+         "Recent context: stage:contemplation",
+         f"Answer with exactly one behavior name from: {', '.join(CLIENT_ACTIONS.labels)}"],
+    ),
+    "summarize": (
+        lambda b: b.summarize(["Drinks after shifts.", "Wants to save money."]),
+        "summarize",
+        ["Drinks after shifts. Wants to save money."],
+    ),
+}
+
+
+@pytest.mark.parametrize("method", sorted(HTTP_CHAT_METHODS))
+def test_http_chat_method_renders_its_template_and_strips_the_reply(method):
+    call, template_id, lines = HTTP_CHAT_METHODS[method]
+    session = FakeSession([FakeResponse(payload=chat_payload("  The reply.\n"))])
+    assert call(HttpBackend(http_config(), session=session)) == "The reply."
+    prompt = session.calls[0]["json"]["messages"][0]["content"].splitlines()
+    # The bundled template, line for line, with no placeholder left unfilled.
+    assert len(prompt) == len(load_templates()[template_id].splitlines())
+    assert not any(re.search(r"\{[a-z_]+\}", line) for line in prompt)
+    assert all(line in prompt for line in lines)
+
+
+@pytest.mark.parametrize("method", sorted(HTTP_CHAT_METHODS))
+@pytest.mark.parametrize("payload", [{"choices": []}, {"choices": [{"message": {}}]}, {}])
+def test_http_chat_method_malformed_response_is_unavailable(method, payload):
+    call, _, _ = HTTP_CHAT_METHODS[method]
+    session = FakeSession([FakeResponse(payload=payload)])
+    with pytest.raises(BackendUnavailableError, match="malformed"):
+        call(HttpBackend(http_config(), session=session))
 
 
 @pytest.mark.parametrize("reply", ["complex reflection.", " Complex Reflection ", "COMPLEX REFLECTION"])

@@ -16,12 +16,17 @@ from hypothesis import strategies as st
 
 import statecoach
 from statecoach.backends import DATA_DIR, ScriptedBackend
-from statecoach.client_sim import ClientProfile
+from statecoach.client_sim import (
+    ClientProfile,
+    act_kl,
+    client_action_dist,
+    load_pop_prior,
+    load_profiles,
+)
 from statecoach.cli import _add_config_flags, _advise, _cfg_from_args, build_parser, main
 from statecoach.config import RunConfig
 from statecoach.harness import BeliefTracker, Transcript
-from statecoach.planner import PreferenceModel
-from statecoach.vocab import CLIENT_ACTIONS, COUNSELOR_ACTIONS
+from statecoach.vocab import CLIENT_ACTIONS, COUNSELOR_ACTIONS, STAGES
 
 PROFILE_IDS = ["p01-alcohol", "p02-smoking", "p03-exercise", "p04-gambling",
                "p05-diet"]
@@ -73,6 +78,31 @@ def test_run_dynamic_counselor_flag_changes_outcomes(tmp_path, capsys):
     assert metrics["avg_turns"] == 20.0
 
 
+def test_run_dynamic_fixed_counselor_writes_beliefless_transcripts(tmp_path, capsys):
+    out_dir = tmp_path / "r"
+    code, out = run_cli(capsys, ["run-dynamic", "--out", str(out_dir), "--counselor", "fixed"])
+    assert code == 0
+    assert sorted(p.name for p in out_dir.glob("*.jsonl")) == [f"{p}.jsonl" for p in PROFILE_IDS]
+    for pid in PROFILE_IDS:
+        records = Transcript.from_jsonl(out_dir / f"{pid}.jsonl").records
+        assert records
+        assert all(rec.belief is None and rec.efe is None for rec in records)
+    report = json.loads((out_dir / "metrics.json").read_text())
+    assert report["counselor"] == "fixed" and report["profiles"] == PROFILE_IDS
+    assert json.loads(out) == report
+
+
+def test_run_dynamic_with_no_profiles_exits_2(tmp_path, capsys):
+    empty, out_dir = tmp_path / "empty", tmp_path / "r"
+    empty.mkdir()
+    code = main(["run-dynamic", "--profiles", str(empty), "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "no profile files found" in captured.err
+    assert not (out_dir / "metrics.json").exists()
+
+
 def test_eval_offline_prints_pooled_accuracy(capsys):
     code, out = run_cli(capsys, ["eval-offline"])
     assert code == 0
@@ -95,6 +125,21 @@ def test_validate_sim_checks_pass(capsys):
         report["act_kl_point_vs_uniform"] - math.log(len(CLIENT_ACTIONS))
     ) < 1e-3
     assert set(report["act_kl_profile_vs_population"]) == set(PROFILE_IDS)
+
+
+def test_validate_sim_smooths_with_the_configured_alpha(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"alpha_dirichlet": 1.0}))
+    code, out = run_cli(capsys, ["validate-sim", "--config", str(path)])
+    assert code == 0
+    got = json.loads(out)["act_kl_profile_vs_population"]
+    pop = load_pop_prior(DATA_DIR / "pop_prior.json")
+    want = {
+        p.id: {s: round(act_kl(client_action_dist(p, s, pop[s], 1.0), pop[s]), 6) for s in STAGES}
+        for p in load_profiles(DATA_DIR / "profiles")
+    }
+    assert got == want
+    assert got["p01-alcohol"]["precontemplation"] == 0.499986  # 0.261917 at the default α = 5
 
 
 def test_selftest_prints_constants_and_passes(capsys):
@@ -241,9 +286,8 @@ def test_repl_advisor_only_classifies(capsys):
             return super().__getattribute__(name)
 
     backend, tracker = MethodLog(), BeliefTracker(RunConfig(consolidate_every=1))
-    pref = PreferenceModel.default()
     for text in REPL_INPUT.splitlines():
-        _advise(tracker, backend, pref, text)
+        _advise(tracker, backend, text)
     assert called == ["classify_talk_type"] * 3
     assert capsys.readouterr().out.count("suggested action:") == 3
 
@@ -251,8 +295,8 @@ def test_repl_advisor_only_classifies(capsys):
 def test_repl_advisor_tracks_the_typed_actions(capsys, monkeypatch):
     seen = []  # (tracker, its transition counts, its action) after each advisory line
 
-    def advise(tracker, backend, pref, client_text):
-        _advise(tracker, backend, pref, client_text)
+    def advise(tracker, backend, client_text):
+        _advise(tracker, backend, client_text)
         seen.append((tracker, tracker.wm.transition_counts.copy(), tracker.action))
 
     monkeypatch.setattr("statecoach.cli._advise", advise)

@@ -419,13 +419,25 @@ def test_gate_uses_best_similarity_and_smallest_hit_count():
 
 
 @given(
-    rho=st.floats(min_value=0.0, max_value=1.0),
+    rho=st.floats(min_value=-1.0, max_value=1.0),
     h=st.integers(min_value=1, max_value=40),
 )
 def test_gate_stays_in_range(rho, h):
     trig = Trigger("beliefs-0", "beliefs", "x", 0.2, unit([1, 0]), hit_count=h)
     g = content_gate([TriggerMatch(trig, rho, h == 1)])
     assert BASE_GATE <= g <= 1.0
+
+
+def test_negative_similarity_match_gets_the_baseline_gate():
+    """Under a negative tau a match can have a negative cosine (a live embedding
+    endpoint can return one); the turn completes with the baseline gate."""
+    text = "an utterance pointing away from every trigger"
+    away = [-0.3 if i in AXES.values() else 0.0 for i in range(StubBackend.DIM - 1)] + [0.8]
+    sess = make_session(backend=StubBackend({**profile_embeds(), text: away}), tau=-0.5)
+    turn = sess.respond(text, "Simple Reflection")
+    assert turn.gate == BASE_GATE
+    assert len(turn.matched_ids) == len(sess.triggers) == 4
+    assert all(t.hit_count == 1 for t in sess.triggers)
 
 
 # --- readiness arithmetic ---

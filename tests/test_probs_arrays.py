@@ -4,9 +4,9 @@ A ``Categorical`` keeps its entries as Python floats and builds its ndarray
 ``probs`` only when a numpy consumer first asks for it.  The offline belief
 step (``offline_eval``) reads only the floats, so it builds no array at all;
 the bundled active reference builds one per planned turn for
-``select_action`` plus a fixed few for the preference and client tables.  A
-change that makes the array eager again, or moves a float path back onto
-``probs``, fails here deterministically.
+``select_action`` plus a fixed few for the client tables.  A change that
+makes the array eager again, or moves a float path back onto ``probs``,
+fails here deterministically.
 """
 
 from pathlib import Path
@@ -58,7 +58,7 @@ def test_bundled_reference_builds_probs_only_for_numpy_consumers(monkeypatch):
     fixtures = workloads.load_fixtures("active_short")
     built, proxy = arrays_built(workloads.bundled_reference, fixtures)
     assert proxy.errors == []
-    # 100 select_action beliefs, 5 preference models, 3 client action
-    # distributions and 3 talk-type marginals; 515, one per Categorical, if
-    # every construction built its array again
-    assert built == 111
+    # 100 select_action beliefs, 3 client action distributions and 3 talk-type
+    # marginals (111 while each counselor built its own preference model);
+    # 510, one per Categorical, if every construction built its array again
+    assert built == 106

@@ -11,6 +11,8 @@ from dataclasses import fields
 import statecoach
 from statecoach.backends import HttpBackend, ScriptedBackend
 from statecoach.config import RunConfig
+from statecoach.harness import ActiveCounselor, BeliefTracker
+from statecoach.planner import PreferenceModel
 
 
 def test_public_names():
@@ -30,3 +32,12 @@ def test_backend_constructor_parameters():
     params = inspect.signature(HttpBackend).parameters
     assert list(params) == ["cfg", "session"]
     assert params["session"].default is None
+
+
+def test_agent_constructor_parameters():
+    """The active agent builds its tracker, world model, memory and preference
+    from the run's RunConfig; a new constructor knob moves this pin on purpose."""
+    assert list(inspect.signature(ActiveCounselor).parameters) == ["backend", "cfg", "session_id"]
+    assert list(inspect.signature(BeliefTracker).parameters) == ["cfg"]
+    assert list(inspect.signature(BeliefTracker.plan).parameters) == ["self"]
+    assert list(inspect.signature(PreferenceModel.default).parameters) == []
