@@ -15,6 +15,10 @@ boundary), contemplation moves to preparation once readiness crosses the
 profile's threshold, and preparation is absorbing.  Threshold calibration
 replays an annotated trajectory through a live ``ClientSession``'s own
 readiness step and stage-entry rule, so the two cannot drift apart.
+
+The readiness push and the discovery bonuses are totalled by ``probs._total``
+and ``act_kl`` is ``probs.kl_divergence`` of the smoothed sides, so no summing
+or KL rule is stated here a second time.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 from .backends import ask_once, match_label
 from .errors import (EmptyTriggerSetError, UnknownActionError, UnknownLabelError, is_json,
                      json_record, naming_file)
-from .probs import Categorical, from_dict, uniform
+from .probs import Categorical, _total, from_dict, kl_divergence, uniform
 from .vocab import (
     CLIENT_ACTIONS,
     COUNSELOR_ACTIONS,
@@ -53,6 +57,7 @@ TRIGGER_RULES = {
 }
 
 BASE_GATE = 0.1
+ACT_KL_EPS = 1e-6  # act_kl's smoothing mass per entry
 
 # The profile fields that hold lists of sentences.
 _SENTENCE_FIELDS = ("personas", "beliefs", "motivations", "plans")
@@ -196,7 +201,7 @@ def match_triggers(
     matches = []
     for trig in triggers:
         rho = float(np.dot(trig.embedding, utterance_embedding))
-        if rho >= tau:
+        if rho >= tau and rho > 0:  # under a negative tau, an opposed utterance is no hit
             matches.append(TriggerMatch(trig, rho, not trig.discovered))
             trig.hit_count += 1
     return matches
@@ -212,8 +217,8 @@ def content_gate(matches: list[TriggerMatch]) -> float:
     """
     if not matches:
         return BASE_GATE
-    # A match under a negative tau can have a negative cosine, and a unit-vector
-    # dot product can stray past 1 by round-off; either would push g out of range.
+    # A hand-built match can carry a negative cosine, and a unit-vector dot
+    # product can stray past 1 by round-off; either would push g out of range.
     rho_max = min(max(max(m.similarity for m in matches), 0.0), 1.0)
     h = min(m.trigger.hit_count for m in matches)
     delta = 0.5 ** (h - 1)
@@ -222,9 +227,7 @@ def content_gate(matches: list[TriggerMatch]) -> float:
 
 def expected_delta_r(tt_row: Categorical) -> float:
     """Expected readiness push of a counselor action given its talk-type row."""
-    return float(
-        sum(tt_row.prob(tt) * TALK_TYPE_WEIGHTS[tt] for tt in TALK_TYPES.labels)
-    )
+    return _total([tt_row.prob(tt) * TALK_TYPE_WEIGHTS[tt] for tt in TALK_TYPES.labels])
 
 
 def update_readiness(
@@ -233,7 +236,7 @@ def update_readiness(
     """r' = r + gated action-driven contribution + discovery bonuses."""
     if not (BASE_GATE <= g <= 1.0):
         raise ValueError(f"gate must lie in [{BASE_GATE}, 1.0], got {g}")
-    return r + delta_r_bar * g + sum(new_trigger_bonuses)
+    return r + delta_r_bar * g + _total(new_trigger_bonuses)
 
 
 class TalkTypeTable:
@@ -337,16 +340,17 @@ def select_client_action(
     return match_label(reply, CLIENT_ACTIONS.labels) or dist.argmax_label()
 
 
-def act_kl(sim_dist: Categorical, gold_dist: Categorical, eps: float = 1e-6) -> float:
-    """KL(sim || gold) over client actions after epsilon-smoothing both sides.
+def act_kl(sim_dist: Categorical, gold_dist: Categorical) -> float:
+    """``kl_divergence(sim, gold)`` after ACT_KL_EPS-smoothing each side.
 
     Clamped at 0: for distributions a few ulps apart the summed terms can
     round to a tiny negative value, which KL never is.
     """
-    n = len(sim_dist.space)
-    p = (sim_dist.probs + eps) / (1.0 + n * eps)
-    q = (gold_dist.probs + eps) / (1.0 + n * eps)
-    return max(0.0, float(np.sum(p * (np.log(p) - np.log(q)))))
+    def smoothed(d: Categorical) -> Categorical:
+        scale = 1.0 + len(d.space) * ACT_KL_EPS
+        return Categorical(d.space, [(x + ACT_KL_EPS) / scale for x in d.values])
+
+    return max(0.0, kl_divergence(smoothed(sim_dist), smoothed(gold_dist)))
 
 
 @dataclass(frozen=True)

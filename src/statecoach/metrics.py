@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .errors import EmptyInputError
+from .probs import _total
 from .vocab import STAGES
 
 
@@ -41,12 +42,8 @@ def dynamic_metrics(transcripts) -> Metrics:
         / n
     )
     prep_rate = sum(t.final_stage == "preparation" for t in transcripts) / n
-    trig_cov = (
-        sum(
-            (len(t.discovered_ids) / t.n_triggers) if t.n_triggers else 0.0
-            for t in transcripts
-        )
-        / n
-    )
+    trig_cov = _total([
+        (len(t.discovered_ids) / t.n_triggers) if t.n_triggers else 0.0 for t in transcripts
+    ]) / n
     avg_turns = sum(len(t.records) for t in transcripts) / n
     return Metrics(lift=lift, prep_rate=prep_rate, trig_cov=trig_cov, avg_turns=avg_turns)

@@ -17,12 +17,14 @@ consumer first asks for it.  A list of exact Python floats, which is what
 every float path makes, is checked in one loop over its entries; any other
 input is converted by numpy first and checked on the Python floats of one
 ``tolist()``, so every error type and message is the one numpy's conversion
-and the checks below give.  ``_total`` is the one summing rule for every
-total taken on Python floats in the package: a vector of fewer than 8
-entries is added in order from 0.0, as numpy adds it; a longer one, which
-numpy adds pairwise, is summed by ``np.add.reduce``.  ``mix``,
-``normalize``'s division and ``kl_divergence``'s arithmetic likewise run
-entry by entry on Python floats, with the logs taken by one ``np.log`` call.
+and the checks below give; ``check_rows`` raises them through Categorical.
+``_total`` is the only summing rule for a total taken on Python floats
+anywhere in the package (builtin ``sum`` totals none, since its rounding
+depends on the interpreter): a vector of fewer than 8 entries is added in
+order from 0.0, as numpy adds it; a longer one, which numpy adds pairwise,
+is summed by ``np.add.reduce``.  ``mix``, ``normalize``'s division and
+``kl_divergence``'s arithmetic likewise run entry by entry on Python floats,
+with the logs taken by one ``np.log`` call.
 Every value, error type and message is the one the numpy expressions give.
 """
 
@@ -173,7 +175,7 @@ def check_rows(space: LabelSpace, rows: np.ndarray) -> None:
     """Categorical's check on every row of a (k, len(space)) array.
 
     One accept test runs first (a NaN fails it); only an array that fails it
-    is checked row by row, for the first bad row's own Categorical error.
+    is checked row by row, so the first bad row raises its own Categorical error.
     """
     if rows.shape[1:] != (len(space),):
         raise DimensionMismatchError(
@@ -183,13 +185,8 @@ def check_rows(space: LabelSpace, rows: np.ndarray) -> None:
     # initial=0.0 changes neither test and lets an array of no rows pass.
     if rows.min(initial=0.0) >= 0 and np.abs(totals - 1.0).max(initial=0.0) <= PROB_TOL:
         return
-    negative = np.logical_or.reduce(rows < 0, axis=1)
-    bad = negative | ~(np.abs(totals - 1.0) <= PROB_TOL)  # NaN fails too
-    if np.logical_or.reduce(bad):
-        i = int(bad.argmax())  # the first bad row fails as its own Categorical would
-        if negative[i]:
-            raise ValueError("probabilities must be non-negative")
-        raise ValueError(f"probabilities must sum to 1, got {totals[i]!r}")
+    for row in rows.tolist():  # Categorical totals a row as np.add.reduce does
+        Categorical(space, row)
 
 
 def uniform(space: LabelSpace) -> Categorical:

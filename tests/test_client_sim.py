@@ -33,13 +33,14 @@ from statecoach.client_sim import (
 from statecoach.config import RunConfig
 from statecoach.errors import (
     BackendUnavailableError,
+    DimensionMismatchError,
     EmptyTextError,
     EmptyTriggerSetError,
     UnknownActionError,
     UnknownLabelError,
 )
 from statecoach.harness import ActiveCounselor, FixedCounselor, run_dialogue
-from statecoach.probs import Categorical, from_dict, point_mass, uniform
+from statecoach.probs import Categorical, LabelSpace, from_dict, point_mass, uniform
 from statecoach.vocab import CLIENT_ACTIONS, COUNSELOR_ACTIONS, STAGES, TALK_TYPES
 
 
@@ -429,15 +430,16 @@ def test_gate_stays_in_range(rho, h):
 
 
 def test_negative_similarity_match_gets_the_baseline_gate():
-    """Under a negative tau a match can have a negative cosine (a live embedding
-    endpoint can return one); the turn completes with the baseline gate."""
+    """Under a negative tau an utterance with a negative cosine to every trigger
+    (a live embedding endpoint can return one) matches none of them: no hit is
+    counted and the turn completes with the baseline gate."""
     text = "an utterance pointing away from every trigger"
     away = [-0.3 if i in AXES.values() else 0.0 for i in range(StubBackend.DIM - 1)] + [0.8]
     sess = make_session(backend=StubBackend({**profile_embeds(), text: away}), tau=-0.5)
     turn = sess.respond(text, "Simple Reflection")
     assert turn.gate == BASE_GATE
-    assert len(turn.matched_ids) == len(sess.triggers) == 4
-    assert all(t.hit_count == 1 for t in sess.triggers)
+    assert len(turn.matched_ids) == 0 and len(sess.triggers) == 4
+    assert all(t.hit_count == 0 for t in sess.triggers)
 
 
 # --- readiness arithmetic ---
@@ -738,6 +740,32 @@ def test_act_kl_nonnegative(weights):
     q = Categorical(CLIENT_ACTIONS, b / b.sum())
     assert act_kl(p, q) >= 0.0
     assert act_kl(p, p) == 0.0
+
+
+ACTION_WEIGHT = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=10.0))
+
+
+@given(st.lists(ACTION_WEIGHT, min_size=22, max_size=22).filter(
+    lambda w: sum(w[:11]) > 0 and sum(w[11:]) > 0))
+def test_act_kl_equals_the_smoothed_numpy_formula(weights):
+    """act_kl is kl_divergence of the smoothed sides, bit for bit the one numpy
+    expression it replaced, zero cells included."""
+    a, b = np.array(weights[:11]), np.array(weights[11:])
+    sim, gold = Categorical(CLIENT_ACTIONS, a / a.sum()), Categorical(CLIENT_ACTIONS, b / b.sum())
+    eps, n = 1e-6, len(CLIENT_ACTIONS)
+    p = (sim.probs + eps) / (1.0 + n * eps)
+    q = (gold.probs + eps) / (1.0 + n * eps)
+    want = max(0.0, float(np.sum(p * (np.log(p) - np.log(q)))))
+    assert repr(act_kl(sim, gold)) == repr(want)
+
+
+def test_act_kl_across_spaces_is_a_dimension_mismatch():
+    sim = uniform(CLIENT_ACTIONS)
+    three = uniform(LabelSpace("three", ("a", "b", "c")))
+    reversed_actions = uniform(LabelSpace("actions", CLIENT_ACTIONS.labels[::-1]))
+    for gold in (three, reversed_actions):
+        with pytest.raises(DimensionMismatchError):
+            act_kl(sim, gold)
 
 
 # --- session dynamics ---

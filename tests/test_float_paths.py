@@ -463,7 +463,7 @@ ROW_ENTRY = st.one_of(WEIGHT, st.sampled_from([np.nan, np.inf, -np.inf, -1e-12, 
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 4), st.integers(0, 5), st.data())
+@given(st.integers(1, 10), st.integers(0, 5), st.data())
 def test_check_rows_raises_as_the_masked_pass_does(n, k, data):
     s = space("s", n)
     rows = np.array([

@@ -18,6 +18,8 @@ regenerate them, and it must say which records moved and why.
 """
 
 import json
+import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,10 +29,12 @@ from statecoach.client_sim import ClientSession, TalkTypeTable, load_pop_prior, 
 from statecoach.config import RunConfig
 from statecoach.harness import (
     ActiveCounselor,
+    Transcript,
     load_annotated_sessions,
     offline_eval,
     run_dialogue,
 )
+from statecoach.metrics import dynamic_metrics
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -109,3 +113,23 @@ def test_active_transcripts_match_golden(name):
 def test_offline_eval_matches_golden():
     for rel, text in build_offline().items():
         _assert_matches_golden(rel, text)
+
+
+def test_default_transcripts_do_not_depend_on_the_interpreters_sum(monkeypatch, tmp_path):
+    """Builtin ``sum`` compensates its rounding from Python 3.12 on, so a float
+    total taken by it would move with the interpreter.  With a correctly
+    rounded ``sum`` in every statecoach module the ``default`` goldens are
+    rebuilt byte for byte and score the same metrics as unpatched."""
+    want = dynamic_metrics(
+        Transcript.from_jsonl(p) for p in sorted((GOLDEN_DIR / "default").glob("*.jsonl"))
+    )
+    for name, module in list(sys.modules.items()):
+        if name == "statecoach" or name.startswith("statecoach."):
+            monkeypatch.setattr(module, "sum", lambda it, start=0: math.fsum(it) + start,
+                                raising=False)
+    built = build_config_transcripts("default")
+    for rel, text in built.items():
+        _assert_matches_golden(rel, text)
+        (tmp_path / Path(rel).name).write_text(text, encoding="utf-8")
+    got = dynamic_metrics(Transcript.from_jsonl(p) for p in sorted(tmp_path.glob("*.jsonl")))
+    assert got == want

@@ -10,6 +10,7 @@ from dataclasses import fields
 
 import statecoach
 from statecoach.backends import HttpBackend, ScriptedBackend
+from statecoach.client_sim import act_kl
 from statecoach.config import RunConfig
 from statecoach.harness import ActiveCounselor, BeliefTracker
 from statecoach.planner import PreferenceModel
@@ -41,3 +42,8 @@ def test_agent_constructor_parameters():
     assert list(inspect.signature(BeliefTracker).parameters) == ["cfg"]
     assert list(inspect.signature(BeliefTracker.plan).parameters) == ["self"]
     assert list(inspect.signature(PreferenceModel.default).parameters) == []
+
+
+def test_act_kl_parameters():
+    """act_kl smooths with the module constant ACT_KL_EPS; it takes no eps."""
+    assert list(inspect.signature(act_kl).parameters) == ["sim_dist", "gold_dist"]
