@@ -24,7 +24,6 @@ or KL rule is stated here a second time.
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .backends import ask_once, match_label
-from .errors import (EmptyTriggerSetError, UnknownActionError, UnknownLabelError, is_json,
-                     json_record, naming_file)
+from .errors import (EmptyTriggerSetError, UnknownActionError, UnknownLabelError, is_finite,
+                     is_json, json_record, naming_file)
 from .probs import Categorical, _total, from_dict, kl_divergence, uniform
 from .vocab import (
     CLIENT_ACTIONS,
@@ -108,13 +107,11 @@ class ClientProfile:
             for action, n in row.items():
                 if action not in CLIENT_ACTIONS:
                     raise UnknownActionError(f"unknown client action {action!r}")
-                if not is_json(n, "number") or not 0 <= n < math.inf:  # NaN fails too
-                    raise ValueError(
-                        f"action_counts[{stage!r}][{action!r}] must be a finite "
-                        f"non-negative number, got {n!r}"
-                    )
+                if not (is_json(n, "number") and n >= 0 and is_finite(n)):
+                    raise ValueError(f"action_counts[{stage!r}][{action!r}] must be a finite "
+                                     f"non-negative number, got {n!r}")
         t = self.prep_threshold  # NaN is never crossed
-        if t is not None and (not is_json(t, "number") or not math.isfinite(t)):
+        if t is not None and not (is_json(t, "number") and is_finite(t)):
             raise ValueError(f"prep_threshold must be a finite number, got {t!r}")
 
     @classmethod
@@ -283,6 +280,8 @@ class TalkTypeTable:
                     raise UnknownActionError(f"row {i} has unknown counselor action {action!r}")
                 if n < 0:
                     raise ValueError(f"row {i}'s support must be non-negative, got {n}")
+                if not is_finite(n):
+                    raise ValueError(f"row {i}'s support must be finite, got {n}")
                 rows[stage, action] = from_dict(TALK_TYPES, json_record(cell["p"], f"row {i}'s p"))
                 support[stage, action] = n
         return cls(rows, support, min_support)

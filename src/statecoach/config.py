@@ -4,7 +4,6 @@ shipped calibration, overridable from CLI flags or a JSON config file."""
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -16,7 +15,7 @@ from .client_sim import (
     DEFAULT_THETA_PREP,
     TRIGGER_RULES,
 )
-from .errors import is_json, json_record, naming_file
+from .errors import is_finite, is_json, json_record, naming_file
 from .memory import DEFAULT_CONSOLIDATE_EVERY, DEFAULT_DIST_THRES, DEFAULT_K
 from .planner import DEFAULT_LAMBDA_E, DEFAULT_LAMBDA_P
 from .vocab import TALK_TYPE_WEIGHTS
@@ -85,7 +84,7 @@ class RunConfig:
         # dist_thres alone may be +inf, which means no threshold.
         for name in ("lambda_e", "lambda_p", "repeat_penalty", "obs_seed_count",
                      "alpha_dirichlet", "kappa_t", "kappa_o", "theta_prep"):
-            if not math.isfinite(getattr(self, name)):
+            if not is_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.backend_kind not in ("scripted", "http"):
             raise ValueError(f"backend_kind must be 'scripted' or 'http', got {self.backend_kind!r}")

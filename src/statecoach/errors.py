@@ -6,6 +6,7 @@ everything derives from StateCoachError so the CLI can catch broadly.
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 
 
@@ -86,6 +87,12 @@ def is_json(value, kind) -> bool:
     """Whether ``value`` has JSON type ``kind`` (None admits any); a bool is a boolean only."""
     return kind is None or (
         isinstance(value, _JSON_TYPES[kind]) and (type(value) is not bool or kind == "boolean"))
+
+
+def is_finite(number) -> bool:
+    """Whether ``number`` is neither NaN nor ±inf and fits in a float; an integer beyond
+    ``sys.float_info.max`` has no float, so it is not finite.  The one statement of the bound."""
+    return -sys.float_info.max <= number <= sys.float_info.max
 
 
 def json_record(value, what, required={}, allowed=None) -> dict:

@@ -31,7 +31,8 @@ from .backends import DATA_DIR, ScriptedBackend, ask_once
 from .belief import BeliefState, bayes_update, free_energy, fuse, widen_observation
 from .client_sim import ClientSession
 from .config import RunConfig
-from .errors import EmptyInputError, NoGoldLabelsError, UnknownLabelError, json_record, naming_file
+from .errors import (EmptyInputError, NoGoldLabelsError, UnknownActionError, UnknownLabelError,
+                     json_record, naming_file)
 from .memory import STM, MemoryStore
 from .planner import (
     EfeReport,
@@ -379,7 +380,7 @@ def _check_sessions(sessions: list[dict]) -> None:
             raise UnknownLabelError(f"session {sid!r} has unknown gold stages {unknown}")
         unknown = sorted({t["counselor_action"] for t in turns} - set(COUNSELOR_ACTIONS))
         if unknown:
-            raise UnknownLabelError(f"session {sid!r} has unknown counselor actions {unknown}")
+            raise UnknownActionError(f"session {sid!r} has unknown counselor actions {unknown}")
 
 
 def offline_eval(sessions: list[dict], cfg: RunConfig | None = None, backend=None) -> dict:

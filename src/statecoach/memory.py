@@ -35,14 +35,13 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .backends import ask_once
-from .errors import EmptyTextError, is_json, json_record, naming_file
+from .errors import EmptyTextError, is_finite, is_json, json_record, naming_file
 
 STM = "STM"
 LTM = "LTM"
@@ -87,7 +86,7 @@ class MemoryEntry:
         json_record(d, what, _RECORD, cls.__dataclass_fields__.keys())
         if not is_json(d.get("seq", 0), "integer"):
             raise ValueError(f"{what} has a non-integer seq")
-        if not all(type(x) is float or is_json(x, "integer") and abs(x) <= sys.float_info.max
+        if not all(type(x) is float or is_json(x, "integer") and is_finite(x)
                    for x in d["embedding"]):
             raise ValueError(f"{what} has an embedding that is not an array of floats")
         if not d["embedding"]:

@@ -35,13 +35,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    AllZeroError,
-    DimensionMismatchError,
-    SupportViolationError,
-    UnknownLabelError,
-    WeightOutOfRangeError,
-)
+from .errors import (AllZeroError, DimensionMismatchError, SupportViolationError,
+                     UnknownLabelError, WeightOutOfRangeError, is_finite, is_json)
 
 # Tolerance for "sums to one" checks on constructed distributions.
 PROB_TOL = 1e-9
@@ -206,9 +201,15 @@ def point_mass(space: LabelSpace, label: str) -> Categorical:
 
 
 def from_dict(space: LabelSpace, d: dict[str, float]) -> Categorical:
-    """Build a distribution from a label->prob mapping (missing labels get 0)."""
+    """Build a distribution from a label->prob mapping (missing labels get 0).
+
+    A value must be a float or an integer a float holds: a bool, a string or an
+    integer beyond the float range is a ValueError naming its label.
+    """
     p = np.zeros(len(space))
     for label, value in d.items():
+        if not (type(value) is float or is_json(value, "integer") and is_finite(value)):
+            raise ValueError(f"the probability of {label!r} must be a finite number, got {value!r}")
         p[space.index(label)] = value
     return Categorical(space, p)
 

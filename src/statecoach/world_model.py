@@ -37,20 +37,15 @@ belief is turned into an array.
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
 
-from .errors import is_json, json_record, naming_file
+from .errors import is_finite, is_json, json_record, naming_file
 from .probs import Categorical, LabelSpace, _total
 from .vocab import COUNSELOR_ACTIONS, CUES, STAGES
 
 DEFAULT_KAPPA = 1.0
-
-# The largest finite float; an integer above it has no float, and NaN fails
-# every comparison with it.
-_FLOAT_MAX = sys.float_info.max
 
 # The keys of a world-model file, each with its JSON type.
 _FILE_KEYS = {"states": "array", "actions": "array", "cues": "array", "kappa_t": "number",
@@ -81,7 +76,7 @@ class WorldModel:
         kappa_o: float = DEFAULT_KAPPA,
     ):
         for name, kappa in (("kappa_t", kappa_t), ("kappa_o", kappa_o)):
-            if not 0 < kappa <= _FLOAT_MAX:
+            if not (kappa > 0 and is_finite(kappa)):
                 raise ValueError(f"smoothing constant {name} must be finite and positive")
         self.states = states
         self.actions = actions
@@ -175,7 +170,7 @@ class WorldModel:
             cells = np.array(data[name], dtype=object)  # a ragged nesting leaves lists as cells
             if not all(is_json(c, "number") for c in cells.flat):
                 raise ValueError(f"{name} must be an array of numbers")
-            if not all(0 <= c <= _FLOAT_MAX for c in cells.flat):
+            if not all(c >= 0 and is_finite(c) for c in cells.flat):
                 raise ValueError(f"{name} must be finite and non-negative")
             counts = cells.astype(float)
             if counts.shape != shape:

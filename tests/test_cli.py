@@ -455,6 +455,44 @@ def test_duplicate_profile_ids_exit_2_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+BIG = 10**400  # 401 digits: a JSON integer no float can hold
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["lambda_e", "lambda_p", "repeat_penalty", "obs_seed_count", "alpha_dirichlet",
+     "kappa_t", "kappa_o", "theta_prep", "action_counts", "prep_threshold"],
+)
+def test_an_integer_beyond_the_float_range_exits_2_before_writing(tmp_path, capsys, field):
+    """A config float, profile count or threshold no float holds is one error line, not
+    an overflow at load or at the first client turn."""
+    out = tmp_path / "runs"
+    argv = ["run-dynamic", "--out", str(out), "--max-turns", "3"]
+    if field in ("action_counts", "prep_threshold"):
+        profiles = _bundled_profiles_copy(tmp_path)
+        path = profiles / "p01_alcohol.json"
+        data = json.loads(path.read_text())
+        if field == "action_counts":
+            data[field] = {"contemplation": {"Inform": BIG, "Hesitate": 2}}
+            message = "action_counts['contemplation']['Inform'] must be a finite non-negative number"
+        else:
+            data[field] = BIG
+            message = "prep_threshold must be a finite number"
+        path.write_text(json.dumps(data))
+        argv += ["--profiles", str(profiles)]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({field: BIG}))
+        message = f"{field} must be finite"
+        argv += ["--config", str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}, got {BIG} (in {path})\n"
+    assert not out.exists()
+
+
 
 @pytest.mark.parametrize("command", ["run-dynamic", "repl"])
 def test_precontemplation_profile_without_triggers_exits_2_naming_its_file(

@@ -554,6 +554,39 @@ def test_table_cell_labels_and_counts_are_checked_as_the_file_loads(tmp_path, co
     assert str(info.value) == f"{message} (in {path})"
 
 
+BIG = 10**400  # 401 digits: a JSON integer no float can hold
+
+
+@pytest.mark.parametrize(
+    "load, content, message",
+    [(TalkTypeTable.from_file, {"rows": [{**_CELL, "p": {"change": BIG}}]},
+      f"the probability of 'change' must be a finite number, got {BIG}"),
+     (TalkTypeTable.from_file, {"rows": [{**_CELL, "p": {"change": True}}]},
+      "the probability of 'change' must be a finite number, got True"),
+     (TalkTypeTable.from_file, {"rows": [{**_CELL, "support": BIG}]},
+      f"row 0's support must be finite, got {BIG}"),
+     (load_pop_prior, {"contemplation": {"Inform": BIG}},
+      f"the probability of 'Inform' must be a finite number, got {BIG}"),
+     (load_pop_prior, {"contemplation": {"Inform": True}},
+      "the probability of 'Inform' must be a finite number, got True"),
+     (load_pop_prior, {"contemplation": {"Inform": "1.0"}},
+      "the probability of 'Inform' must be a finite number, got '1.0'")],
+    ids=["table-big-p", "table-true-p", "table-big-support", "prior-big-p", "prior-true-p",
+         "prior-string-p"],
+)
+def test_a_probability_or_support_no_float_holds_is_rejected_naming_the_file(
+    tmp_path, load, content, message
+):
+    """A number no float holds, or a bool or string where a probability belongs, is a
+    ValueError as the file loads, not an overflow or a number read from a non-number."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"{message} (in {path})"
+
+
 def test_table_missing_cell_backs_off_to_stage_marginal():
     table = TalkTypeTable.from_file(DATA_DIR / "talk_type_table.json")
     raw = json.loads((DATA_DIR / "talk_type_table.json").read_text())

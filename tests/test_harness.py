@@ -20,7 +20,8 @@ from statecoach.client_sim import (
     load_profiles,
 )
 from statecoach.config import RunConfig
-from statecoach.errors import EmptyInputError, NoGoldLabelsError, UnknownLabelError
+from statecoach.errors import (EmptyInputError, NoGoldLabelsError, UnknownActionError,
+                               UnknownLabelError)
 from statecoach.harness import (
     AUX_CUE_STAGE,
     FALLBACK_ROTATION,
@@ -491,6 +492,22 @@ def test_offline_eval_rejects_unknown_counselor_action_before_any_backend_call(s
     sid = sessions[session]["id"]
     with pytest.raises(UnknownLabelError, match=f"session '{sid}' has unknown counselor actions"):
         offline_eval(sessions, RunConfig(), NoCalls())
+
+
+@pytest.mark.parametrize(
+    "key, label, error",
+    [("counselor_action", "Lecture", UnknownActionError),
+     ("gold_stage", "relapse", UnknownLabelError)],
+    ids=["counselor-action", "gold-stage"],
+)
+def test_offline_eval_unknown_label_has_its_exact_type(key, label, error):
+    """An unknown counselor action is an UnknownActionError, as in the client
+    step and the talk-type table; an unknown gold stage stays an UnknownLabelError."""
+    sessions = load_annotated_sessions()
+    sessions[0]["turns"][-1][key] = label
+    with pytest.raises(UnknownLabelError) as info:
+        offline_eval(sessions, RunConfig(), scripted())
+    assert type(info.value) is error
 
 
 @pytest.mark.parametrize("session", [0, 2])  # a scored session and one too short to score

@@ -7,6 +7,7 @@ on purpose, and updates them here with the reason.
 
 import inspect
 from dataclasses import fields
+from pathlib import Path
 
 import statecoach
 from statecoach.backends import HttpBackend, ScriptedBackend
@@ -47,3 +48,17 @@ def test_agent_constructor_parameters():
 def test_act_kl_parameters():
     """act_kl smooths with the module constant ACT_KL_EPS; it takes no eps."""
     assert list(inspect.signature(act_kl).parameters) == ["sim_dist", "gold_dist"]
+
+
+def test_the_float_bound_is_stated_only_in_errors():
+    """``errors.is_finite`` is the one statement of what a finite number is; no
+    other file under the package states the float bound a second time."""
+    package = Path(statecoach.__file__).parent
+    stated = [
+        f"{path.relative_to(package)}: {word}"
+        for path in sorted(package.rglob("*"))
+        if path.is_file() and "__pycache__" not in path.parts and path.name != "errors.py"
+        for word in ("float_info", "_FLOAT_MAX", "math.isfinite")
+        if word.encode() in path.read_bytes()
+    ]
+    assert stated == []
