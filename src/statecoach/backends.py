@@ -7,7 +7,9 @@ Two implementations share one duck-typed interface:
   This is what tests and reproducible runs use.
 * HttpBackend — an OpenAI-compatible chat-completions / embeddings client
   with greedy decoding, bounded retries with exponential backoff, and typed
-  transport errors.
+  transport errors.  ``requests`` is imported only when an HttpBackend is
+  built, so a scripted run never loads the HTTP stack; where ``requests``
+  cannot be imported, building one raises BackendUnavailableError.
 
 ``make_backend`` builds either from the run's ``RunConfig``, the one place
 backend settings are checked.  Both use the bundled prompt templates; the HTTP
@@ -44,13 +46,16 @@ import string
 import time
 import weakref
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import requests
 
 from .errors import BackendUnavailableError, EmptyTextError, TemplateMissingError, naming_file
 from .probs import Categorical
 from .vocab import CLIENT_ACTIONS, COUNSELOR_ACTIONS, CUES
+
+if TYPE_CHECKING:
+    import requests
 
 DATA_DIR = Path(__file__).parent / "data"
 EMBED_DIM = 256
@@ -269,6 +274,12 @@ class HttpBackend:
         this module through ``client_sim`` and ``memory``."""
         if cfg.backend_kind != "http":
             raise ValueError("HttpBackend requires backend_kind='http'")
+        try:
+            import requests
+        except ImportError as exc:
+            raise BackendUnavailableError(
+                f"the HTTP backend needs the 'requests' package, which cannot be imported: {exc}"
+            ) from exc
         self.cfg = cfg
         self.templates = load_templates()
         self.session = session or requests.Session()
@@ -281,6 +292,8 @@ class HttpBackend:
         return headers
 
     def _post(self, path: str, payload: dict) -> dict:
+        import requests  # loaded by __init__
+
         url = self.cfg.endpoint.rstrip("/") + path
         last_error = "unknown error"
         for attempt in range(1, HTTP_RETRIES + 1):

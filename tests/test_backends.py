@@ -2,8 +2,12 @@ import gc
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,12 +358,61 @@ def test_make_backend_factory():
     assert isinstance(make_backend(http_config()), HttpBackend)
 
 
+def test_a_missing_http_stack_is_a_backend_failure(monkeypatch):
+    monkeypatch.setitem(sys.modules, "requests", None)
+    with pytest.raises(BackendUnavailableError, match="'requests' package"):
+        make_backend(http_config())
+
+
+# Runs in a fresh interpreter: a scripted dialogue, then an HTTP backend built
+# (its constructor sends no request).  Prints the HTTP stack modules loaded
+# after each step.
+IMPORT_PROBE = """\
+import json, sys
+import statecoach, statecoach.cli
+from statecoach.backends import DATA_DIR, ScriptedBackend, make_backend
+from statecoach.client_sim import ClientSession, TalkTypeTable, load_pop_prior, load_profiles
+from statecoach.config import RunConfig
+from statecoach.harness import ActiveCounselor, run_dialogue
+
+STACK = ("requests", "urllib3", "http.client", "ssl")
+cfg = RunConfig(max_turns=2)
+backend = ScriptedBackend()
+profile = load_profiles(DATA_DIR / "profiles")[0]
+client = ClientSession(
+    profile, TalkTypeTable.from_file(DATA_DIR / "talk_type_table.json"), backend,
+    load_pop_prior(DATA_DIR / "pop_prior.json"),
+)
+turns = len(run_dialogue(ActiveCounselor(backend, cfg, profile.id), client, cfg).records)
+scripted = [m for m in STACK if m in sys.modules]
+make_backend(RunConfig(backend_kind="http", endpoint="http://127.0.0.1:9"))
+http = [m for m in STACK if m in sys.modules]
+print(json.dumps({"turns": turns, "scripted": scripted, "http": http}))
+"""
+
+
+def test_only_an_http_backend_loads_the_http_stack():
+    """Importing the package and running a scripted dialogue load none of the
+    HTTP stack; building an HttpBackend loads ``requests``."""
+    package_root = str(Path(backends.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout)
+    assert loaded["turns"] == 2
+    assert loaded["scripted"] == []
+    assert "requests" in loaded["http"]
+
+
 def test_http_request_carries_the_run_config_it_was_built_from(monkeypatch):
     session = FakeSession(
         [FakeResponse(payload=chat_payload("Ok."))]
         + [requests.ConnectionError("down")] * HTTP_RETRIES
     )
-    monkeypatch.setattr(backends.requests, "Session", lambda: session)
+    monkeypatch.setattr(requests, "Session", lambda: session)
     b = make_backend(http_config(model_name="m1", seed=7, max_output_tokens=77))
     assert b.generate_response("Affirm", None, None, "hi") == "Ok."
     body = session.calls[0]["json"]

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -707,6 +708,22 @@ def test_unreachable_http_backend_exits_3(tmp_path, capsys):
         ],
     )
     assert code == 3
+
+
+def test_a_missing_http_stack_exits_3_and_a_scripted_run_does_not_need_it(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setitem(sys.modules, "requests", None)
+    out = tmp_path / "runs"
+    code = main(
+        ["run-dynamic", "--out", str(out), "--backend", "http", "--endpoint", "http://127.0.0.1:9"]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("backend failure: ") and captured.err.count("\n") == 1
+    assert "'requests' package" in captured.err
+    assert not out.exists()
+    assert main(["run-dynamic", "--out", str(out), "--max-turns", "2"]) == 0
 
 
 def _subcommand_parsers():
