@@ -18,7 +18,8 @@ timeout and attempt count are the constants ``HTTP_TIMEOUT_S`` and
 
 The interface methods are: generate_response, generate_client_reply,
 classify_counselor_action, classify_talk_type, choose_client_action,
-summarize, embed.
+summarize, embed.  Only generate_client_reply takes a template id:
+``client_reply`` for a reply, ``client_opening`` for the opening.
 
 ``ask_once`` keeps a backend's answers to text-only queries (embed, both
 classifiers), an HttpBackend fallback label too: at most ``ANSWER_MEMO_SIZE``
@@ -209,9 +210,7 @@ class ScriptedBackend:
         belief: Categorical | None,
         memories: dict | None,
         user_utterance: str,
-        template_id: str = "counselor_reply",
     ) -> str:
-        _template(self.templates, template_id)
         relevant = (memories or {}).get("relevant", [])
         context = {
             "action": action,
@@ -344,11 +343,10 @@ class HttpBackend:
         belief: Categorical | None,
         memories: dict | None,
         user_utterance: str,
-        template_id: str = "counselor_reply",
     ) -> str:
         relevant = (memories or {}).get("relevant", [])
         prompt = self._render(
-            template_id,
+            "counselor_reply",
             action=action,
             belief=belief.as_dict() if belief is not None else {},
             memory=relevant[0].text if relevant else "",

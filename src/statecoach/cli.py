@@ -120,8 +120,7 @@ def _build_counselor(kind: str, backend, cfg: RunConfig, session_id: str):
     return ActiveCounselor(backend, cfg, session_id=session_id)
 
 
-def cmd_run_dynamic(args: argparse.Namespace) -> int:
-    cfg = _cfg_from_args(args)
+def cmd_run_dynamic(args: argparse.Namespace, cfg: RunConfig) -> int:
     backend = make_backend(cfg)
     table, pop, profiles = _sim_fixtures(args.profiles)
     if not profiles:
@@ -147,8 +146,7 @@ def cmd_run_dynamic(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eval_offline(args: argparse.Namespace) -> int:
-    cfg = _cfg_from_args(args)
+def cmd_eval_offline(args: argparse.Namespace, cfg: RunConfig) -> int:
     backend = make_backend(cfg)
     sessions = load_annotated_sessions(args.sessions)
     result = offline_eval(sessions, cfg, backend)
@@ -164,11 +162,10 @@ _TRAJECTORY_TURN_KEYS = {
 }
 
 
-def cmd_validate_sim(args: argparse.Namespace) -> int:
+def cmd_validate_sim(args: argparse.Namespace, cfg: RunConfig) -> int:
     """Replay the shipped fixtures and report calibration, divergence, and
     determinism so a broken data file or nondeterministic change is caught
     without running the full test suite."""
-    cfg = _cfg_from_args(args)
     backend = make_backend(cfg)
     table, pop, profiles = _sim_fixtures(args.profiles)
 
@@ -229,14 +226,13 @@ def _advise(tracker: BeliefTracker, backend, client_text: str) -> None:
     print(line)
 
 
-def cmd_repl(args: argparse.Namespace) -> int:
+def cmd_repl(args: argparse.Namespace, cfg: RunConfig) -> int:
     """Type counselor turns against a simulated client.
 
     The advisory display is read-only: the typed utterance is what the client
     hears.  The advisor takes the live counselor's belief step, acting on each
     typed line's action, never on its own suggestion.
     """
-    cfg = _cfg_from_args(args)
     backend = make_backend(cfg)
     table, pop, profiles = _sim_fixtures()
     profile = (
@@ -339,8 +335,7 @@ def _selftest_determinism() -> str | None:
     return None
 
 
-def cmd_selftest(args: argparse.Namespace) -> int:
-    cfg = _cfg_from_args(args)
+def cmd_selftest(args: argparse.Namespace, cfg: RunConfig) -> int:
     print(json.dumps(cfg.dump_constants(), indent=2))
     rng = np.random.default_rng(cfg.seed)
     checks = [
@@ -405,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _cfg_from_args(args))
     except BackendUnavailableError as exc:
         print(f"backend failure: {exc}", file=sys.stderr)
         return 3

@@ -325,17 +325,16 @@ def select_client_action(
     stage: str,
     pop_row: Categorical,
     backend,
-    context: str = "",
     alpha: float = DEFAULT_ALPHA_DIRICHLET,
 ) -> str:
     """Pick the client's next behavior given its smoothed action distribution.
 
-    The backend gets the distribution plus context and may answer with any
-    text; a reply that names no action label (``backends.match_label``)
-    falls back to the distribution's argmax.
+    The backend gets the distribution with the context ``stage:<name>`` and
+    may answer with any text; a reply that names no action label
+    (``backends.match_label``) falls back to the distribution's argmax.
     """
     dist = client_action_dist(profile, stage, pop_row, alpha)
-    reply = backend.choose_client_action(dist, context)
+    reply = backend.choose_client_action(dist, f"stage:{stage}")
     return match_label(reply, CLIENT_ACTIONS.labels) or dist.argmax_label()
 
 
@@ -479,8 +478,7 @@ class ClientSession:
         action = self._actions.get(self.stage)
         if action is None:
             action = self._actions[self.stage] = select_client_action(
-                self.profile, self.stage, self.pop_prior[self.stage], self.backend,
-                f"stage:{self.stage}", self.alpha,
+                self.profile, self.stage, self.pop_prior[self.stage], self.backend, self.alpha
             )
         text = self.backend.generate_client_reply(
             action, counselor_text, self._response_context()

@@ -6,8 +6,10 @@ everything derives from StateCoachError so the CLI can catch broadly.
 
 from __future__ import annotations
 
+import json
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 
 class StateCoachError(Exception):
@@ -115,6 +117,18 @@ def json_record(value, what, required={}, allowed=None) -> dict:
         raise ValueError(f"{what} has unknown key(s): {', '.join(unknown)}")
     key = next(k for k, kind in required.items() if not is_json(value[k], kind))
     raise ValueError(f"{what} has a non-{required[key]} {key}")
+
+
+def json_lines(path):
+    """``(number, value)`` for each non-blank line of the JSON-lines file ``path``,
+    numbered from 1; a line that is not UTF-8 JSON is a ValueError naming it."""
+    for number, line in enumerate(Path(path).read_bytes().splitlines(), 1):
+        if line.strip():
+            try:
+                value = json.loads(line.decode("utf-8"))
+            except ValueError as exc:  # a UnicodeDecodeError or a JSONDecodeError
+                raise ValueError(f"line {number} is not JSON: {getattr(exc, 'msg', exc)}") from exc
+            yield number, value
 
 
 @contextmanager

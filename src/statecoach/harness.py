@@ -32,7 +32,7 @@ from .belief import BeliefState, bayes_update, free_energy, fuse, widen_observat
 from .client_sim import ClientSession
 from .config import RunConfig
 from .errors import (EmptyInputError, NoGoldLabelsError, UnknownActionError, UnknownLabelError,
-                     json_record, naming_file)
+                     json_lines, json_record, naming_file)
 from .memory import STM, MemoryStore
 from .planner import (
     EfeReport,
@@ -127,11 +127,15 @@ class Transcript:
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "Transcript":
-        lines = [
-            line for line in Path(path).read_text(encoding="utf-8").splitlines() if line
-        ]
-        header = json.loads(lines[0])
-        records = [TurnRecord.from_dict(json.loads(line)) for line in lines[1:]]
+        """The transcript ``to_jsonl`` wrote to ``path``, its header and records read as
+        closed records; each fault names its line and the file (an empty file: line 1)."""
+        head = dict.fromkeys(f.name for f in fields(cls) if f.name != "records")
+        turn = dict.fromkeys(TurnRecord.__dataclass_fields__)
+        with naming_file(path):
+            (number, header), *lines = [*json_lines(path)] or [(1, {})]
+            header = json_record(header, f"line {number}", head, head.keys())
+            records = [TurnRecord(**json_record(d, f"line {n}", turn, turn.keys()))
+                       for n, d in lines]
         return cls(records=records, **header)
 
 

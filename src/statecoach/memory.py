@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .backends import ask_once
-from .errors import EmptyTextError, is_finite, is_json, json_record, naming_file
+from .errors import EmptyTextError, is_finite, is_json, json_lines, json_record, naming_file
 
 STM = "STM"
 LTM = "LTM"
@@ -288,13 +288,7 @@ class MemoryStore:
 
     def load(self, path: str | Path) -> None:
         """Append the entries of a file ``save`` wrote; each fault names its line and the file."""
-        with naming_file(path), open(path, encoding="utf-8") as fh:
-            for number, line in enumerate(fh, 1):
-                if line.strip():
-                    try:
-                        d = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise ValueError(f"line {number} is not JSON: {exc.msg}") from exc
-                    entry = MemoryEntry.from_dict(d, f"line {number}")
-                    row = self._new_row(entry.embedding, f"line {number}'s embedding")
-                    self._append(entry, row)
+        with naming_file(path):
+            for number, d in json_lines(path):
+                entry = MemoryEntry.from_dict(d, f"line {number}")
+                self._append(entry, self._new_row(entry.embedding, f"line {number}'s embedding"))

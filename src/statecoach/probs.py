@@ -61,15 +61,12 @@ def _total(values: list[float]) -> float:
     return total
 
 
-def _checked_total(values: list[float] | np.ndarray, what: str, nan_passes: bool) -> float:
-    """The total of a 1-d float vector, checked entry by entry: ``values`` is the
-    list of its Python floats, or a float64 ndarray read through one ``tolist()``.
+def _checked_total(values: list[float], what: str, nan_passes: bool) -> float:
+    """The total of a list of Python floats, checked entry by entry.
 
     An entry below zero raises ValueError("<what> must be non-negative"), and so
     does a NaN unless ``nan_passes``.
     """
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
     for v in values:
         if (v < 0) if nan_passes else (not v >= 0):
             raise ValueError(f"{what} must be non-negative")

@@ -24,6 +24,8 @@ from statecoach.backends import (
     TOKEN_MEMO_SIZE,
     HttpBackend,
     ScriptedBackend,
+    _apply_rules,
+    _rule_matches,
     ask_once,
     hashed_embedding,
     load_templates,
@@ -145,9 +147,38 @@ def test_classify_talk_type_cue_rules():
 
 
 def test_generate_response_missing_template():
+    # generate_response always renders counselor_reply; an id is only passed,
+    # and so only checked, by generate_client_reply.
     b = ScriptedBackend()
     with pytest.raises(TemplateMissingError):
-        b.generate_response("Affirm", None, None, "hi", template_id="nope")
+        b.generate_client_reply("Deny", "hi", {"stage": "contemplation"}, template_id="nope")
+
+
+def _bad_response_rules(rules):
+    b = ScriptedBackend()
+    b._response_rules = rules
+    return b.generate_response("Affirm", None, None, "hi")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: _rule_matches({"mode": "sometimes", "label": "x"}, "hi"), ValueError,
+         "unknown rule mode 'sometimes'"),
+        (lambda: _apply_rules([{"mode": "question", "label": "x"}], "hi"), ValueError,
+         "rule table is not total; add a catch-all rule"),
+        (lambda: _bad_response_rules([{"response": "  "}]), BackendUnavailableError,
+         "scripted rule produced empty text"),
+        (lambda: _bad_response_rules([{"require": ["action:deny"], "response": "no"}]),
+         BackendUnavailableError, "no scripted response rule matched"),
+    ],
+    ids=["unknown-mode", "no-catch-all", "empty-text", "no-rule-matched"],
+)
+def test_a_faulty_rule_table_raises(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_generate_response_reflection_echoes():

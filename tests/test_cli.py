@@ -173,6 +173,36 @@ def test_repl_skips_line_without_words(capsys, monkeypatch):
     assert "session ended." in out
 
 
+def test_repl_skips_a_blank_line_and_stops_at_preparation(tmp_path, capsys, monkeypatch):
+    profile = json.loads((DATA_DIR / "profiles" / "p01_alcohol.json").read_text(encoding="utf-8"))
+    path = tmp_path / "ready.json"
+    path.write_text(json.dumps({**profile, "initial_stage": "contemplation",
+                                "prep_threshold": 0.01}), encoding="utf-8")
+    monkeypatch.setattr(
+        "sys.stdin", io.StringIO("\nYou want to wake up clear-headed?\nnever read\n"))
+    code, out = run_cli(capsys, ["repl", "--profile", str(path)])
+    assert code == 0
+    assert "you> you>   [classified as: Closed Question]\nclient [preparation" in out
+    assert out.endswith("client reached preparation; session complete.\nsession ended.\n")
+
+
+_SELFTEST_CHECKS = {"_selftest_free_energy": "free-energy bound",
+                    "_selftest_mi_identity": "mutual-information identity",
+                    "_selftest_determinism": "determinism probe"}
+
+
+@pytest.mark.parametrize("failing", sorted(_SELFTEST_CHECKS))
+def test_selftest_reports_a_failed_check_and_exits_1(capsys, monkeypatch, failing):
+    for check in _SELFTEST_CHECKS:
+        problem = "broken on purpose" if check == failing else None
+        monkeypatch.setattr(f"statecoach.cli.{check}", lambda *args, problem=problem: problem)
+    code, out = run_cli(capsys, ["selftest"])
+    assert code == 1
+    assert out.endswith("".join(
+        f"{name}: FAIL (broken on purpose)\n" if check == failing else f"{name}: ok\n"
+        for check, name in _SELFTEST_CHECKS.items()))
+
+
 def test_negative_max_turns_exits_2(tmp_path, capsys):
     code = main(["run-dynamic", "--out", str(tmp_path / "r"), "--max-turns", "-3"])
     captured = capsys.readouterr()

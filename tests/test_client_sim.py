@@ -822,6 +822,7 @@ def test_empty_trigger_set_in_precontemplation_raises():
                            plans=("Tiny plan.",))
     sess = make_session(profile=profile)
     assert sess.triggers == []
+    assert sess.coverage == 0.0
     with pytest.raises(EmptyTriggerSetError):
         sess.respond("anything at all", "Facilitate")
 

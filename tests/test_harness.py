@@ -113,6 +113,35 @@ def test_transcript_jsonl_round_trip(tmp_path):
     assert back.discovered_ids == {"beliefs-0", "plans-1"}
 
 
+_HEADER = json.dumps(make_transcript("contemplation").header_dict())
+_RECORD = make_record().to_dict()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "line 1 has no profile_id, initial_stage, n_triggers, opening"),
+        (_HEADER + "\n\n{oops\n",
+         "line 3 is not JSON: Expecting property name enclosed in double quotes"),
+        (_HEADER[:-1] + ', "zz": 1}\n', "line 1 has unknown key(s): zz"),
+        ("[1]\n", "line 1 must be a JSON object, got list"),
+        (_HEADER + "\n" + json.dumps({k: v for k, v in _RECORD.items() if k != "readiness"}),
+         "line 2 has no readiness"),
+        (_HEADER + "\n\xff\n", "line 2 is not JSON: 'utf-8' codec can't decode byte 0xff"
+         " in position 0: invalid start byte"),
+    ],
+    ids=["empty", "not-json", "header-extra-key", "header-list", "record-missing-key",
+         "not-utf8"],
+)
+def test_from_jsonl_names_the_line_and_file_of_each_fault(tmp_path, text, message):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(text.encode("latin-1"))  # one byte a character: "\xff" is no UTF-8
+    with pytest.raises(ValueError) as info:
+        Transcript.from_jsonl(path)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"{message} (in {path})"
+
+
 def test_transcript_without_records_reports_initial_stage():
     t = Transcript(
         profile_id="px", initial_stage="contemplation", n_triggers=6, opening="hi"

@@ -73,6 +73,17 @@ def test_add_unknown_tier_raises():
         store.add("MTM", "x", 1, "s")
 
 
+def test_len_counts_entries_and_bad_counts_raise():
+    store = MemoryStore(VectorBackend({"x": E1}))
+    store.add(STM, "x", 1, "s")
+    store.add(LTM, "x", 2, "s")
+    assert len(store) == 2
+    with pytest.raises(ValueError, match="^k must be non-negative$"):
+        store.retrieve("x", k=-1)
+    with pytest.raises(ValueError, match="^every_n_turns must be positive$"):
+        store.consolidate("s", every_n_turns=0)
+
+
 def test_empty_store_retrieval():
     out = MemoryStore(VectorBackend({"q": E1})).retrieve("q")
     assert out == {"relevant": []}

@@ -92,7 +92,7 @@ def test_uniform_is_built_once_per_space():
 
 # What each check raises, exact type and message, for the inputs its reductions
 # could treat differently: negative, NaN, infinite, short-sum, wrong-length and
-# wrong-rank values.
+# wrong-rank values; and a label space's and mix's checks of their spaces.
 def _sum_message(total):
     return f"probabilities must sum to 1, got {np.float64(total)!r}"
 
@@ -136,11 +136,17 @@ RAISES = [
      "expected rows of 3 probabilities for 's3', got (3,)"),
     ("check_rows", [[[0.2, 0.3, 0.5]]], DimensionMismatchError,
      "expected rows of 3 probabilities for 's3', got (1, 1, 3)"),
+    # LabelSpace("t", value), and mix(uniform(S3), uniform(value), 0.5)
+    ("LabelSpace", (), ValueError, "label space 't' must not be empty"),
+    ("LabelSpace", ("a", "b", "a"), ValueError, "label space 't' has duplicate labels"),
+    ("mix", S2, DimensionMismatchError, "mixing different spaces: 's3' vs 's2'"),
 ]
 CHECKS = {
     "Categorical": lambda v: Categorical(S3, v),
     "normalize": lambda v: normalize(S3, v),
     "check_rows": lambda v: check_rows(S3, np.asarray(v, dtype=float)),
+    "LabelSpace": lambda v: LabelSpace("t", v),
+    "mix": lambda v: mix(uniform(S3), uniform(v), 0.5),
 }
 
 
@@ -263,7 +269,7 @@ def test_checked_total_is_numpys_sum_bit_for_bit():
     for n in range(1, 21):
         for _ in range(500):
             p = rng.random(n) * 10.0 ** rng.integers(-8, 9, size=n)
-            total = _checked_total(p, "weights", nan_passes=False)
+            total = _checked_total(p.tolist(), "weights", nan_passes=False)
             assert type(total) is float
             assert np.float64(total).tobytes() == np.add.reduce(p).tobytes(), (n, p.tolist())
 

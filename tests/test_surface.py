@@ -11,7 +11,7 @@ from pathlib import Path
 
 import statecoach
 from statecoach.backends import HttpBackend, ScriptedBackend
-from statecoach.client_sim import act_kl
+from statecoach.client_sim import act_kl, select_client_action
 from statecoach.config import RunConfig
 from statecoach.harness import ActiveCounselor, BeliefTracker
 from statecoach.planner import PreferenceModel
@@ -34,6 +34,17 @@ def test_backend_constructor_parameters():
     params = inspect.signature(HttpBackend).parameters
     assert list(params) == ["cfg", "session"]
     assert params["session"].default is None
+
+
+def test_generation_parameters():
+    """generate_response always renders the counselor_reply template, and
+    select_client_action sends its stage as the context ``stage:<name>``;
+    neither takes the value as a parameter."""
+    for backend in (ScriptedBackend, HttpBackend):
+        assert list(inspect.signature(backend.generate_response).parameters) == [
+            "self", "action", "belief", "memories", "user_utterance"]
+    assert list(inspect.signature(select_client_action).parameters) == [
+        "profile", "stage", "pop_row", "backend", "alpha"]
 
 
 def test_agent_constructor_parameters():
