@@ -245,7 +245,7 @@ class ScriptedBackend:
         _require_text(utterance)
         return _apply_rules(self._cue_rules, utterance)
 
-    def choose_client_action(self, dist: Categorical, context: str = "") -> str:
+    def choose_client_action(self, dist: Categorical, context: str) -> str:
         return dist.argmax_label()
 
     # -- misc -------------------------------------------------------------
@@ -381,7 +381,7 @@ class HttpBackend:
             utterance, "classify_talk_type", CUES.labels, "precontemplation"
         )
 
-    def choose_client_action(self, dist: Categorical, context: str = "") -> str:
+    def choose_client_action(self, dist: Categorical, context: str) -> str:
         prompt = self._render(
             "choose_action",
             distribution=json.dumps(dist.as_dict()),

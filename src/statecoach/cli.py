@@ -343,14 +343,12 @@ def cmd_selftest(args: argparse.Namespace, cfg: RunConfig) -> int:
         ("mutual-information identity", _selftest_mi_identity(rng, 200)),
         ("determinism probe", _selftest_determinism()),
     ]
-    failed = False
     for name, problem in checks:
         if problem is None:
             print(f"{name}: ok")
         else:
-            failed = True
             print(f"{name}: FAIL ({problem})")
-    return 1 if failed else 0
+    return 0 if all(problem is None for _, problem in checks) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,17 +364,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--counselor", choices=["active", "random", "fixed"], default="active"
     )
     p.add_argument("--out", default="runs", help="output directory for transcripts")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_run_dynamic)
 
     p = sub.add_parser("eval-offline", help="score state inference on annotated sessions")
     p.add_argument("--sessions", default=None, help="annotated sessions JSON")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_eval_offline)
 
     p = sub.add_parser("validate-sim", help="replay fixtures and report checks")
     p.add_argument("--profiles", default=None)
-    _add_config_flags(p)
     p.set_defaults(func=cmd_validate_sim)
 
     p = sub.add_parser("repl", help="interactive session against a simulated client")
@@ -386,13 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="display the tracked belief and suggested action each turn",
     )
-    _add_config_flags(p)
     p.set_defaults(func=cmd_repl)
 
     p = sub.add_parser("selftest", help="print wired constants and run quick checks")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_selftest)
 
+    for p in sub.choices.values():
+        _add_config_flags(p)
     return parser
 
 

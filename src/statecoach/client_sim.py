@@ -478,7 +478,8 @@ class ClientSession:
         action = self._actions.get(self.stage)
         if action is None:
             action = self._actions[self.stage] = select_client_action(
-                self.profile, self.stage, self.pop_prior[self.stage], self.backend, self.alpha
+                self.profile, self.stage, self.pop_prior[self.stage], self.backend,
+                self.alpha,
             )
         text = self.backend.generate_client_reply(
             action, counselor_text, self._response_context()

@@ -89,8 +89,9 @@ class TurnRecord:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TurnRecord":
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__})
+    def from_dict(cls, d: dict, what: str = "a turn record") -> "TurnRecord":
+        keys = dict.fromkeys(cls.__dataclass_fields__)
+        return cls(**json_record(d, what, keys, keys.keys()))
 
 
 def _jsonl_line(d: dict) -> str:
@@ -128,14 +129,15 @@ class Transcript:
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "Transcript":
         """The transcript ``to_jsonl`` wrote to ``path``, its header and records read as
-        closed records; each fault names its line and the file (an empty file: line 1)."""
+        closed records; each fault names its line and the file."""
         head = dict.fromkeys(f.name for f in fields(cls) if f.name != "records")
-        turn = dict.fromkeys(TurnRecord.__dataclass_fields__)
         with naming_file(path):
-            (number, header), *lines = [*json_lines(path)] or [(1, {})]
+            lines = list(json_lines(path))
+            if not lines:
+                raise ValueError("line 1 has no transcript header: the file is blank")
+            (number, header), *lines = lines
             header = json_record(header, f"line {number}", head, head.keys())
-            records = [TurnRecord(**json_record(d, f"line {n}", turn, turn.keys()))
-                       for n, d in lines]
+            records = [TurnRecord.from_dict(d, f"line {n}") for n, d in lines]
         return cls(records=records, **header)
 
 

@@ -291,4 +291,5 @@ class MemoryStore:
         with naming_file(path):
             for number, d in json_lines(path):
                 entry = MemoryEntry.from_dict(d, f"line {number}")
-                self._append(entry, self._new_row(entry.embedding, f"line {number}'s embedding"))
+                row = self._new_row(entry.embedding, f"line {number}'s embedding")
+                self._append(entry, row)

@@ -210,8 +210,10 @@ def test_generate_client_reply_stage_conditioning():
 def test_choose_client_action_is_argmax():
     b = ScriptedBackend()
     space = LabelSpace("c", ("Inform", "Deny"))
-    assert b.choose_client_action(from_dict(space, {"Inform": 0.7, "Deny": 0.3})) == "Inform"
-    assert b.choose_client_action(from_dict(space, {"Inform": 0.3, "Deny": 0.7})) == "Deny"
+    inform = from_dict(space, {"Inform": 0.7, "Deny": 0.3})
+    deny = from_dict(space, {"Inform": 0.3, "Deny": 0.7})
+    assert b.choose_client_action(inform, "stage:precontemplation") == "Inform"
+    assert b.choose_client_action(deny, "stage:precontemplation") == "Deny"
 
 
 def test_summarize_joins_and_truncates():

@@ -101,6 +101,8 @@ def test_turn_record_key_order_is_stable():
 def test_turn_record_round_trips():
     rec = make_record(matched=("beliefs-0",))
     assert TurnRecord.from_dict(rec.to_dict()) == rec
+    with pytest.raises(ValueError, match=r"^a turn record has unknown key\(s\): zz$"):
+        TurnRecord.from_dict({**rec.to_dict(), "zz": 1})
 
 
 def test_transcript_jsonl_round_trip(tmp_path):
@@ -120,7 +122,7 @@ _RECORD = make_record().to_dict()
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("", "line 1 has no profile_id, initial_stage, n_triggers, opening"),
+        ("", "line 1 has no transcript header: the file is blank"),
         (_HEADER + "\n\n{oops\n",
          "line 3 is not JSON: Expecting property name enclosed in double quotes"),
         (_HEADER[:-1] + ', "zz": 1}\n', "line 1 has unknown key(s): zz"),
