@@ -17,6 +17,7 @@ records both next to the fused belief.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,8 @@ HEDGE_TERMS = (
     "kind of",
     "sort of",
 )
+# Any hedge term as a substring, in one search.
+_HEDGE = re.compile("|".join(map(re.escape, HEDGE_TERMS)))
 
 
 @dataclass(frozen=True)
@@ -126,18 +129,16 @@ def length_aware_alpha(utterance: str) -> float:
 
     Returns the retained share of p_obs: longer, unhedged utterances earn
     more trust.  Word counts use whitespace tokens; hedge detection is a
-    case-insensitive substring match against a small fixed list.
+    case-insensitive substring match against a small fixed list, made only
+    for 12 words or more, since below that a hedge cannot change the result.
     """
-    if not utterance or not utterance.strip():
+    if not utterance or not (n := len(utterance.split())):
         raise EmptyTextError("cannot score an empty utterance")
-    words = utterance.split()
-    lowered = utterance.lower()
-    hedged = any(term in lowered for term in HEDGE_TERMS)
-    if len(words) < 6:
+    if n < 6:
         return ALPHA_WIDTHS[0]
-    if len(words) < 12 or hedged:
+    if n < 12 or _HEDGE.search(utterance.lower()):
         return ALPHA_WIDTHS[1]
-    if len(words) < 25:
+    if n < 25:
         return ALPHA_WIDTHS[2]
     return ALPHA_WIDTHS[3]
 

@@ -151,8 +151,9 @@ def init_world_model(cfg: RunConfig) -> WorldModel:
     symmetry while washing out quickly under real evidence.
     """
     wm = WorldModel(kappa_t=cfg.kappa_t, kappa_o=cfg.kappa_o)
-    for cue, stage in {**{s: s for s in STAGES}, **AUX_CUE_STAGE}.items():
-        wm.observation_counts[STAGES.index(stage), wm.cues.index(cue)] += cfg.obs_seed_count
+    seeds = {**{s: s for s in STAGES}, **AUX_CUE_STAGE}  # one cell per cue
+    cells = [STAGES.index(stage) for stage in seeds.values()], [wm.cues.index(c) for c in seeds]
+    wm.observation_counts[cells] += cfg.obs_seed_count
     return wm
 
 
@@ -177,7 +178,7 @@ class BeliefTracker:
         self.action: str | None = None
         self.prior: Categorical | None = None
 
-    def observe(self, utterance: str, cue: str) -> tuple[tuple, np.ndarray]:
+    def observe(self, utterance: str, cue: str) -> tuple[tuple, list[float]]:
         """Widen the cue's stage estimate by utterance quality, fuse it with
         the predictive prior and credit the world model with the turn (with
         argmax point masses in place of the beliefs under ``hard_counts``).

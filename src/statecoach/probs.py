@@ -217,14 +217,21 @@ def normalize(space: LabelSpace, weights) -> Categorical:
     Raises ValueError for a negative or NaN weight and AllZeroError when every
     weight is zero; Categorical then raises DimensionMismatchError for a vector
     that does not match the space, so a wrong-length all-zero one is AllZeroError.
+    A list of one exact Python float per label, none negative or NaN, is
+    totalled in one loop over it (``_plain_total``, as Categorical checks it);
+    any other input is converted by numpy first, for its errors and its shape.
     """
-    w = np.asarray(weights, dtype=float)
-    values = w.ravel().tolist()
-    total = _checked_total(values, "weights", nan_passes=False)
+    w, total = weights, _plain_total(weights, len(space))
+    if total is None or total != total:  # a NaN total has a NaN weight
+        w = np.asarray(weights, dtype=float)
+        values = w.ravel().tolist()
+        total = _checked_total(values, "weights", nan_passes=False)
+        if w.ndim == 1:
+            w = values
     if total <= 0:
         raise AllZeroError(f"cannot normalize all-zero weights over {space.name!r}")
     # Another shape goes to Categorical as an array, for its shape in the error.
-    return Categorical(space, [v / total for v in values] if w.ndim == 1 else w / total)
+    return Categorical(space, [v / total for v in w] if type(w) is list else w / total)
 
 
 def entropy(dist: Categorical) -> float:

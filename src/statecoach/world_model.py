@@ -17,21 +17,22 @@ Every other read is a slice of T or O: a row of T, one action's (states,
 states) slice of T (``transition_slice``), a row of O, or a column of O
 (``observation_likelihood``).  ``WorldModel`` derives what it returns from its
 counts on every read, so writing the count arrays directly is always safe.  The
-two slice reads of the belief step compute only their own cells, on the Python
-floats of the count rows they need, with ``_smoothed``'s arithmetic and
-numpy's summing order, so each is bit for bit the slice of the whole array.
-``TableModel`` holds fixed, validated T and O arrays instead and answers the
-same reads by slicing them.
+two slice reads of the belief step compute only their own cells, with
+``_smoothed``'s arithmetic and numpy's summing order, and return them as
+lists of Python floats, so each is bit for bit the slice of the whole array
+and its consumers (``normalize``, ``planner_prior``, ``bayes_update``) read
+it without a conversion.  ``TableModel`` holds fixed, validated T and O
+arrays instead and answers the same reads by slicing them, as the same lists.
 
 There is one update rule: each turn deposits counts weighted by the beliefs,
 the outer product of the previous and current belief for the transition and
 the current belief for the emission, which keeps the model honest about its
 own uncertainty.  Hard counts are the same rule fed the argmax stage's point
 mass: its row adds exactly 1.0 to one cell and 0.0 to every other.  The
-writes read the beliefs' Python floats, add ``n + x * y`` (transition) and
-``n + x`` (emission) to the Python floats of the one slice they change, and
-write the slice back, so each cell is bit for bit numpy's ``+=`` and no
-belief is turned into an array.
+writes add in place to the one slice they change: ``+=`` of the beliefs'
+outer product (transition) and of the current belief (emission).  Every
+label and belief length is checked before the first write, so a turn that
+fails leaves both count arrays as they were.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import is_finite, is_json, json_record, naming_file
+from .errors import DimensionMismatchError, is_finite, is_json, json_record, naming_file
 from .probs import Categorical, LabelSpace, _total
 from .vocab import COUNSELOR_ACTIONS, CUES, STAGES
 
@@ -56,12 +57,6 @@ def _smoothed(counts: np.ndarray, kappa: float) -> np.ndarray:
     """Symmetric Dirichlet smoothing of count rows along the last axis."""
     n = counts.shape[-1]
     return (counts + kappa / n) / (np.add.reduce(counts, axis=-1, keepdims=True) + kappa)
-
-
-def _smoothed_row(row: list[float], kappa: float) -> list[float]:
-    """One row of ``_smoothed`` on its Python floats, bit for bit."""
-    k, total = kappa / len(row), _total(row) + kappa
-    return [(c + k) / total for c in row]
 
 
 class WorldModel:
@@ -109,36 +104,52 @@ class WorldModel:
         """T[:, a, :] = p(s' | s, action) for every state s, one action's slice
         of T, as one list of Python floats per s."""
         rows = self.transition_counts[:, self.actions.index(action)].tolist()
-        return [_smoothed_row(row, self.kappa_t) for row in rows]
+        kappa = self.kappa_t
+        k = kappa / len(rows[0])
+        smoothed = []
+        for row in rows:
+            total = _total(row) + kappa
+            smoothed.append([(c + k) / total for c in row])
+        return smoothed
 
-    def observation_likelihood(self, cue: str) -> np.ndarray:
-        """p(cue | s) for every state s, one column of O: the evidence vector.
+    def observation_likelihood(self, cue: str) -> list[float]:
+        """p(cue | s) for every state s, one column of O: the evidence vector,
+        as a list of Python floats.
 
-        Each cell is smoothed as ``_smoothed_row`` smooths it.  The method is
-        defined here, not borrowed, because ``bench/tracer.py`` wraps it in
-        this class's dict.
+        Each cell is smoothed as ``transition_slice`` smooths a row's.  The
+        method is defined here, not borrowed, because ``bench/tracer.py``
+        wraps it in this class's dict.
         """
         c, kappa = self.cues.index(cue), self.kappa_o
         rows = self.observation_counts.tolist()
-        return np.array([(row[c] + kappa / len(row)) / (_total(row) + kappa) for row in rows])
+        k = kappa / len(rows[0])
+        return [(row[c] + k) / (_total(row) + kappa) for row in rows]
+
+    def _check_beliefs(self, *beliefs: Categorical) -> None:
+        """Each belief has one entry per state: ``+=`` would broadcast a
+        one-entry belief over every state."""
+        for q in beliefs:
+            if len(q.values) != len(self.states):
+                raise DimensionMismatchError(
+                    f"belief over {len(q.values)} states of {q.space.name!r}, "
+                    f"but the model has {len(self.states)} states"
+                )
 
     def add_observation(self, q: Categorical, cue: str) -> None:
         """Credit the emission table only (used when no prior action exists)."""
-        c = self.cues.index(cue)
-        column = self.observation_counts[:, c].tolist()
-        self.observation_counts[:, c] = [n + x for n, x in zip(column, q.values, strict=True)]
+        column = self.observation_counts[:, self.cues.index(cue)]
+        self._check_beliefs(q)
+        column += q.values
 
     def update(self, q_prev: Categorical, action: str, q_curr: Categorical, cue: str) -> None:
         """Deposit one turn of counts into both tables: ``q_prev`` is the belief
         before the counselor took ``action``, ``q_curr`` the belief after the
         reply, and ``cue`` the reply's classified observation."""
-        a, curr = self.actions.index(action), q_curr.values
-        block = self.transition_counts[:, a, :].tolist()
-        self.transition_counts[:, a, :] = [
-            [n + x * y for n, y in zip(row, curr, strict=True)]
-            for row, x in zip(block, q_prev.values, strict=True)
-        ]
-        self.add_observation(q_curr, cue)
+        block = self.transition_counts[:, self.actions.index(action), :]
+        column = self.observation_counts[:, self.cues.index(cue)]
+        self._check_beliefs(q_prev, q_curr)
+        block += np.multiply.outer(q_prev.values, q_curr.values)
+        column += q_curr.values
 
     def to_dict(self) -> dict:
         return {
@@ -227,8 +238,8 @@ class TableModel:
     def transition_slice(self, action: str) -> list[list[float]]:
         return self.T[:, self.actions.index(action)].tolist()
 
-    def observation_likelihood(self, cue: str) -> np.ndarray:
-        return self.O[:, self.cues.index(cue)]
+    def observation_likelihood(self, cue: str) -> list[float]:
+        return self.O[:, self.cues.index(cue)].tolist()
 
     transition_prob = WorldModel.transition_prob
     observation_prob = WorldModel.observation_prob

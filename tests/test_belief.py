@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from statecoach.belief import (
     ALPHA_WIDTHS,
     DEFAULT_BETA,
+    HEDGE_TERMS,
     BeliefState,
     bayes_update,
     free_energy,
@@ -132,6 +133,61 @@ def test_alpha_hedge_caps_long_text():
 def test_alpha_empty_raises():
     with pytest.raises(EmptyTextError):
         length_aware_alpha("   ")
+
+
+def alpha_reference(utterance):
+    """``length_aware_alpha`` as it was written before it searched for a hedge
+    only from 12 words on."""
+    if not utterance or not utterance.strip():
+        raise EmptyTextError("cannot score an empty utterance")
+    words = utterance.split()
+    lowered = utterance.lower()
+    hedged = any(term in lowered for term in HEDGE_TERMS)
+    if len(words) < 6:
+        return ALPHA_WIDTHS[0]
+    if len(words) < 12 or hedged:
+        return ALPHA_WIDTHS[1]
+    if len(words) < 25:
+        return ALPHA_WIDTHS[2]
+    return ALPHA_WIDTHS[3]
+
+
+def alpha_outcome(f, utterance):
+    try:
+        return f(utterance)
+    except EmptyTextError as exc:
+        return type(exc), str(exc)
+
+
+# A hedge term with each letter in either case.
+CASED_HEDGE = st.sampled_from(HEDGE_TERMS).flatmap(
+    lambda term: st.lists(st.booleans(), min_size=len(term), max_size=len(term)).map(
+        lambda upper: "".join(c.upper() if u else c for c, u in zip(term, upper))
+    )
+)
+# Plain words, with "İ", which lowers to two characters, and "ẞ", which lowers to "ß".
+WORD = st.one_of(st.sampled_from(["İ", "ẞ", "I", "GUESS", "kind", "OF", "not", "sure"]),
+                 st.text(alphabet="abxİẞ", min_size=1, max_size=4))
+GAP = st.sampled_from([" ", "  ", "\t", "\n", "\u3000"])
+
+
+@st.composite
+def utterance(draw):
+    """1 to 30 words, with up to two hedge terms set in as a word, at a word's
+    start or end, or inside it."""
+    words = draw(st.lists(WORD, min_size=(n := draw(st.integers(1, 30))), max_size=n))
+    for term in draw(st.lists(CASED_HEDGE, max_size=2)):
+        i = draw(st.integers(0, n - 1))
+        cut = draw(st.integers(0, len(words[i])))
+        words[i] = draw(st.sampled_from([term, words[i][:cut] + term + words[i][cut:]]))
+    gaps = draw(st.lists(GAP, min_size=n + 1, max_size=n + 1))
+    return gaps[0] + "".join(w + g for w, g in zip(words, gaps[1:]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(utterance(), st.sampled_from(["", " ", "\t\n", "\u3000"])))
+def test_alpha_equals_the_form_that_always_searched(text):
+    assert alpha_outcome(length_aware_alpha, text) == alpha_outcome(alpha_reference, text)
 
 
 def test_alpha_widths_constant():

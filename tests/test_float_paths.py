@@ -8,6 +8,9 @@ the same error type with the same message.  The references run with numpy's
 floating-point warnings off, since the float paths have no such warnings to
 give: an overflow or ``0 * inf`` yields the same inf or NaN either way.
 
+The count writes went the other way, from a loop over Python floats to
+numpy's in-place ``+=``: that loop is kept below as their reference.
+
 The planner's scoring pass is held to its masked form the same way: the
 ``where=`` forms of ``_epistemic`` and ``check_rows`` are kept below, and
 ``select_action``'s report must equal them byte for byte.
@@ -360,6 +363,37 @@ def test_count_writes_are_the_numpy_sums(case):
             write_reference(twin, q_prev, action, q_curr, cue)
             assert model.transition_counts.tobytes() == twin.transition_counts.tobytes()
             assert model.observation_counts.tobytes() == twin.observation_counts.tobytes()
+
+
+def write_loop_reference(model, q_prev, action, q_curr, cue):
+    """One turn of writes as ``update`` and ``add_observation`` made them before
+    they added in place: ``n + x * y`` and ``n + x`` on the Python floats of
+    the slice, written back as nested lists."""
+    if q_prev is not None:
+        a, curr = model.actions.index(action), q_curr.values
+        block = model.transition_counts[:, a, :].tolist()
+        model.transition_counts[:, a, :] = [
+            [n + x * y for n, y in zip(row, curr, strict=True)]
+            for row, x in zip(block, q_prev.values, strict=True)
+        ]
+    c = model.cues.index(cue)
+    column = model.observation_counts[:, c].tolist()
+    model.observation_counts[:, c] = [n + x for n, x in zip(column, q_curr.values, strict=True)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(count_writes())
+def test_in_place_writes_equal_the_python_float_loop(case):
+    (model, twin), turns = case
+    for q_prev, action, q_curr, cue in turns:
+        if q_prev is None:
+            model.add_observation(q_curr, cue)
+        else:
+            model.update(q_prev, action, q_curr, cue)
+        write_loop_reference(twin, q_prev, action, q_curr, cue)
+        assert model.transition_counts.tobytes() == twin.transition_counts.tobytes()
+        assert model.observation_counts.tobytes() == twin.observation_counts.tobytes()
 
 
 def check_rows_reference(space, rows):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from statecoach.errors import DimensionMismatchError, UnknownLabelError
 from statecoach.probs import Categorical, LabelSpace, point_mass, uniform
 from statecoach.vocab import CUES, STAGES
 from statecoach.world_model import DEFAULT_KAPPA, TableModel, WorldModel
@@ -91,6 +92,56 @@ def test_soft_update_spreads_outer_product():
     assert m.transition_counts[1, 0, 0] == pytest.approx(0.5)
     assert m.transition_counts.sum() == pytest.approx(1.0)
     assert np.allclose(m.observation_counts[:, 0], q_curr.probs)
+
+
+S1 = LabelSpace("one", ("only",))
+S4 = LabelSpace("four", ("a", "b", "c", "d"))
+Q3 = Categorical(STAGES, [0.2, 0.3, 0.5])
+
+
+@pytest.mark.parametrize(
+    "write, error, message",
+    [
+        (lambda m: m.update(Q3, "ask", Q3, "nope"), UnknownLabelError, "'nope' not in space 'o'"),
+        (lambda m: m.update(Q3, "nope", Q3, "o1"), UnknownLabelError, "'nope' not in space 'a'"),
+        (lambda m: m.update(uniform(S1), "ask", Q3, "o1"), DimensionMismatchError,
+         "belief over 1 states of 'one', but the model has 3 states"),
+        (lambda m: m.update(Q3, "ask", uniform(S1), "o1"), DimensionMismatchError,
+         "belief over 1 states of 'one', but the model has 3 states"),
+        (lambda m: m.update(Q3, "tell", uniform(S4), "o2"), DimensionMismatchError,
+         "belief over 4 states of 'four', but the model has 3 states"),
+        (lambda m: m.add_observation(Q3, "nope"), UnknownLabelError, "'nope' not in space 'o'"),
+        (lambda m: m.add_observation(uniform(S1), "o1"), DimensionMismatchError,
+         "belief over 1 states of 'one', but the model has 3 states"),
+        (lambda m: m.add_observation(uniform(S4), "o1"), DimensionMismatchError,
+         "belief over 4 states of 'four', but the model has 3 states"),
+    ],
+    ids=["update-cue", "update-action", "update-prev-1", "update-curr-1", "update-curr-4",
+         "observation-cue", "observation-1", "observation-4"],
+)
+def test_a_failed_write_leaves_both_count_arrays_as_they_were(write, error, message):
+    # A one-entry belief is the case numpy's += would broadcast over every state.
+    m = fresh()
+    m.update(Q3, "ask", point_mass(STAGES, "contemplation"), "o2")
+    before = m.transition_counts.tobytes(), m.observation_counts.tobytes()
+    with pytest.raises(error) as info:
+        write(m)
+    assert str(info.value) == message
+    assert (m.transition_counts.tobytes(), m.observation_counts.tobytes()) == before
+
+
+def test_both_models_read_a_likelihood_as_python_floats():
+    table = {s: np.array(row) for s, row in zip(STAGES.labels, np.eye(3, 4) * 0.7 + 0.075)}
+    t = TableModel(STAGES, A2, O4, {(s, a): np.full(3, 1 / 3) for s in STAGES.labels
+                                    for a in A2.labels}, table)
+    m = fresh()
+    m.observation_counts[:] = [[3.0, 1.0, 0.0, 0.5], [0.0, 2.0, 7.0, 0.0], [1e-300, 0.0, 1.0, 9.0]]
+    for model in (t, m):
+        o = model.observations()
+        for c, cue in enumerate(O4.labels):
+            col = model.observation_likelihood(cue)
+            assert type(col) is list and all(type(x) is float for x in col)
+            assert np.array(col).tobytes() == o[:, c].tobytes()
 
 
 def test_updates_commute():
