@@ -72,14 +72,24 @@ class BeliefState:
 
 def _evidence(likelihood, p: Categorical) -> tuple[list[float], bool]:
     """The Python floats of ``likelihood`` checked against ``p``'s space, and
-    whether they are all positive."""
-    lik = np.asarray(likelihood, dtype=float)
-    if lik.shape != (len(p.space),):
-        raise DimensionMismatchError(
-            f"likelihood shape {lik.shape} does not match space {p.space.name!r}"
-        )
-    values = lik.tolist()
-    positive = all(e > 0 for e in values)
+    whether they are all positive.  A list of one exact Python float per label
+    is checked in one loop; any other input goes through numpy, for its errors."""
+    n = len(p.space)
+    values, positive = likelihood, True
+    plain = type(values) is list and len(values) == n
+    for e in values if plain else ():
+        if type(e) is not float:
+            plain = False
+            break
+        positive = positive and e > 0
+    if not plain:
+        lik = np.asarray(likelihood, dtype=float)
+        if lik.shape != (n,):
+            raise DimensionMismatchError(
+                f"likelihood shape {lik.shape} does not match space {p.space.name!r}"
+            )
+        values = lik.tolist()
+        positive = all(e > 0 for e in values)
     if not positive and not all(e >= 0 for e in values):  # NaN fails too
         raise ValueError("likelihood values must be non-negative")
     return values, positive

@@ -1,8 +1,8 @@
 """Command-line surface: batch dialogue runs, offline evaluation, fixture
 validation, an interactive client session, and a constants self-test.
 
-Exit codes: 0 success, 1 failed validation or self-test, 2 configuration or
-usage error, 3 backend failure.
+Exit codes: 0 success, 1 failed validation or self-test, 2 configuration,
+usage or file-system error (any OSError), 3 backend failure.
 """
 
 from __future__ import annotations
@@ -45,30 +45,19 @@ from .planner import epistemic_value, planner_prior
 from .probs import Categorical, LabelSpace, entropy, kl_divergence, point_mass, uniform
 from .vocab import CLIENT_ACTIONS, STAGES
 
-CONFIG_ERRORS = (
-    FileNotFoundError,
-    FileExistsError,
-    NotADirectoryError,
-    IsADirectoryError,
-    ValueError,
-    StateCoachError,
-)
+CONFIG_ERRORS = (OSError, ValueError, StateCoachError)
+
+# The RunConfig fields each set by a value flag of the field's name and type.
+_VALUE_FLAGS = ("seed", "max_turns", "lambda_e", "lambda_p", "beta", "tau", "theta_cov",
+                "theta_prep", "repeat_penalty", "warmup_ratio", "min_eval_turns")
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     """Flags that override RunConfig fields; each ``dest`` is the field it sets."""
     p.add_argument("--config", default=None, help="JSON config file; flags override it")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-turns", type=int, default=None)
-    p.add_argument("--lambda-e", type=float, default=None)
-    p.add_argument("--lambda-p", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--theta-cov", type=float, default=None)
-    p.add_argument("--theta-prep", type=float, default=None)
-    p.add_argument("--repeat-penalty", type=float, default=None)
-    p.add_argument("--warmup-ratio", type=float, default=None)
-    p.add_argument("--min-eval-turns", type=int, default=None)
+    for name in _VALUE_FLAGS:
+        kind = {"int": int, "float": float}[RunConfig.__dataclass_fields__[name].type]
+        p.add_argument("--" + name.replace("_", "-"), type=kind, default=None)
     p.add_argument("--disable-planner", action="store_const", const=True, default=None)
     p.add_argument("--hard-counts", action="store_const", const=True, default=None)
     p.add_argument(

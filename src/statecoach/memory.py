@@ -7,27 +7,27 @@ Euclidean between unit-normalized embeddings, so orthogonal texts sit at
 sqrt(2) and opposites at 2; the default threshold 1.5 admits the former and
 rejects the latter.
 
-Each distinct text the store holds owns one row of a matrix of embeddings,
-and each entry one tuple of its table: (embedding row, turn, seq), the turn
-and seq as ``int()`` gives them.  Entries are only ever appended, so the
-store keeps each (query text, session, k)'s nearest k and the number of
-entries they were chosen from, and a retrieval ranks only the entries
-appended since against them; a key's first retrieval is the same catch-up
-from entry 0.  The store keeps the ``_SCAN_KEYS`` keys used last, and an
-evicted key's next retrieval is a first one again.  Each key remembers up to
-``_MEASURED_ROWS`` embedding rows' distances, so a text that recurs is measured
-once.  A query's vector is measured against the rows without becoming one, so
-distinct queries do not grow the matrix.  Every row, and every query vector
-measured against the rows, has the first row's width: a loaded line or a
-backend vector of another width is a ValueError naming both.  Embeddings come
-through ``backends.ask_once``, so a backend is asked once per distinct text
-across every store, client and trigger set that shares it, while the text is
-among the last ``ANSWER_MEMO_SIZE`` asked of that backend.
+Each distinct text the store holds owns one row of a matrix of embeddings, and
+the store keeps the index of each entry's row; ranking reads each entry's own
+turn and seq.  Entries are only ever appended, so the store keeps each (query
+text, session, k)'s nearest k and the number of entries they were chosen from,
+and a retrieval ranks only the entries appended since against them; a key's
+first retrieval is the same catch-up from entry 0.  The store keeps the
+``_SCAN_KEYS`` keys used last, and an evicted key's next retrieval is a first
+one again.  Each key remembers up to ``_MEASURED_ROWS`` embedding rows'
+distances, so a text that recurs is measured once.  A query's vector is
+measured against the rows without becoming one, so distinct queries do not
+grow the matrix.  Every row, and every query vector measured against the rows,
+has the first row's width: a loaded line or a backend vector of another width
+is a ValueError naming both.  Embeddings come through ``backends.ask_once``,
+so a backend is asked once per distinct text across every store, client and
+trigger set that shares it, while the text is among the last
+``ANSWER_MEMO_SIZE`` asked of that backend.
 
 Each session also keeps a mark: its highest short-term turn, raised as
 entries are appended (by ``add`` or ``load``).  ``consolidate`` reads only
 the mark until it reaches the next fold, so an idle call never scans the
-entry table.
+entries.
 """
 
 from __future__ import annotations
@@ -133,11 +133,12 @@ def _ranked(dist: float, turn: int, seq: int, index: int) -> tuple:
 class MemoryStore:
     """Memory store; entries stay in ``entries`` in insertion order.
 
-    ``entries`` is read-only to callers: ``add`` and ``load`` keep it, the
-    entry table and the embedding matrix in step.  Entries that ``load``
-    appends keep the vectors they were saved with, even where this store's
-    backend would embed their text differently.  A tier read from a file that
-    is neither STM nor LTM is neither visible as long-term nor consolidated.
+    ``entries`` is read-only to callers: ``add`` and ``load`` keep it, each
+    entry's row index and the embedding matrix in step; ranking reads each
+    entry's own turn and seq.  Entries that ``load`` appends keep the vectors
+    they were saved with, even where this store's backend would embed their
+    text differently.  A tier read from a file that is neither STM nor LTM is
+    neither visible as long-term nor consolidated.
     """
 
     def __init__(self, backend):
@@ -148,8 +149,8 @@ class MemoryStore:
         self._rows: dict[str, int] = {}
         self._vectors = np.empty((0, 0))  # distinct embeddings; _n_rows in use
         self._n_rows = 0
-        # One (embedding row, turn, seq) per entry, as int() gives them.
-        self._table: list[tuple[int, int, int]] = []
+        # The embedding row of each entry.
+        self._entry_rows: list[int] = []
         # session -> its highest short-term turn; no key until it has one.
         self._stm_mark: dict[str, int] = {}
         # (query text, session, k) -> (entries ranked, their nearest k as _ranked
@@ -175,18 +176,11 @@ class MemoryStore:
         self._n_rows += 1
         return self._n_rows - 1
 
-    def _embed(self, text: str) -> int:
-        """Row of ``text``'s embedding, added when the text is first stored."""
-        if text not in self._rows:
-            self._rows[text] = self._new_row(ask_once(self.backend, "embed", text))
-        return self._rows[text]
-
     def _append(self, entry: MemoryEntry, row: int) -> None:
-        turn = int(entry.turn_created)
-        self._table.append((row, turn, int(entry.seq)))
+        self._entry_rows.append(row)
         self.entries.append(entry)
         if entry.tier == STM:
-            marks = self._stm_mark
+            turn, marks = int(entry.turn_created), self._stm_mark
             marks[entry.session_id] = max(turn, marks.get(entry.session_id, turn))
 
     def add(self, tier: str, text: str, turn: int, session: str) -> str:
@@ -204,7 +198,9 @@ class MemoryStore:
             session_id=session,
             seq=len(self.entries),
         )
-        self._append(entry, self._embed(text))
+        if text not in self._rows:  # a text's row is made when it is first stored
+            self._rows[text] = self._new_row(entry.embedding)
+        self._append(entry, self._rows[text])
         return entry.id
 
     def retrieve(
@@ -242,15 +238,15 @@ class MemoryStore:
         key = (query_text, session, k)
         n = len(self.entries)
         done, best, measured = self._scans.pop(key, (0, [], {}))
-        seen = [(i, row, turn, seq) for i, (entry, (row, turn, seq))
-                in enumerate(zip(self.entries[done:n], self._table[done:n]), done)
+        seen = [(i, row, entry) for i, (entry, row)
+                in enumerate(zip(self.entries[done:n], self._entry_rows[done:n]), done)
                 if session is None or entry.tier == LTM or entry.session_id == session]
         if seen:
-            unmeasured = list({r for _, r, _, _ in seen if r not in measured})
+            unmeasured = list({r for _, r, _ in seen if r not in measured})
             if unmeasured:
                 q = self._checked_width(ask_once(self.backend, "embed", query_text))
                 measured.update(zip(unmeasured, _distances(self._vectors, unmeasured, q).tolist()))
-            ranked = [_ranked(measured[r], turn, seq, i) for i, r, turn, seq in seen]
+            ranked = [_ranked(measured[r], e.turn_created, e.seq, i) for i, r, e in seen]
             best = heapq.nsmallest(k, best + ranked)
             if len(measured) > _MEASURED_ROWS:
                 measured.clear()
@@ -266,7 +262,7 @@ class MemoryStore:
 
         Fires when the session's highest short-term turn (its mark) reaches
         the next multiple of ``every_n_turns`` since the previous
-        consolidation; otherwise returns None without reading the entry table.
+        consolidation; otherwise returns None without reading the entries.
         """
         if every_n_turns <= 0:
             raise ValueError("every_n_turns must be positive")
@@ -274,8 +270,8 @@ class MemoryStore:
         last = self._last_consolidated.get(session, 0)
         if turn_count is None or turn_count < last + every_n_turns:
             return None
-        block = [entry.text for entry, (_, turn, _) in zip(self.entries, self._table)
-                 if entry.tier == STM and entry.session_id == session and turn > last]
+        block = [e.text for e in self.entries
+                 if e.tier == STM and e.session_id == session and e.turn_created > last]
         summary = self.backend.summarize(block)
         self._last_consolidated[session] = turn_count
         self.add(LTM, summary, turn_count, session)

@@ -9,6 +9,7 @@ from statecoach.belief import (
     DEFAULT_BETA,
     HEDGE_TERMS,
     BeliefState,
+    _evidence,
     bayes_update,
     free_energy,
     fuse,
@@ -16,7 +17,7 @@ from statecoach.belief import (
     widen,
     widen_observation,
 )
-from statecoach.errors import EmptyTextError, ZeroEvidenceError
+from statecoach.errors import DimensionMismatchError, EmptyTextError, ZeroEvidenceError
 from statecoach.planner import planner_prior
 from statecoach.probs import Categorical, LabelSpace, point_mass, uniform
 from statecoach.world_model import TableModel
@@ -188,6 +189,65 @@ def utterance(draw):
 @given(st.one_of(utterance(), st.sampled_from(["", " ", "\t\n", "\u3000"])))
 def test_alpha_equals_the_form_that_always_searched(text):
     assert alpha_outcome(length_aware_alpha, text) == alpha_outcome(alpha_reference, text)
+
+
+def evidence_reference(likelihood, p):
+    """``_evidence`` as it was written before it checked a list of Python
+    floats without numpy."""
+    lik = np.asarray(likelihood, dtype=float)
+    if lik.shape != (len(p.space),):
+        raise DimensionMismatchError(
+            f"likelihood shape {lik.shape} does not match space {p.space.name!r}"
+        )
+    values = lik.tolist()
+    positive = all(e > 0 for e in values)
+    if not positive and not all(e >= 0 for e in values):  # NaN fails too
+        raise ValueError("likelihood values must be non-negative")
+    return values, positive
+
+
+def evidence_outcome(f, likelihood, p):
+    """Each value's type and bits and the positivity flag's type and value, or
+    the type and message of what ``f`` raises."""
+    try:
+        values, positive = f(likelihood, p)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(type(v), v.hex()) for v in values], (type(positive), positive)
+
+
+# Every float, with zeros of both signs, negatives, NaN and both infinities made likely.
+EVIDENCE_FLOAT = st.one_of(st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf]),
+                           st.floats(min_value=0.0), st.floats())
+
+
+@st.composite
+def evidence_case(draw):
+    """A space of 2 or 3 labels and a likelihood for it: mostly of its length,
+    else one short or long; a list of floats, ints, bools or a mix, an ndarray,
+    a tuple, a list of numpy floats, or a list with nested lists."""
+    space = draw(st.sampled_from([S2, S3]))
+    n = draw(st.sampled_from([len(space)] * 3 + [len(space) - 1, len(space) + 1, 0]))
+    floats = st.lists(EVIDENCE_FLOAT, min_size=n, max_size=n)
+    likelihood = draw(st.one_of(
+        floats,
+        floats.map(np.array),
+        floats.map(tuple),
+        floats.map(lambda xs: [np.float64(x) for x in xs]),
+        st.lists(st.one_of(st.integers(-2, 3), st.booleans()), min_size=n, max_size=n),
+        st.lists(st.one_of(EVIDENCE_FLOAT, st.integers(), st.booleans()), min_size=n, max_size=n),
+        st.lists(st.one_of(EVIDENCE_FLOAT, st.lists(EVIDENCE_FLOAT, max_size=2)),
+                 min_size=n, max_size=n),
+    ))
+    return likelihood, uniform(space)
+
+
+@settings(max_examples=600, deadline=None)
+@given(evidence_case())
+def test_evidence_equals_the_numpy_check(case):
+    likelihood, p = case
+    assert evidence_outcome(_evidence, likelihood, p) == evidence_outcome(
+        evidence_reference, likelihood, p)
 
 
 def test_alpha_widths_constant():

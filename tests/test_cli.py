@@ -359,6 +359,36 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("fault", ["config", "out", "profile"])
+def test_a_file_system_fault_exits_2_naming_the_path(tmp_path, capsys, monkeypatch, fault):
+    """A PermissionError from reading ``--config``, making ``--out`` or reading
+    a ``--profiles`` file is one ``error:`` line naming the path, and no
+    transcript is written.  The error is raised through ``monkeypatch``, since
+    ``chmod`` denies nothing to a superuser."""
+    cfg, out, profiles = tmp_path / "cfg.json", tmp_path / "runs", tmp_path / "profiles"
+    cfg.write_text("{}", encoding="utf-8")
+    profiles.mkdir()
+    profile = profiles / "p01_alcohol.json"
+    profile.write_bytes((DATA_DIR / "profiles" / "p01_alcohol.json").read_bytes())
+    method, denied = {"config": ("read_text", cfg), "out": ("mkdir", out),
+                      "profile": ("read_text", profile)}[fault]
+    real = getattr(Path, method)
+
+    def guarded(self, *args, **kwargs):
+        if self == denied:
+            raise PermissionError(13, "Permission denied", str(self))
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, method, guarded)
+    code = main(["run-dynamic", "--config", str(cfg), "--out", str(out),
+                 "--profiles", str(profiles)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and str(denied) in line
+    assert not list(tmp_path.rglob("*.jsonl"))
+
+
 def test_config_key_typo_exits_2_naming_the_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"lamda_e": 1}))

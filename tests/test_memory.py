@@ -196,6 +196,26 @@ def test_each_text_is_embedded_once():
     assert store.entries[0].embedding is store.entries[2].embedding
 
 
+def test_add_asks_for_its_embedding_once(monkeypatch):
+    """``add`` makes a new text's row from the vector it has just asked for,
+    so it asks ``ask_once`` once whether or not the store holds the text; the
+    backend itself is asked once per distinct text."""
+    asked = []
+
+    def counted(backend, method, text):
+        asked.append((method, text))
+        return ask_once(backend, method, text)
+
+    monkeypatch.setattr(memory, "ask_once", counted)
+    backend = CountingVectors({"hi": E1})
+    store = MemoryStore(backend)
+    store.add(STM, "hi", 1, "s")
+    assert asked == [("embed", "hi")]
+    store.add(STM, "hi", 2, "s")
+    assert asked == [("embed", "hi")] * 2
+    assert backend.embedded == ["hi"]
+
+
 def test_loaded_entries_keep_their_saved_vectors(tmp_path):
     store = MemoryStore(VectorBackend({"a": E1, "b": E2}))
     store.add(STM, "a", 1, "s")
