@@ -143,9 +143,7 @@ def hashed_embedding(text: str) -> np.ndarray:
     tokens = tokenize(text)
     if not tokens:
         raise EmptyTextError("cannot embed text with no tokens")
-    v = np.zeros(EMBED_DIM)
-    for tok in tokens:
-        v[_bucket(tok)] += 1.0
+    v = np.bincount([_bucket(tok) for tok in tokens], minlength=EMBED_DIM).astype(float)
     return v / np.linalg.norm(v)
 
 

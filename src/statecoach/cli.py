@@ -33,6 +33,7 @@ from .errors import BackendUnavailableError, StateCoachError, json_record, namin
 from .harness import (
     ActiveCounselor,
     BeliefTracker,
+    CounselorMove,
     FixedCounselor,
     RandomCounselor,
     init_world_model,
@@ -215,6 +216,29 @@ def _advise(tracker: BeliefTracker, backend, client_text: str) -> None:
     print(line)
 
 
+class TypedCounselor:
+    """Counselor moves typed at the ``you>`` prompt: each line with words is said
+    as typed, under the action it is classified as; ``quit``, ``exit`` or the end
+    of input ends the session (a move of None)."""
+
+    def __init__(self, backend):
+        self.backend = backend
+
+    def counselor_turn(self, client_utterance: str) -> CounselorMove | None:
+        while True:
+            try:
+                line = input("you> ").strip()
+            except (EOFError, KeyboardInterrupt):
+                print()
+                return None
+            if line.lower() in {"quit", "exit"}:
+                return None
+            if tokenize(line):
+                return CounselorMove(ask_once(self.backend, "classify_counselor_action", line), line)
+            if line:
+                print("  (no words in that line; type an utterance, or 'quit')")
+
+
 def cmd_repl(args: argparse.Namespace, cfg: RunConfig) -> int:
     """Type counselor turns against a simulated client.
 
@@ -230,42 +254,27 @@ def cmd_repl(args: argparse.Namespace, cfg: RunConfig) -> int:
     client = _client_session(profile, table, pop, backend, cfg)
     tracker = BeliefTracker(cfg) if args.show_belief else None
 
-    opening = client.opening_statement()
-    print(f"client [{client.stage}, r={client.readiness:.2f}]: {opening}")
-    if tracker is not None:
-        _advise(tracker, backend, opening)
-    turns = 0
-    while turns < cfg.max_turns:
-        try:
-            line = input("you> ").strip()
-        except (EOFError, KeyboardInterrupt):
-            print()
-            break
-        if not line:
-            continue
-        if line.lower() in {"quit", "exit"}:
-            break
-        if not tokenize(line):
-            print("  (no words in that line; type an utterance, or 'quit')")
-            continue
-        turns += 1
-        action = ask_once(backend, "classify_counselor_action", line)
-        outcome = client.respond(line, action)
-        print(f"  [classified as: {action}]")
-        print(f"client [{outcome.stage}, r={outcome.readiness:.2f}]: {outcome.text}")
-        matched = ", ".join(outcome.matched_ids) if outcome.matched_ids else "none"
-        suffix = (
-            f" (new: {', '.join(outcome.newly_discovered_ids)})"
-            if outcome.newly_discovered_ids
-            else ""
-        )
-        print(f"  matched triggers: {matched}{suffix}")
+    def show(transcript) -> None:
+        """Print the opening, then each turn as its record is written."""
+        if not transcript.records:
+            print(f"client [{client.stage}, r={client.readiness:.2f}]: {transcript.opening}")
+            if tracker is not None:
+                _advise(tracker, backend, transcript.opening)
+            return
+        *earlier, rec = transcript.records
+        seen = {i for r in earlier for i in r.matched_trigger_ids}
+        new = [i for i in rec.matched_trigger_ids if i not in seen]
+        print(f"  [classified as: {rec.counselor_action}]")
+        print(f"client [{rec.sim_stage}, r={rec.readiness:.2f}]: {rec.client_text}")
+        matched = ", ".join(rec.matched_trigger_ids) or "none"
+        print(f"  matched triggers: {matched}" + (f" (new: {', '.join(new)})" if new else ""))
         if tracker is not None:
-            tracker.act(action)
-            _advise(tracker, backend, outcome.text)
-        if outcome.stage == "preparation" and cfg.early_stop:
+            tracker.act(rec.counselor_action)
+            _advise(tracker, backend, rec.client_text)
+        if rec.sim_stage == "preparation" and cfg.early_stop:
             print("client reached preparation; session complete.")
-            break
+
+    run_dialogue(TypedCounselor(backend), client, cfg, observer=show)
     print("session ended.")
     return 0
 

@@ -360,7 +360,6 @@ class ClientTurn:
     stage: str
     readiness: float
     matched_ids: tuple[str, ...]
-    newly_discovered_ids: tuple[str, ...]
     gate: float
     delta_r_bar: float
 
@@ -490,9 +489,6 @@ class ClientSession:
             stage=self.stage,
             readiness=self.readiness,
             matched_ids=tuple(m.trigger.id for m in matches),
-            newly_discovered_ids=tuple(
-                m.trigger.id for m in matches if m.newly_discovered
-            ),
             gate=g,
             delta_r_bar=delta,
         )

@@ -8,7 +8,8 @@ comes from: expected free energy (the full agent), the annotation (offline
 evaluation), or the line the user typed (the ``repl`` advisor).  The full
 agent then touches memory and generates the reply.  Baseline agents
 (random, fixed rotation, fully scripted) share the same interface so the
-loop and the metrics treat all counselors alike.
+loop and the metrics treat all counselors alike; so does the ``repl``'s typed
+counselor, whose session runs through ``run_dialogue`` like every other.
 
 The full agent does each piece of a turn once.  The planner's rollout under
 the chosen action is the next turn's prior, so an expected-free-energy turn
@@ -314,13 +315,16 @@ def run_dialogue(
     client: ClientSession,
     cfg: RunConfig | None = None,
     out_path: str | Path | None = None,
+    observer=lambda transcript: None,
 ) -> Transcript:
-    """Alternate counselor and client until preparation or the turn cap.
+    """Alternate counselor and client until preparation, the turn cap, or a
+    counselor move of None, which ends the session before the client replies.
 
     The client opens; each turn is one counselor move plus the client's
     reply.  When ``out_path`` is given, the header and every record are
     flushed as they happen, so a crash mid-run still leaves a parseable
-    transcript prefix on disk.
+    transcript prefix on disk.  ``observer(transcript)`` runs after the
+    header and after each record is written (and flushed).
     """
     cfg = cfg or RunConfig()
     opening = client.opening_statement()
@@ -337,11 +341,14 @@ def run_dialogue(
             if fh is not None:
                 fh.write(_jsonl_line(d))
                 fh.flush()
+            observer(transcript)
 
         emit(transcript.header_dict())
         client_utterance = opening
         for turn in range(1, cfg.max_turns + 1):
             move = counselor.counselor_turn(client_utterance)
+            if move is None:
+                break
             outcome = client.respond(move.text, move.action)
             record = TurnRecord(
                 turn=turn,

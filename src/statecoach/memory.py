@@ -180,13 +180,15 @@ class MemoryStore:
         self._entry_rows.append(row)
         self.entries.append(entry)
         if entry.tier == STM:
-            turn, marks = int(entry.turn_created), self._stm_mark
+            turn, marks = entry.turn_created, self._stm_mark
             marks[entry.session_id] = max(turn, marks.get(entry.session_id, turn))
 
     def add(self, tier: str, text: str, turn: int, session: str) -> str:
         """Store a text with its embedding; the id is a stable hash of the inputs."""
         if tier not in (STM, LTM):
             raise ValueError(f"unknown memory tier {tier!r}")
+        if not is_json(turn, "integer"):  # the rule a loaded line's turn_created meets
+            raise ValueError(f"memory turn must be an integer, got {turn!r}")
         if not text or not text.strip():
             raise EmptyTextError("cannot store empty text")
         entry = MemoryEntry(

@@ -186,6 +186,16 @@ def test_repl_skips_a_blank_line_and_stops_at_preparation(tmp_path, capsys, monk
     assert out.endswith("client reached preparation; session complete.\nsession ended.\n")
 
 
+def test_repl_stops_at_the_turn_cap(capsys, monkeypatch):
+    """With one turn allowed, the second typed line is never read."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(REPL_INPUT))
+    code, out = run_cli(capsys, ["repl", "--max-turns", "1"])
+    assert code == 0
+    assert out.count("you>") == 1 and out.count("[classified as:") == 1
+    assert "client reached preparation" not in out
+    assert out.endswith("  matched triggers: beliefs-0 (new: beliefs-0)\nsession ended.\n")
+
+
 _SELFTEST_CHECKS = {"_selftest_free_energy": "free-energy bound",
                     "_selftest_mi_identity": "mutual-information identity",
                     "_selftest_determinism": "determinism probe"}

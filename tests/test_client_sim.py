@@ -827,6 +827,11 @@ def test_empty_trigger_set_in_precontemplation_raises():
         sess.respond("anything at all", "Facilitate")
 
 
+def hits(sess):
+    """Each matched trigger's hit count."""
+    return {t.id: t.hit_count for t in sess.triggers if t.hit_count}
+
+
 def test_session_walks_through_both_transitions():
     sess = make_session(backend=StubBackend(profile_embeds(), choice="garbage"))
     stages = [sess.stage]
@@ -838,7 +843,7 @@ def test_session_walks_through_both_transitions():
     assert turn.gate == pytest.approx(1.0)
     assert turn.delta_r_bar == pytest.approx(0.08)
     assert turn.matched_ids == ("beliefs-0",)
-    assert turn.newly_discovered_ids == ("beliefs-0",)
+    assert hits(sess) == {"beliefs-0": 1}  # its first hit: newly discovered
     assert turn.readiness == pytest.approx(0.28)
     assert turn.stage == "precontemplation"
     assert turn.action == "Downplay"  # argmax fallback under the pre counts
@@ -865,7 +870,7 @@ def test_session_walks_through_both_transitions():
     turn = sess.respond(BELIEF_A, "Simple Reflection")
     stages.append(turn.stage)
     assert turn.gate == pytest.approx(0.55)
-    assert turn.newly_discovered_ids == ()
+    assert hits(sess)["beliefs-0"] == 2  # hit before: not newly discovered
 
     # Turn 5: motivation discovery pushes r past theta_prep.
     turn = sess.respond(MOTIVATION_A, "Simple Reflection")

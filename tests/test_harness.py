@@ -26,6 +26,7 @@ from statecoach.harness import (
     AUX_CUE_STAGE,
     FALLBACK_ROTATION,
     ActiveCounselor,
+    CounselorMove,
     FixedCounselor,
     RandomCounselor,
     ScriptedCounselor,
@@ -344,6 +345,43 @@ def test_transcript_flush_matches_returned_object(tmp_path):
         out_path=path,
     )
     assert path.read_text(encoding="utf-8") == t.to_jsonl()
+
+
+def test_a_move_of_none_ends_the_session_before_the_client_replies(tmp_path):
+    class TwoMoves:
+        def __init__(self):
+            self.moves = iter([CounselorMove("Facilitate", "Mm-hmm."),
+                               CounselorMove("Affirm", "That took courage.")])
+
+        def counselor_turn(self, utterance):
+            return next(self.moves, None)
+
+    backend = scripted()
+    client = p01_session(backend)
+    replies = []
+    respond = client.respond
+    client.respond = lambda *args: replies.append(args) or respond(*args)
+    path = tmp_path / "stopped.jsonl"
+    t = run_dialogue(TwoMoves(), client, RunConfig(), out_path=path)
+    assert len(t.records) == 2 and len(replies) == 2
+    assert path.read_text(encoding="utf-8") == t.to_jsonl()  # the header and two records
+
+
+def test_observer_sees_the_header_then_each_record_once_as_written(tmp_path):
+    backend = scripted()
+    path = tmp_path / "observed.jsonl"
+    seen = []  # (the last record or None, the file's text) at each call
+
+    def observer(transcript):
+        last = transcript.records[-1] if transcript.records else None
+        seen.append((last, path.read_text(encoding="utf-8")))
+
+    t = run_dialogue(FixedCounselor(backend), p01_session(backend), RunConfig(max_turns=4),
+                     out_path=path, observer=observer)
+    assert len(t.records) == 4
+    assert [last for last, _ in seen] == [None, *t.records]
+    lines = t.to_jsonl().splitlines(keepends=True)
+    assert [on_disk for _, on_disk in seen] == ["".join(lines[:n + 1]) for n in range(5)]
 
 
 def test_run_dialogue_embeds_each_text_once_per_user():

@@ -67,6 +67,19 @@ def test_add_empty_text_raises():
         store.add(STM, "   ", 1, "s")
 
 
+@pytest.mark.parametrize("turn", [True, "3", 3.0, None])
+def test_add_rejects_a_turn_that_is_not_an_integer(turn):
+    """``add`` holds a turn to the rule a loaded line's ``turn_created`` meets,
+    before it embeds or stores anything."""
+    backend = VectorBackend({"x": E1})
+    store = MemoryStore(backend)
+    with pytest.raises(ValueError) as info:
+        store.add(LTM, "x", turn, "s")
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"memory turn must be an integer, got {turn!r}"
+    assert len(store) == 0 and store.retrieve("x", k=1)["relevant"] == []
+
+
 def test_add_unknown_tier_raises():
     store = MemoryStore(VectorBackend({"x": E1}))
     with pytest.raises(ValueError):
@@ -308,8 +321,8 @@ def test_load_checks_each_width_against_the_rows_already_stored(tmp_path):
 
 
 def test_load_keeps_any_integer_turn_and_a_missing_seq(tmp_path):
-    """The entry table holds Python ints, so a turn beyond 64 bits loads,
-    ranks and consolidates; a line without ``seq`` takes seq 0."""
+    """A loaded turn is a checked JSON integer of any size, so a turn beyond
+    64 bits loads, ranks and consolidates; a line without ``seq`` takes seq 0."""
     path = tmp_path / "mem.jsonl"
     lines = [{**_LINE, "turn_created": 10**30}, {**_LINE, "id": "b", "text": "b", "turn_created": 2}]
     del lines[1]["seq"]
