@@ -3,7 +3,8 @@
 Two implementations share one duck-typed interface:
 
 * ScriptedBackend — fully deterministic: keyword rule tables (shipped as
-  JSON fixtures) and a hashed bag-of-tokens embedding.
+  JSON fixtures, compiled once when the backend is built into the tuples its
+  per-call scans read) and a hashed bag-of-tokens embedding.
   This is what tests and reproducible runs use.
 * HttpBackend — an OpenAI-compatible chat-completions / embeddings client
   with greedy decoding, bounded retries with exponential backoff, and typed
@@ -24,9 +25,10 @@ summarize, embed.  Only generate_client_reply takes a template id:
 ``ask_once`` keeps a backend's answers to text-only queries (embed, both
 classifiers), an HttpBackend fallback label too: at most ``ANSWER_MEMO_SIZE``
 per backend object, least recently used out first, and none after the object
-is gone.  Callers may ask a query once and keep the answer, because every
-backend answers the same question the same way; a query whose answer was
-dropped is asked again.  ``choose_client_action`` is asked once per client
+is gone; a backend that cannot be weakly referenced is asked every time.
+Callers may ask a query once and keep the answer, because every backend
+answers the same question the same way; a query whose answer was dropped is
+asked again.  ``choose_client_action`` is asked once per client
 session and stage: the stage's action distribution and its context do not
 change within one.  A backend that sampled its client action would lose
 per-turn variety that way; greedy decoding rules one out already.
@@ -86,7 +88,10 @@ def ask_once(backend, method: str, text: str):
     callers share the answer, and a call that raises is not kept."""
     answers = _ANSWERS.get(id(backend))
     if answers is None:
-        weakref.finalize(backend, _ANSWERS.pop, id(backend), None)
+        try:
+            weakref.finalize(backend, _ANSWERS.pop, id(backend), None)
+        except TypeError:  # not weak-referenceable: nothing could free its answers
+            return getattr(backend, method)(text)
         answers = _ANSWERS[id(backend)] = {}
     key = method, text
     answer = answers.pop(key, _MISSING)
@@ -152,55 +157,96 @@ def _require_text(utterance: str) -> None:
         raise EmptyTextError("utterance must be non-empty")
 
 
-def _rule_matches(rule: dict, utterance: str) -> bool:
-    mode = rule.get("mode", "contains_any")
+def _forms(utterance: str) -> tuple[str, str, list[str]]:
+    """What classification rules read of ``utterance``: it lowered and stripped,
+    that without punctuation (``bare``), and the words of ``bare``."""
     text = utterance.lower().strip()
     bare = text.translate(_PUNCT_TABLE).strip()
+    return text, bare, bare.split()
+
+
+def _matcher(rule: dict):
+    """One classification rule as a test of ``_forms(utterance)``."""
+    mode = rule.get("mode", "contains_any")
     if mode == "always":
-        return True
+        return lambda text, bare, words: True
     if mode == "short_ack":
-        return len(bare.split()) <= 3 and bare in rule["terms"]
+        acks = frozenset(rule["terms"])
+        return lambda text, bare, words: len(words) <= 3 and bare in acks
     if mode == "question":
-        return text.endswith("?")
+        return lambda text, bare, words: text.endswith("?")
     if mode == "question_with":
-        if not text.endswith("?"):
-            return False
-        words = bare.split()
-        return any(term in words or term in text for term in rule["terms"])
+        terms = tuple(rule["terms"])
+        return lambda text, bare, words: text.endswith("?") and any(
+            term in words or term in text for term in terms
+        )
     if mode == "contains_any":
-        return any(term in text for term in rule["terms"])
+        terms = tuple(rule["terms"])
+        return lambda text, bare, words: any(term in text for term in terms)
     raise ValueError(f"unknown rule mode {mode!r}")
 
 
-def _apply_rules(rules: list[dict], utterance: str) -> str:
-    for rule in rules:
-        if _rule_matches(rule, utterance):
-            return rule["label"]
+def _compile_rules(rules: list[dict]) -> tuple:
+    """A classification table as (test, label) pairs, in table order."""
+    return tuple((_matcher(rule), rule["label"]) for rule in rules)
+
+
+def _compile_replies(rules: list[dict]) -> tuple[tuple[tuple[str, ...], str], ...]:
+    """A reply table as (require, response) pairs, in table order."""
+    return tuple((tuple(rule.get("require", ())), rule["response"]) for rule in rules)
+
+
+def _first_label(table: tuple, utterance: str) -> str:
+    """The label of the first rule of a compiled table that ``utterance`` matches."""
+    forms = _forms(utterance)
+    for matches, label in table:
+        if matches(*forms):
+            return label
     raise ValueError("rule table is not total; add a catch-all rule")
 
 
+def _rule_matches(rule: dict, utterance: str) -> bool:
+    """Whether one fixture classification rule matches ``utterance``."""
+    return _matcher(rule)(*_forms(utterance))
+
+
+def _apply_rules(rules: list[dict], utterance: str) -> str:
+    """The label of the first fixture rule that ``utterance`` matches."""
+    return _first_label(_compile_rules(rules), utterance)
+
+
 class ScriptedBackend:
-    """Deterministic backend driven by fixture rule tables."""
+    """Deterministic backend driven by fixture rule tables.
+
+    Each table is compiled once, when the backend is built, into the tuples
+    its per-call scan reads, so a rule missing its label, response or terms,
+    or naming an unknown mode, fails there.  The first rule that matches, in
+    table order, answers.
+    """
 
     def __init__(self):
         self.templates = load_templates()
-        self._counselor_rules = _load_json("counselor_rules.json")["rules"]
-        self._cue_rules = _load_json("talk_type_rules.json")["cue_rules"]
-        self._response_rules = _load_json("counselor_responses.json")["rules"]
-        self._client_rules = _load_json("client_responses.json")["rules"]
+        self._counselor_rules = _compile_rules(_load_json("counselor_rules.json")["rules"])
+        self._cue_rules = _compile_rules(_load_json("talk_type_rules.json")["cue_rules"])
+        self._response_rules = _compile_replies(_load_json("counselor_responses.json")["rules"])
+        self._client_rules = _compile_replies(_load_json("client_responses.json")["rules"])
 
     # -- generation -------------------------------------------------------
 
-    def _scripted_reply(
-        self, rules: list[dict], haystack: str, context: dict[str, str]
-    ) -> str:
-        for rule in rules:
-            if all(term in haystack for term in rule.get("require", [])):
-                text = rule["response"].format(**context)
-                if not text.strip():
-                    raise BackendUnavailableError("scripted rule produced empty text")
-                return text
-        raise BackendUnavailableError("no scripted response rule matched")
+    def _scripted_reply(self, rules: tuple, haystack: str, context: dict[str, str]) -> str:
+        """The first rule whose every ``require`` term is in ``haystack``, filled from ``context``."""
+        for require, response in rules:
+            for term in require:
+                if term not in haystack:
+                    break
+            else:
+                break
+        else:
+            raise BackendUnavailableError("no scripted response rule matched")
+        text = response.format(**context)
+        if not text.strip():
+            raise BackendUnavailableError("scripted rule produced empty text")
+        return text
 
     def generate_response(
         self,
@@ -237,11 +283,11 @@ class ScriptedBackend:
 
     def classify_counselor_action(self, utterance: str) -> str:
         _require_text(utterance)
-        return _apply_rules(self._counselor_rules, utterance)
+        return _first_label(self._counselor_rules, utterance)
 
     def classify_talk_type(self, utterance: str) -> str:
         _require_text(utterance)
-        return _apply_rules(self._cue_rules, utterance)
+        return _first_label(self._cue_rules, utterance)
 
     def choose_client_action(self, dist: Categorical, context: str) -> str:
         return dist.argmax_label()

@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import json
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,7 +42,7 @@ from statecoach.errors import (
     TemplateMissingError,
 )
 from statecoach.probs import LabelSpace, from_dict
-from statecoach.vocab import CLIENT_ACTIONS
+from statecoach.vocab import CLIENT_ACTIONS, COUNSELOR_ACTIONS, STAGES
 
 
 def test_tokenize_strips_punctuation_and_case():
@@ -157,7 +159,7 @@ def test_generate_response_missing_template():
 
 def _bad_response_rules(rules):
     b = ScriptedBackend()
-    b._response_rules = rules
+    b._response_rules = backends._compile_replies(rules)
     return b.generate_response("Affirm", None, None, "hi")
 
 
@@ -180,6 +182,145 @@ def test_a_faulty_rule_table_raises(call, error, message):
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def reference_rule_matches(rule, utterance):
+    """One classification rule read from its fixture dict, the utterance
+    normalised afresh for each rule: the form before the compiled tables."""
+    mode = rule.get("mode", "contains_any")
+    text = utterance.lower().strip()
+    bare = text.translate(backends._PUNCT_TABLE).strip()
+    if mode == "always":
+        return True
+    if mode == "short_ack":
+        return len(bare.split()) <= 3 and bare in rule["terms"]
+    if mode == "question":
+        return text.endswith("?")
+    if mode == "question_with":
+        if not text.endswith("?"):
+            return False
+        words = bare.split()
+        return any(term in words or term in text for term in rule["terms"])
+    if mode == "contains_any":
+        return any(term in text for term in rule["terms"])
+    raise ValueError(f"unknown rule mode {mode!r}")
+
+
+def reference_apply_rules(rules, utterance):
+    for rule in rules:
+        if reference_rule_matches(rule, utterance):
+            return rule["label"]
+    raise ValueError("rule table is not total; add a catch-all rule")
+
+
+def reference_scripted_reply(rules, haystack, context):
+    for rule in rules:
+        if all(term in haystack for term in rule.get("require", [])):
+            text = rule["response"].format(**context)
+            if not text.strip():
+                raise BackendUnavailableError("scripted rule produced empty text")
+            return text
+    raise BackendUnavailableError("no scripted response rule matched")
+
+
+def fixture(name):
+    return json.loads((backends.DATA_DIR / name).read_text(encoding="utf-8"))
+
+
+class ReferenceBackend(ScriptedBackend):
+    """A ScriptedBackend that scans the fixture dicts themselves."""
+
+    def __init__(self):
+        super().__init__()
+        self._counselor_rules = fixture("counselor_rules.json")["rules"]
+        self._cue_rules = fixture("talk_type_rules.json")["cue_rules"]
+        self._response_rules = fixture("counselor_responses.json")["rules"]
+        self._client_rules = fixture("client_responses.json")["rules"]
+
+    def _scripted_reply(self, rules, haystack, context):
+        return reference_scripted_reply(rules, haystack, context)
+
+    def classify_counselor_action(self, utterance):
+        backends._require_text(utterance)
+        return reference_apply_rules(self._counselor_rules, utterance)
+
+    def classify_talk_type(self, utterance):
+        backends._require_text(utterance)
+        return reference_apply_rules(self._cue_rules, utterance)
+
+
+@functools.cache
+def compiled_and_reference():
+    """One compiled and one reference backend, built once for every example."""
+    return ScriptedBackend(), ReferenceBackend()
+
+
+def outcome(call, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def rule_terms():
+    """Every term of every bundled table: require terms, which embed another
+    rule's action:, client_action: or stage: key, and classification terms."""
+    terms = []
+    for name in ("counselor_responses.json", "client_responses.json"):
+        terms += [t for rule in fixture(name)["rules"] for t in rule["require"]]
+    for name, key in (("counselor_rules.json", "rules"), ("talk_type_rules.json", "cue_rules")):
+        terms += [t for rule in fixture(name)[key] for t in rule.get("terms", ())]
+    return sorted(set(terms))
+
+
+FRAGMENTS = rule_terms() + ["?", "...", "?!", "--", "İ", "ẞ", "İs it", "STRASSE", "I", "a"]
+utterances = st.builds(
+    lambda pad, parts, seps, tail: pad + "".join(p + s for p, s in zip(parts, seps)) + tail,
+    st.sampled_from(["", " ", "\t", "\n "]),
+    st.lists(st.one_of(st.sampled_from(FRAGMENTS), st.text(max_size=4)), max_size=4),
+    st.lists(st.sampled_from(["", " ", ". ", ", ", "? "]), min_size=4, max_size=4),
+    st.sampled_from(["", "?", "? ", " ", ".", "?\n", "  "]),
+)
+UNKNOWN = ["", "Unknown", "action:deny"]
+counselor_actions = st.sampled_from(list(COUNSELOR_ACTIONS.labels) + UNKNOWN)
+client_actions = st.sampled_from(list(CLIENT_ACTIONS.labels) + ["Opening"] + UNKNOWN)
+stages = st.sampled_from(list(STAGES.labels) + UNKNOWN)
+memories = st.one_of(
+    st.none(),
+    st.just({}),
+    st.just({"relevant": []}),
+    utterances.map(lambda text: {"relevant": [SimpleNamespace(text=text)]}),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    counselor_action=counselor_actions,
+    client_action=client_actions,
+    stage=st.one_of(st.none(), stages),
+    utterance=utterances,
+    memory=memories,
+    template_id=st.sampled_from(["client_reply", "client_opening", "nope"]),
+    field=utterances,
+    dropped=st.sampled_from([None, "plan", "belief"]),
+)
+def test_compiled_tables_answer_as_the_fixture_dicts(
+    counselor_action, client_action, stage, utterance, memory, template_id, field, dropped
+):
+    compiled, reference = compiled_and_reference()
+    context = {key: field for key in ("topic", "behavior", "belief", "motivation", "plan", "persona")}
+    if stage is not None:
+        context["stage"] = stage
+    context.pop(dropped, None)
+    for method, args in (
+        ("generate_response", (counselor_action, None, memory, utterance)),
+        ("generate_client_reply", (client_action, utterance, context, template_id)),
+        ("classify_talk_type", (utterance,)),
+        ("classify_counselor_action", (utterance,)),
+    ):
+        expected = outcome(getattr(reference, method), *args)
+        assert outcome(getattr(compiled, method), *args) == expected, method
 
 
 def test_generate_response_reflection_echoes():
@@ -627,4 +768,25 @@ def test_dropping_a_backend_frees_its_answers():
     del b
     gc.collect()
     assert gone() is None
+    assert len(backends._ANSWERS) == before
+
+
+class Slotted:
+    """A duck-typed backend declared with ``__slots__``, so it cannot be weakly referenced."""
+
+    __slots__ = ("asked",)
+
+    def __init__(self):
+        self.asked = []
+
+    def classify_talk_type(self, text):
+        self.asked.append(text)
+        return "short_ack"
+
+
+def test_a_backend_that_cannot_be_weakly_referenced_is_asked_directly():
+    b = Slotted()
+    before = len(backends._ANSWERS)
+    assert [ask_once(b, "classify_talk_type", "Okay.") for _ in range(2)] == ["short_ack"] * 2
+    assert b.asked == ["Okay."] * 2
     assert len(backends._ANSWERS) == before
