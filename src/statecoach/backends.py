@@ -205,16 +205,6 @@ def _first_label(table: tuple, utterance: str) -> str:
     raise ValueError("rule table is not total; add a catch-all rule")
 
 
-def _rule_matches(rule: dict, utterance: str) -> bool:
-    """Whether one fixture classification rule matches ``utterance``."""
-    return _matcher(rule)(*_forms(utterance))
-
-
-def _apply_rules(rules: list[dict], utterance: str) -> str:
-    """The label of the first fixture rule that ``utterance`` matches."""
-    return _first_label(_compile_rules(rules), utterance)
-
-
 class ScriptedBackend:
     """Deterministic backend driven by fixture rule tables.
 

@@ -98,7 +98,6 @@ def _client_session(profile, table, pop, backend, cfg: RunConfig) -> ClientSessi
         theta_cov=cfg.theta_cov,
         theta_prep=cfg.theta_prep,
         alpha=cfg.alpha_dirichlet,
-        seed=cfg.seed,
     )
 
 

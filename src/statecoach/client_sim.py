@@ -500,7 +500,6 @@ def calibrate_prep_threshold(
     table: TalkTypeTable,
     backend,
     tau: float = DEFAULT_TAU,
-    default: float = DEFAULT_THETA_PREP,
 ) -> float:
     """Replay an annotated trajectory and read off the readiness level at
     which the gold labels first move from contemplation to preparation.
@@ -509,7 +508,7 @@ def calibrate_prep_threshold(
     gold_stage.  The replay runs a live ``ClientSession``'s own readiness
     step and stage-entry rule, the gold labels taking the place of its
     transitions, so an unknown action or stage raises as it does live.  If
-    the trajectory never shows that transition, the default is returned.
+    the trajectory never shows that transition, ``DEFAULT_THETA_PREP`` is returned.
     """
     client = ClientSession(profile, table, backend, {}, tau=tau)  # the step reads no prior
     for turn in trajectory:
@@ -518,17 +517,20 @@ def calibrate_prep_threshold(
         if client.stage == "contemplation" and gold == "preparation":
             return client.readiness
         client._enter(gold)
-    return default
+    return DEFAULT_THETA_PREP
 
 
 def load_pop_prior(path: str | Path) -> dict[str, Categorical]:
-    """Each stage's prior over client actions; a ValueError in the file names it."""
+    """Each stage's prior over client actions, for every stage and no other key; a
+    ValueError in the file names it."""
     with naming_file(path):
         data = json_record(json.loads(Path(path).read_text(encoding="utf-8")), "a population prior")
-        return {
+        prior = {
             stage: from_dict(CLIENT_ACTIONS, json_record(row, f"the row of {stage!r}"))
             for stage, row in data.items()
         }
+        stages = dict.fromkeys(STAGES)  # checked after the rows, so a row's fault comes first
+        return json_record(prior, "a population prior", stages, stages.keys())
 
 
 def load_profiles(directory: str | Path) -> list[ClientProfile]:

@@ -4,7 +4,7 @@ shipped calibration, overridable from CLI flags or a JSON config file."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from .belief import ALPHA_WIDTHS, DEFAULT_BETA, HEDGE_TERMS
@@ -15,14 +15,11 @@ from .client_sim import (
     DEFAULT_THETA_PREP,
     TRIGGER_RULES,
 )
-from .errors import is_finite, is_json, json_record, naming_file
+from .errors import field_types, is_finite, is_json, json_record, naming_file
 from .memory import DEFAULT_CONSOLIDATE_EVERY, DEFAULT_DIST_THRES, DEFAULT_K
 from .planner import DEFAULT_LAMBDA_E, DEFAULT_LAMBDA_P
 from .vocab import TALK_TYPE_WEIGHTS
 from .world_model import DEFAULT_KAPPA
-
-# The JSON type each field annotation admits (before any "| None"); see is_json.
-_KINDS = {"int": "integer", "float": "number", "bool": "boolean", "str": "string"}
 
 # The published memory recency-window size.  Retrieval keeps no recency
 # window, so nothing reads it; the constants dump still reports it.
@@ -59,14 +56,12 @@ class RunConfig:
     model_name: str | None = None
 
     def __post_init__(self):
-        """Reject mistyped and out-of-range values before a run writes anything."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kind, _, rest = f.type.partition(" | ")
-            if value is None and rest == "None":
-                continue
-            if not is_json(value, _KINDS[kind]):
-                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+        """Reject a value that is not of its field's annotated type (``errors.field_types``)
+        or is out of range, before a run writes anything."""
+        for name, kind in field_types(type(self)).items():
+            if not is_json(value := getattr(self, name), kind):
+                raise ValueError(f"{name} must be {self.__dataclass_fields__[name].type}, "
+                                 f"got {value!r}")
         # Written so that NaN fails every range check.
         for name in ("max_turns", "seed", "k_relevant", "lambda_e", "lambda_p",
                      "repeat_penalty", "dist_thres", "obs_seed_count"):

@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
+from functools import cache
 from pathlib import Path
 
 
@@ -82,13 +84,26 @@ class NoGoldLabelsError(StateCoachError):
 
 # The Python values json.loads gives for each JSON type a record key can require.
 _JSON_TYPES = {"string": str, "number": (int, float), "integer": int, "boolean": bool,
-               "array": list, "object": dict}
+               "array": list, "object": dict, "string or null": (str, type(None)),
+               "object or null": (dict, type(None))}
+
+# The JSON type each dataclass field annotation admits: an ``X | None`` field also null.
+_ANNOTATION_TYPES = {"int": "integer", "float": "number", "bool": "boolean", "str": "string",
+                     "list[str]": "array", "np.ndarray": "array",
+                     "str | None": "string or null", "dict | None": "object or null"}
 
 
 def is_json(value, kind) -> bool:
     """Whether ``value`` has JSON type ``kind`` (None admits any); a bool is a boolean only."""
     return kind is None or (
         isinstance(value, _JSON_TYPES[kind]) and (type(value) is not bool or kind == "boolean"))
+
+
+@cache
+def field_types(cls, leave_out=()) -> dict:
+    """``{field: JSON type}`` for the fields of dataclass ``cls`` not in ``leave_out``,
+    read from their annotations; made once per class and kept."""
+    return {f.name: _ANNOTATION_TYPES[f.type] for f in fields(cls) if f.name not in leave_out}
 
 
 def is_finite(number) -> bool:

@@ -33,7 +33,7 @@ from .belief import BeliefState, bayes_update, free_energy, fuse, widen_observat
 from .client_sim import ClientSession
 from .config import RunConfig
 from .errors import (EmptyInputError, NoGoldLabelsError, UnknownActionError, UnknownLabelError,
-                     json_lines, json_record, naming_file)
+                     field_types, json_lines, json_record, naming_file)
 from .memory import STM, MemoryStore
 from .planner import (
     EfeReport,
@@ -91,8 +91,7 @@ class TurnRecord:
 
     @classmethod
     def from_dict(cls, d: dict, what: str = "a turn record") -> "TurnRecord":
-        keys = dict.fromkeys(cls.__dataclass_fields__)
-        return cls(**json_record(d, what, keys, keys.keys()))
+        return cls(**json_record(d, what, field_types(cls), cls.__dataclass_fields__.keys()))
 
 
 def _jsonl_line(d: dict) -> str:
@@ -130,8 +129,8 @@ class Transcript:
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "Transcript":
         """The transcript ``to_jsonl`` wrote to ``path``, its header and records read as
-        closed records; each fault names its line and the file."""
-        head = dict.fromkeys(f.name for f in fields(cls) if f.name != "records")
+        closed records, each key of its field's type; each fault names its line and the file."""
+        head = field_types(cls, ("records",))
         with naming_file(path):
             lines = list(json_lines(path))
             if not lines:

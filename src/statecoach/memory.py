@@ -41,7 +41,8 @@ from pathlib import Path
 import numpy as np
 
 from .backends import ask_once
-from .errors import EmptyTextError, is_finite, is_json, json_lines, json_record, naming_file
+from .errors import (EmptyTextError, field_types, is_finite, is_json, json_lines, json_record,
+                     naming_file)
 
 STM = "STM"
 LTM = "LTM"
@@ -58,11 +59,6 @@ _MEASURED_ROWS = 64
 # Most (query text, session, k) keys whose scan a store keeps, least recently
 # used out first: room for every query of a 200-turn session.
 _SCAN_KEYS = 256
-
-# The JSON type of each key a line of a memory file must hold; ``seq`` may be
-# left out, and no other key may appear.
-_RECORD = {"id": "string", "tier": "string", "text": "string", "embedding": "array",
-           "turn_created": "integer", "session_id": "string"}
 
 
 @dataclass
@@ -82,9 +78,10 @@ class MemoryEntry:
 
     @classmethod
     def from_dict(cls, d: dict, what: str = "a memory entry") -> "MemoryEntry":
-        """The entry ``d`` holds as a closed record; a ValueError about ``what`` if not."""
-        json_record(d, what, _RECORD, cls.__dataclass_fields__.keys())
-        if not is_json(d.get("seq", 0), "integer"):
+        """The entry ``d`` holds as a closed record of this class's annotated field types,
+        ``seq`` optional; else a ValueError about ``what``."""
+        json_record(d, what, field_types(cls, ("seq",)), cls.__dataclass_fields__.keys())
+        if not is_json(d.get("seq", 0), field_types(cls)["seq"]):
             raise ValueError(f"{what} has a non-integer seq")
         if not all(type(x) is float or is_json(x, "integer") and is_finite(x)
                    for x in d["embedding"]):

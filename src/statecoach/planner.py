@@ -42,9 +42,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyActionSetError, InvalidWeightsError
+from .errors import EmptyActionSetError, InvalidWeightsError
 from .probs import Categorical, LabelSpace, check_rows, normalize
 from .vocab import CUES
+from .world_model import check_beliefs
 
 # Default split between exploration and exploitation.
 DEFAULT_LAMBDA_E = 0.4
@@ -137,11 +138,7 @@ class EfeReport:
 def _predict(belief: Categorical, model, actions: Sequence[str]) -> np.ndarray:
     """q'[a, s'] = sum_s q(s) * T[s, a, s'] for each action: the one rollout step."""
     T = model.transitions()
-    if T.shape[0] != len(belief.space):
-        raise DimensionMismatchError(
-            f"belief over {len(belief.space)} states of {belief.space.name!r}, "
-            f"but the model has {T.shape[0]} states"
-        )
+    check_beliefs(T.shape[0], belief)
     if tuple(actions) != model.actions.labels:
         T = T.take([model.actions.index(a) for a in actions], axis=1)
     return np.add.reduce(belief.probs[:, None, None] * T, axis=0)

@@ -18,13 +18,15 @@ every float path makes, is checked in one loop over its entries; any other
 input is converted by numpy first and checked on the Python floats of one
 ``tolist()``, so every error type and message is the one numpy's conversion
 and the checks below give; ``check_rows`` raises them through Categorical.
-``_total`` is the only summing rule for a total taken on Python floats
-anywhere in the package (builtin ``sum`` totals none, since its rounding
-depends on the interpreter): a vector of fewer than 8 entries is added in
-order from 0.0, as numpy adds it; a longer one, which numpy adds pairwise,
-is summed by ``np.add.reduce``.  ``mix``, ``normalize``'s division and
-``kl_divergence``'s arithmetic likewise run entry by entry on Python floats,
-with the logs taken by one ``np.log`` call.
+A total taken on Python floats anywhere in the package follows one of two
+rules, and builtin ``sum`` takes none, since its rounding depends on the
+interpreter.  A vector's total is ``_total``'s: fewer than 8 entries are added
+in order from 0.0, as numpy adds them, and a longer vector, which numpy adds
+pairwise, is summed by ``np.add.reduce``.  A reduction over axis 0 of an array,
+which numpy adds in order at any length, is added in order from 0.0 at any
+length: ``planner_prior`` sums ``_predict``'s that way.  ``mix``,
+``normalize``'s division and ``kl_divergence``'s arithmetic likewise run entry
+by entry on Python floats, with the logs taken by one ``np.log`` call.
 Every value, error type and message is the one the numpy expressions give.
 """
 
@@ -241,16 +243,21 @@ def entropy(dist: Categorical) -> float:
     return float(-np.sum(p[nz] * np.log(p[nz])))
 
 
+def _check_same_space(a: Categorical, b: Categorical, what: str) -> None:
+    """A DimensionMismatchError about ``what`` unless ``a`` and ``b`` share a space's labels."""
+    if a.space is not b.space and a.space.labels != b.space.labels:
+        raise DimensionMismatchError(
+            f"{what} different spaces: {a.space.name!r} vs {b.space.name!r}"
+        )
+
+
 def kl_divergence(q: Categorical, p: Categorical) -> float:
     """KL(q || p) in nats.
 
     Requires both distributions on the same space, and q absolutely
     continuous with respect to p (q puts no mass where p has none).
     """
-    if q.space is not p.space and q.space.labels != p.space.labels:
-        raise DimensionMismatchError(
-            f"KL between different spaces: {q.space.name!r} vs {p.space.name!r}"
-        )
+    _check_same_space(q, p, "KL between")
     qv, pv = q.values, p.values
     nz = [i for i, x in enumerate(qv) if x > 0]
     labels = [q.space.labels[i] for i in nz if pv[i] <= 0]
@@ -268,9 +275,6 @@ def mix(a: Categorical, b: Categorical, weight: float) -> Categorical:
     """
     if not (0.0 <= weight <= 1.0):
         raise WeightOutOfRangeError(f"mixing weight must be in [0, 1], got {weight}")
-    if a.space is not b.space and a.space.labels != b.space.labels:
-        raise DimensionMismatchError(
-            f"mixing different spaces: {a.space.name!r} vs {b.space.name!r}"
-        )
+    _check_same_space(a, b, "mixing")
     keep = 1.0 - weight
     return Categorical(a.space, [keep * x + weight * y for x, y in zip(a.values, b.values)])

@@ -53,6 +53,17 @@ _FILE_KEYS = {"states": "array", "actions": "array", "cues": "array", "kappa_t":
               "kappa_o": "number", "transition_counts": "array", "observation_counts": "array"}
 
 
+def check_beliefs(n_states: int, *beliefs: Categorical) -> None:
+    """Each belief has one entry for each of a model's ``n_states`` states: a count
+    write's ``+=`` would broadcast a one-entry belief over every state."""
+    for q in beliefs:
+        if len(q.values) != n_states:
+            raise DimensionMismatchError(
+                f"belief over {len(q.values)} states of {q.space.name!r}, "
+                f"but the model has {n_states} states"
+            )
+
+
 def _smoothed(counts: np.ndarray, kappa: float) -> np.ndarray:
     """Symmetric Dirichlet smoothing of count rows along the last axis."""
     n = counts.shape[-1]
@@ -125,20 +136,10 @@ class WorldModel:
         k = kappa / len(rows[0])
         return [(row[c] + k) / (_total(row) + kappa) for row in rows]
 
-    def _check_beliefs(self, *beliefs: Categorical) -> None:
-        """Each belief has one entry per state: ``+=`` would broadcast a
-        one-entry belief over every state."""
-        for q in beliefs:
-            if len(q.values) != len(self.states):
-                raise DimensionMismatchError(
-                    f"belief over {len(q.values)} states of {q.space.name!r}, "
-                    f"but the model has {len(self.states)} states"
-                )
-
     def add_observation(self, q: Categorical, cue: str) -> None:
         """Credit the emission table only (used when no prior action exists)."""
         column = self.observation_counts[:, self.cues.index(cue)]
-        self._check_beliefs(q)
+        check_beliefs(len(self.states), q)
         column += q.values
 
     def update(self, q_prev: Categorical, action: str, q_curr: Categorical, cue: str) -> None:
@@ -147,7 +148,7 @@ class WorldModel:
         reply, and ``cue`` the reply's classified observation."""
         block = self.transition_counts[:, self.actions.index(action), :]
         column = self.observation_counts[:, self.cues.index(cue)]
-        self._check_beliefs(q_prev, q_curr)
+        check_beliefs(len(self.states), q_prev, q_curr)
         block += np.multiply.outer(q_prev.values, q_curr.values)
         column += q_curr.values
 

@@ -26,8 +26,6 @@ from statecoach.backends import (
     TOKEN_MEMO_SIZE,
     HttpBackend,
     ScriptedBackend,
-    _apply_rules,
-    _rule_matches,
     ask_once,
     hashed_embedding,
     load_templates,
@@ -157,6 +155,12 @@ def test_generate_response_missing_template():
         b.generate_client_reply("Deny", "hi", {"stage": "contemplation"}, template_id="nope")
 
 
+def _bad_cue_rules(rules):
+    b = ScriptedBackend()
+    b._cue_rules = backends._compile_rules(rules)
+    return b.classify_talk_type("hi")
+
+
 def _bad_response_rules(rules):
     b = ScriptedBackend()
     b._response_rules = backends._compile_replies(rules)
@@ -166,9 +170,9 @@ def _bad_response_rules(rules):
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: _rule_matches({"mode": "sometimes", "label": "x"}, "hi"), ValueError,
+        (lambda: _bad_cue_rules([{"mode": "sometimes", "label": "x"}]), ValueError,
          "unknown rule mode 'sometimes'"),
-        (lambda: _apply_rules([{"mode": "question", "label": "x"}], "hi"), ValueError,
+        (lambda: _bad_cue_rules([{"mode": "question", "label": "x"}]), ValueError,
          "rule table is not total; add a catch-all rule"),
         (lambda: _bad_response_rules([{"response": "  "}]), BackendUnavailableError,
          "scripted rule produced empty text"),

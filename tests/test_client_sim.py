@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from statecoach.backends import DATA_DIR, ScriptedBackend, ask_once
 from statecoach.client_sim import (
     BASE_GATE,
+    DEFAULT_THETA_PREP,
     ClientProfile,
     ClientSession,
     TalkTypeTable,
@@ -942,12 +943,6 @@ def test_calibration_replay_on_shipped_trajectory():
 def test_calibration_empty_trajectory_returns_default():
     profile = make_profile()
     assert calibrate_prep_threshold(profile, [], make_table(), StubBackend()) == 0.5
-    assert (
-        calibrate_prep_threshold(
-            profile, [], make_table(), StubBackend(), default=0.9
-        )
-        == 0.9
-    )
 
 
 def test_calibration_without_gold_transition_returns_default():
@@ -1024,10 +1019,8 @@ def test_calibration_replays_a_live_run_to_its_prep_readiness(run):
             for r in records
         ]
         prep = [r.readiness for r in records if r.sim_stage == "preparation"]
-        want = prep[0] if prep else -1.0
-        assert calibrate_prep_threshold(
-            profile, traj, _SHIPPED_TABLE, backend, tau=cfg.tau, default=-1.0
-        ) == want
+        want = prep[0] if prep else DEFAULT_THETA_PREP
+        assert calibrate_prep_threshold(profile, traj, _SHIPPED_TABLE, backend, tau=cfg.tau) == want
 
 
 def reference_calibration(profile, trajectory, table, backend, tau=0.45, default=0.5):
@@ -1107,8 +1100,13 @@ def test_pop_prior_loads_proper_rows():
     "content, message",
     [("[1, 2]", "a population prior must be a JSON object, got list"),
      ('{"contemplation": {"Inform": -1.0, "Engage": 2.0}}', "probabilities must be non-negative"),
-     ('{"contemplation": [0.5, 0.5]}', "the row of 'contemplation' must be a JSON object, got list")],
-    ids=["array", "negative-row", "list-row"],
+     ('{"contemplation": [0.5, 0.5]}', "the row of 'contemplation' must be a JSON object, got list"),
+     ('{"precontemplation": {"Inform": 1.0}, "contemplaton": {"Inform": 1.0},'
+      ' "preparation": {"Inform": 1.0}}', "a population prior has no contemplation"),
+     ('{"precontemplation": {"Inform": 1.0}, "contemplation": {"Inform": 1.0},'
+      ' "preparation": {"Inform": 1.0}, "maintenance": {"Inform": 1.0}}',
+      "a population prior has unknown key(s): maintenance")],
+    ids=["array", "negative-row", "list-row", "missing-stage", "unknown-stage"],
 )
 def test_pop_prior_errors_name_their_file(tmp_path, content, message):
     path = tmp_path / "pop.json"

@@ -132,9 +132,19 @@ _RECORD = make_record().to_dict()
          "line 2 has no readiness"),
         (_HEADER + "\n\xff\n", "line 2 is not JSON: 'utf-8' codec can't decode byte 0xff"
          " in position 0: invalid start byte"),
+        (_HEADER.replace('"n_triggers": 6', '"n_triggers": "three"'),
+         "line 1 has a non-integer n_triggers"),
+        (_HEADER + "\n" + json.dumps({**_RECORD, "readiness": "high"}),
+         "line 2 has a non-number readiness"),
+        (_HEADER + "\n" + json.dumps({**_RECORD, "turn": True}), "line 2 has a non-integer turn"),
+        (_HEADER + "\n" + json.dumps({**_RECORD, "matched_trigger_ids": "abc"}),
+         "line 2 has a non-array matched_trigger_ids"),
+        (_HEADER + "\n" + json.dumps({**_RECORD, "belief": [0.5, 0.5]}),
+         "line 2 has a non-object or null belief"),
     ],
     ids=["empty", "not-json", "header-extra-key", "header-list", "record-missing-key",
-         "not-utf8"],
+         "not-utf8", "header-mistyped-key", "record-readiness-string", "record-turn-bool",
+         "record-trigger-ids-string", "record-belief-list"],
 )
 def test_from_jsonl_names_the_line_and_file_of_each_fault(tmp_path, text, message):
     path = tmp_path / "t.jsonl"
@@ -143,6 +153,22 @@ def test_from_jsonl_names_the_line_and_file_of_each_fault(tmp_path, text, messag
         Transcript.from_jsonl(path)
     assert type(info.value) is ValueError
     assert str(info.value) == f"{message} (in {path})"
+
+
+@pytest.mark.parametrize(
+    "counselor, cfg",
+    [(lambda b: RandomCounselor(b, seed=3), RunConfig(max_turns=5)),
+     (FixedCounselor, RunConfig(max_turns=5)),
+     (lambda b: ActiveCounselor(b, RunConfig(efe_action=False), "p01-alcohol"),
+      RunConfig(max_turns=5, efe_action=False))],
+    ids=["random", "fixed", "no-efe"],
+)
+def test_transcripts_with_null_keys_read_back_as_written(tmp_path, counselor, cfg):
+    backend = scripted()
+    path = tmp_path / "t.jsonl"
+    t = run_dialogue(counselor(backend), p01_session(backend, cfg), cfg, out_path=path)
+    assert t.records and all(rec.gold_stage is None and rec.efe is None for rec in t.records)
+    assert Transcript.from_jsonl(path).to_jsonl() == path.read_text(encoding="utf-8") == t.to_jsonl()
 
 
 def test_transcript_without_records_reports_initial_stage():
