@@ -59,17 +59,12 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     for name in _VALUE_FLAGS:
         kind = {"int": int, "float": float}[RunConfig.__dataclass_fields__[name].type]
         p.add_argument("--" + name.replace("_", "-"), type=kind, default=None)
-    p.add_argument("--disable-planner", action="store_const", const=True, default=None)
-    p.add_argument("--hard-counts", action="store_const", const=True, default=None)
-    p.add_argument(
-        "--no-efe-action", dest="efe_action", action="store_const", const=False, default=None
-    )
-    p.add_argument(
-        "--no-early-stop", dest="early_stop", action="store_const", const=False, default=None
-    )
-    p.add_argument(
-        "--backend", dest="backend_kind", choices=["scripted", "http"], default=None
-    )
+    for flag, dest, const in (("--disable-planner", "disable_planner", True),
+                              ("--hard-counts", "hard_counts", True),
+                              ("--no-efe-action", "efe_action", False),
+                              ("--no-early-stop", "early_stop", False)):
+        p.add_argument(flag, dest=dest, action="store_const", const=const, default=None)
+    p.add_argument("--backend", dest="backend_kind", choices=["scripted", "http"], default=None)
     p.add_argument("--endpoint", default=None)
     p.add_argument("--model", dest="model_name", default=None)
 
@@ -167,13 +162,12 @@ def cmd_validate_sim(args: argparse.Namespace, cfg: RunConfig) -> int:
     calib_profile = next((p for p in profiles if p.id == calib["profile_id"]), None)
     if calib_profile is None:
         raise FileNotFoundError(f"calibration profile {calib['profile_id']!r} not found")
-    theta = calibrate_prep_threshold(
-        calib_profile, calib["turns"], table, backend, tau=cfg.tau
-    )
+    theta = calibrate_prep_threshold(calib_profile, calib["turns"], table, backend, tau=cfg.tau)
 
-    def one_run() -> str:
-        counselor = ActiveCounselor(make_backend(cfg), cfg, session_id=profiles[0].id)
-        client = _client_session(profiles[0], table, pop, make_backend(cfg), cfg)
+    def one_run() -> str:  # one fresh backend for both sides, as run-dynamic shares one
+        run_backend = make_backend(cfg)
+        counselor = ActiveCounselor(run_backend, cfg, session_id=profiles[0].id)
+        client = _client_session(profiles[0], table, pop, run_backend, cfg)
         return run_dialogue(counselor, client, cfg).to_jsonl()
 
     deterministic = one_run() == one_run()

@@ -42,7 +42,7 @@ from .planner import (
     select_action,
 )
 from .probs import Categorical, normalize, point_mass, uniform
-from .vocab import COUNSELOR_ACTIONS, STAGES
+from .vocab import COUNSELOR_ACTIONS, CUES, STAGES
 from .world_model import WorldModel
 
 # The one preference every plan is scored against; frozen and read-only, so shared.
@@ -60,6 +60,11 @@ AUX_CUE_STAGE = {
     "hedging": "contemplation",
     "plan_statement": "preparation",
 }
+
+# init_world_model's seed cells, one per cue, as flat indices into the (stages, cues) counts.
+_SEEDS = {**{s: s for s in STAGES}, **AUX_CUE_STAGE}
+_SEED_CELLS = np.ravel_multi_index(([STAGES.index(s) for s in _SEEDS.values()],
+                                    [CUES.index(c) for c in _SEEDS]), (len(STAGES), len(CUES)))
 
 
 @dataclass(frozen=True)
@@ -91,7 +96,18 @@ class TurnRecord:
 
     @classmethod
     def from_dict(cls, d: dict, what: str = "a turn record") -> "TurnRecord":
-        return cls(**json_record(d, what, field_types(cls), cls.__dataclass_fields__.keys()))
+        rec = cls(**json_record(d, what, field_types(cls), cls.__dataclass_fields__.keys()))
+        _check_stages(what, sim_stage=rec.sim_stage, gold_stage=rec.gold_stage)
+        if not all(isinstance(i, str) for i in rec.matched_trigger_ids):
+            raise ValueError(f"{what} has a non-string matched_trigger_ids entry")
+        return rec
+
+
+def _check_stages(what: str, **labels: str | None) -> None:
+    """Each label that is not None is a stage, else a ValueError about ``what``."""
+    for key, label in labels.items():
+        if label is not None and label not in STAGES:
+            raise ValueError(f"{what} has an unknown {key} {label!r}")
 
 
 def _jsonl_line(d: dict) -> str:
@@ -137,6 +153,7 @@ class Transcript:
                 raise ValueError("line 1 has no transcript header: the file is blank")
             (number, header), *lines = lines
             header = json_record(header, f"line {number}", head, head.keys())
+            _check_stages(f"line {number}", initial_stage=header["initial_stage"])
             records = [TurnRecord.from_dict(d, f"line {n}") for n, d in lines]
         return cls(records=records, **header)
 
@@ -151,9 +168,7 @@ def init_world_model(cfg: RunConfig) -> WorldModel:
     symmetry while washing out quickly under real evidence.
     """
     wm = WorldModel(kappa_t=cfg.kappa_t, kappa_o=cfg.kappa_o)
-    seeds = {**{s: s for s in STAGES}, **AUX_CUE_STAGE}  # one cell per cue
-    cells = [STAGES.index(stage) for stage in seeds.values()], [wm.cues.index(c) for c in seeds]
-    wm.observation_counts[cells] += cfg.obs_seed_count
+    wm.observation_counts.reshape(-1)[_SEED_CELLS] += cfg.obs_seed_count  # a view of the counts
     return wm
 
 
@@ -388,11 +403,9 @@ def _check_sessions(sessions: list[dict]) -> None:
                 raise NoGoldLabelsError(f"session {sid!r} is missing gold stage labels")
             if not turn["client_text"].strip():
                 raise ValueError(f"session {sid!r} turn {t} has a blank client_text")
-        unknown = sorted({t["gold_stage"] for t in turns} - set(STAGES))
-        if unknown:
+        if unknown := sorted({t["gold_stage"] for t in turns} - set(STAGES)):
             raise UnknownLabelError(f"session {sid!r} has unknown gold stages {unknown}")
-        unknown = sorted({t["counselor_action"] for t in turns} - set(COUNSELOR_ACTIONS))
-        if unknown:
+        if unknown := sorted({t["counselor_action"] for t in turns} - set(COUNSELOR_ACTIONS)):
             raise UnknownActionError(f"session {sid!r} has unknown counselor actions {unknown}")
 
 

@@ -16,10 +16,9 @@ step deep: the score enumerates one future turn, not a policy tree.  The
 predictive state distribution under the chosen action is also the prior the
 next turn's belief is fused with, so one rollout serves both: the counselor
 takes that prior from the report's ``q_next`` row for the chosen action.
-``planner_prior`` forms that one row alone, for callers that chose the action
-without scoring (the no-EFE rotation, offline evaluation): it reads one slice
-of T, the chosen action's (``transition_slice``), and does the rollout's sum
-on Python floats in numpy's order.
+``planner_prior`` forms that one row alone, through the model's ``predict`` on
+Python floats in numpy's order, for callers that chose the action without
+scoring (the no-EFE rotation, offline evaluation).
 
 All candidate actions are scored in one pass over the model's arrays
 T[s, a, s'] and O[s', c] (see ``world_model``).  For k candidates, S states
@@ -232,17 +231,10 @@ def select_action(
 def planner_prior(belief: Categorical, model, chosen: str) -> Categorical:
     """Predictive state distribution under the chosen action.
 
-    This is what the next turn fuses with its observation estimate.  Each
-    q'(s') adds q(s) * T[s, a, s'] over s in order from 0.0, as ``_predict``'s
+    This is what the next turn fuses with its observation estimate: the model's
+    ``predict``, which adds q(s) * T[s, a, s'] over s in order as ``_predict``'s
     axis-0 reduction does, so it is bit for bit the chosen action's ``q_next``
-    row in ``select_action``'s report.  A slice with another number of states
+    row in ``select_action``'s report.  A model with another number of states
     than the belief gives a vector of its length, which ``Categorical`` rejects.
     """
-    q = belief.values
-    q_next = []
-    for column in zip(*model.transition_slice(chosen)):
-        total = 0.0
-        for q_s, t in zip(q, column):
-            total += q_s * t
-        q_next.append(total)
-    return Categorical(belief.space, q_next)
+    return Categorical(belief.space, model.predict(belief.values, chosen))

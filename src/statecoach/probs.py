@@ -24,7 +24,7 @@ interpreter.  A vector's total is ``_total``'s: fewer than 8 entries are added
 in order from 0.0, as numpy adds them, and a longer vector, which numpy adds
 pairwise, is summed by ``np.add.reduce``.  A reduction over axis 0 of an array,
 which numpy adds in order at any length, is added in order from 0.0 at any
-length: ``planner_prior`` sums ``_predict``'s that way.  ``mix``,
+length: a model's ``predict`` sums ``_predict``'s that way.  ``mix``,
 ``normalize``'s division and ``kl_divergence``'s arithmetic likewise run entry
 by entry on Python floats, with the logs taken by one ``np.log`` call.
 Every value, error type and message is the one the numpy expressions give.

@@ -13,16 +13,16 @@ The model is held as two arrays, and every consumer reads them as such:
 * ``observations()`` is O[s, c] = p(c | s), shape (states, cues), each
   O[s, :] a distribution.
 
-Every other read is a slice of T or O: a row of T, one action's (states,
-states) slice of T (``transition_slice``), a row of O, or a column of O
-(``observation_likelihood``).  ``WorldModel`` derives what it returns from its
-counts on every read, so writing the count arrays directly is always safe.  The
-two slice reads of the belief step compute only their own cells, with
-``_smoothed``'s arithmetic and numpy's summing order, and return them as
-lists of Python floats, so each is bit for bit the slice of the whole array
-and its consumers (``normalize``, ``planner_prior``, ``bayes_update``) read
-it without a conversion.  ``TableModel`` holds fixed, validated T and O
-arrays instead and answers the same reads by slicing them, as the same lists.
+Every other read is a row of T or O, a column of O (``observation_likelihood``)
+or a belief rolled through one action's slice of T, sum_s q(s) * T[s, a, s']
+(``predict``).  ``WorldModel`` derives what it returns from its counts on every
+read, so writing the count arrays directly is always safe.  The two reads of
+the belief step compute only the cells they use, with ``_smoothed``'s
+arithmetic and numpy's summing order, as lists of Python floats: each is bit
+for bit what numpy gives on the whole array, and its consumers (``normalize``,
+``planner_prior``, ``bayes_update``) read it without a conversion.
+``TableModel`` holds fixed, validated T and O arrays instead and answers the
+same reads from them, as the same lists.
 
 There is one update rule: each turn deposits counts weighted by the beliefs,
 the outer product of the previous and current belief for the transition and
@@ -111,26 +111,24 @@ class WorldModel:
         """p(cue | state): one row of O."""
         return Categorical(self.cues, self.observations()[self.states.index(state)])
 
-    def transition_slice(self, action: str) -> list[list[float]]:
-        """T[:, a, :] = p(s' | s, action) for every state s, one action's slice
-        of T, as one list of Python floats per s."""
+    def predict(self, q: list[float], action: str) -> list[float]:
+        """sum_s q(s) * T[s, action, s'] for every s', as Python floats: the belief
+        ``q`` rolled one step.  Each cell is smoothed inline from its count row and
+        ``q(s)`` times it added into ``out[s']`` in order of s from 0.0, as numpy's
+        axis-0 reduction adds; ``zip`` stops at the shorter of ``q`` and T's states."""
         rows = self.transition_counts[:, self.actions.index(action)].tolist()
-        kappa = self.kappa_t
-        k = kappa / len(rows[0])
-        smoothed = []
-        for row in rows:
+        kappa, n = self.kappa_t, len(rows[0])
+        k, out = kappa / n, [0.0] * n
+        for q_s, row in zip(q, rows):
             total = _total(row) + kappa
-            smoothed.append([(c + k) / total for c in row])
-        return smoothed
+            for j in range(n):
+                out[j] += q_s * ((row[j] + k) / total)
+        return out
 
     def observation_likelihood(self, cue: str) -> list[float]:
-        """p(cue | s) for every state s, one column of O: the evidence vector,
-        as a list of Python floats.
-
-        Each cell is smoothed as ``transition_slice`` smooths a row's.  The
-        method is defined here, not borrowed, because ``bench/tracer.py``
-        wraps it in this class's dict.
-        """
+        """p(cue | s) for every state s, one column of O: the evidence vector, as
+        Python floats, each cell smoothed inline.  It is defined here, not borrowed,
+        because ``bench/tracer.py`` wraps it in this class's dict."""
         c, kappa = self.cues.index(cue), self.kappa_o
         rows = self.observation_counts.tolist()
         k = kappa / len(rows[0])
@@ -236,8 +234,11 @@ class TableModel:
     def observations(self) -> np.ndarray:
         return self.O
 
-    def transition_slice(self, action: str) -> list[list[float]]:
-        return self.T[:, self.actions.index(action)].tolist()
+    def predict(self, q: list[float], action: str) -> list[float]:
+        out = [0.0] * len(self.states)
+        for q_s, row in zip(q, self.T[:, self.actions.index(action)].tolist()):
+            out = [o + q_s * t for o, t in zip(out, row)]
+        return out
 
     def observation_likelihood(self, cue: str) -> list[float]:
         return self.O[:, self.cues.index(cue)].tolist()

@@ -9,7 +9,9 @@ floating-point warnings off, since the float paths have no such warnings to
 give: an overflow or ``0 * inf`` yields the same inf or NaN either way.
 
 The count writes went the other way, from a loop over Python floats to
-numpy's in-place ``+=``: that loop is kept below as their reference.
+numpy's in-place ``+=``: that loop is kept below as their reference.  So is
+the loop ``planner_prior`` ran before each model's ``predict`` took the sum
+over: one action's smoothed slice of T, transposed and summed column by column.
 
 The planner's scoring pass is held to its masked form the same way: the
 ``where=`` forms of ``_epistemic`` and ``check_rows`` are kept below, and
@@ -18,7 +20,7 @@ The planner's scoring pass is held to its masked form the same way: the
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from statecoach.belief import _evidence, bayes_update, free_energy
 from statecoach.errors import (
@@ -44,6 +46,7 @@ from statecoach.probs import (
     kl_divergence,
     mix,
     normalize,
+    _total,
 )
 from statecoach.world_model import TableModel, WorldModel, _smoothed
 
@@ -124,6 +127,58 @@ def test_planner_prior_is_the_predicted_row(case):
         return Categorical(belief.space, _predict(belief, model, (action,))[0])
 
     assert outcome(planner_prior, belief, model, action) == outcome(reference)
+
+
+def transition_slice_reference(model, action):
+    """T[:, action, :] as one list of Python floats per state, built as the
+    package built it before ``predict``: a whole smoothed row at a time."""
+    if isinstance(model, TableModel):
+        return model.T[:, model.actions.index(action)].tolist()
+    rows = model.transition_counts[:, model.actions.index(action)].tolist()
+    kappa = model.kappa_t
+    k = kappa / len(rows[0])
+    smoothed = []
+    for row in rows:
+        total = _total(row) + kappa
+        smoothed.append([(c + k) / total for c in row])
+    return smoothed
+
+
+def predict_reference(q, model, action):
+    """``predict`` as the package summed it before: the slice transposed, and
+    each column's q(s) * T[s, a, s'] added in order from 0.0."""
+    q_next = []
+    for column in zip(*transition_slice_reference(model, action)):
+        total = 0.0
+        for q_s, t in zip(q, column):
+            total += q_s * t
+        q_next.append(total)
+    return q_next
+
+
+@settings(max_examples=300, deadline=None)
+@given(predict_case(), st.integers(-2, 2), st.data())
+def test_predict_is_the_transposed_slice_loop(case, extra, data):
+    # A belief of another length (extra != 0) is zipped short, as the loop zips it.
+    _belief, model, action = case
+    n = len(model.states) + extra
+    assume(n >= 1)
+    belief = Categorical(space("b", n), data.draw(distribution(n)))
+    assert outcome(model.predict, belief.values, action) == outcome(
+        predict_reference, belief.values, model, action)
+    reference = lambda: Categorical(belief.space, predict_reference(belief.values, model, action))
+    assert outcome(planner_prior, belief, model, action) == outcome(reference)
+
+
+def test_predict_reads_the_counts_written_last():
+    model, q = WorldModel(), (0.2, 0.5, 0.3)
+    action = model.actions.labels[1]
+    fresh = model.predict(q, action)
+    model.transition_counts[:, 1, 0] += 4.0
+    written = model.predict(q, action)
+    assert written != fresh and written == predict_reference(q, model, action)
+    model.transition_counts = np.zeros_like(model.transition_counts)
+    assert model.predict(q, action) == fresh
 
 
 def mix_reference(a, b, weight):

@@ -40,6 +40,7 @@ from statecoach.harness import (
 from statecoach.metrics import Metrics, dynamic_metrics
 from statecoach.probs import uniform
 from statecoach.vocab import COUNSELOR_ACTIONS, STAGES
+from statecoach.world_model import WorldModel
 
 
 def scripted():
@@ -141,10 +142,19 @@ _RECORD = make_record().to_dict()
          "line 2 has a non-array matched_trigger_ids"),
         (_HEADER + "\n" + json.dumps({**_RECORD, "belief": [0.5, 0.5]}),
          "line 2 has a non-object or null belief"),
+        (_HEADER.replace('"initial_stage": "precontemplation"', '"initial_stage": "bogus"'),
+         "line 1 has an unknown initial_stage 'bogus'"),
+        (_HEADER + "\n" + json.dumps({**_RECORD, "sim_stage": "bogus"}),
+         "line 2 has an unknown sim_stage 'bogus'"),
+        ("\n".join([_HEADER, json.dumps(_RECORD), json.dumps({**_RECORD, "gold_stage": "Bogus"})]),
+         "line 3 has an unknown gold_stage 'Bogus'"),
+        (_HEADER + "\n" + json.dumps({**_RECORD, "matched_trigger_ids": ["t-0", 1, [2]]}),
+         "line 2 has a non-string matched_trigger_ids entry"),
     ],
     ids=["empty", "not-json", "header-extra-key", "header-list", "record-missing-key",
          "not-utf8", "header-mistyped-key", "record-readiness-string", "record-turn-bool",
-         "record-trigger-ids-string", "record-belief-list"],
+         "record-trigger-ids-string", "record-belief-list", "header-unknown-initial-stage",
+         "record-unknown-sim-stage", "record-unknown-gold-stage", "record-trigger-id-not-string"],
 )
 def test_from_jsonl_names_the_line_and_file_of_each_fault(tmp_path, text, message):
     path = tmp_path / "t.jsonl"
@@ -197,6 +207,18 @@ def test_world_model_seeds_stage_and_aligned_cues():
 def test_seed_count_is_configurable():
     wm = init_world_model(RunConfig(obs_seed_count=2.5))
     assert wm.observation_counts.sum() == 15.0
+
+
+@pytest.mark.parametrize("seed", [0.0, 1.0, 2.5])
+def test_seed_cells_equal_the_per_call_construction(seed):
+    # The cells as init_world_model once built them on every call.
+    ref = WorldModel()
+    seeds = {**{s: s for s in STAGES}, **AUX_CUE_STAGE}
+    cells = [STAGES.index(stage) for stage in seeds.values()], [ref.cues.index(c) for c in seeds]
+    ref.observation_counts[cells] += seed
+    wm = init_world_model(RunConfig(obs_seed_count=seed))
+    assert wm.observation_counts.tobytes() == ref.observation_counts.tobytes()
+    assert wm.transition_counts.tobytes() == ref.transition_counts.tobytes()
 
 
 # --- active counselor belief pipeline ---
